@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import GlobalBoxField, SemanticField, softmax_field
-from .geometry import BoundingBox
 from .maskcons import construct_masks, fuse_panoptic
-from .selection import QuerySet, ScoredBox, nms
+from .selection import QuerySet, nms
 
 
 @dataclass
@@ -75,25 +74,25 @@ def make_bench_inputs(height: int, width: int, n_queries: int, seed: int = 0):
     boxes = np.stack([cx + jitter[:, :, 0] - half_w, cy + jitter[:, :, 1] - half_h,
                       cx + jitter[:, :, 0] + half_w, cy + jitter[:, :, 1] + half_h],
                      axis=2).astype(np.float32)
-    background = rng.random((height, width)) < 0.2
-    ys, xs = np.nonzero(background)
+    ys, xs = np.nonzero(rng.random((height, width)) < 0.2)
     boxes[ys, xs, 0] = cx[ys, xs]
     boxes[ys, xs, 1] = cy[ys, xs]
     boxes[ys, xs, 2] = cx[ys, xs]
     boxes[ys, xs, 3] = cy[ys, xs]
-    gb = GlobalBoxField(boxes=boxes, background=background)
+    gb = GlobalBoxField(boxes=boxes)
     sem = SemanticField(softmax_field(rng.normal(0, 2.0, (height, width, n_stuff + n_things)).astype(np.float32)))
-    qlist = []
+    qboxes = np.empty((n_queries, 4))
+    classes = np.empty(n_queries, dtype=np.int64)
+    scores = np.empty(n_queries)
     for i in range(n_queries):
         qx = rng.uniform(0, 4 * width)
         qy = rng.uniform(0, 4 * height)
         hw = rng.uniform(30.0, 180.0)
         hh = rng.uniform(30.0, 180.0)
-        qlist.append(ScoredBox(box=BoundingBox(qx - hw, qy - hh, qx + hw, qy + hh),
-                               class_id=int(n_stuff + 1 + rng.integers(n_things)),
-                               score=float(rng.uniform(0.1, 1.0)), level=0))
-    qlist.sort(key=ScoredBox.sort_key)
-    return gb, sem, QuerySet(qlist)
+        qboxes[i] = (qx - hw, qy - hh, qx + hw, qy + hh)
+        classes[i] = n_stuff + 1 + rng.integers(n_things)
+        scores[i] = rng.uniform(0.1, 1.0)
+    return gb, sem, QuerySet(qboxes, classes, scores, np.zeros(n_queries, dtype=np.int64)).ordered()
 
 
 def naive_construct_masks(gb: GlobalBoxField, sem: SemanticField, queries: QuerySet,
@@ -103,10 +102,9 @@ def naive_construct_masks(gb: GlobalBoxField, sem: SemanticField, queries: Query
     out = np.zeros((len(queries), h, w), dtype=bool)
     boxes = gb.boxes
     probs = sem.probs
-    for qi, q in enumerate(queries):
-        qx1, qy1, qx2, qy2 = q.box.x1, q.box.y1, q.box.x2, q.box.y2
+    for qi, ((qx1, qy1, qx2, qy2), cls) in enumerate(zip(queries.boxes.tolist(), queries.classes.tolist())):
         qarea = (qx2 - qx1) * (qy2 - qy1)
-        ch = q.class_id - 1
+        ch = cls - 1
         for y in range(h):
             for x in range(w):
                 bx1, by1, bx2, by2 = boxes[y, x]
@@ -158,7 +156,7 @@ def run_benchmark(height: int = 256, width: int = 512, n_queries: int = 50,
     stages.append(StageTiming("fusion", _time(
         lambda: fuse_panoptic(masks, queries, sem, n_stuff, stuff_area_min=0), repeat)))
     stages.append(StageTiming("nms_on_queries", _time(
-        lambda: nms(list(queries), iou_thresh=0.6), repeat)))
+        lambda: nms(queries, iou_thresh=0.6), repeat)))
 
     speedup_naive = 0.0
     if include_naive:

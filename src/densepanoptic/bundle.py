@@ -2,9 +2,11 @@
 
 A bundle is a directory with a JSON manifest listing every tensor (name,
 element type, shape, filename) and one raw little-endian row-major binary
-file per tensor. Element types are f32, u16 and u8. Reads verify that file
-byte lengths match the manifest shapes exactly, so round-trips are bitwise
-faithful.
+file per tensor. Element types are f32, u16 and u8. Reads check every
+manifest entry against that schema (the filename must be the tensor name
+plus ".bin", so no entry reaches outside the directory) and verify that
+file byte lengths match the manifest shapes exactly, so round-trips are
+bitwise faithful.
 
 A panoptic archive is a bundle specialization carrying the fused class and
 instance maps, a segments table in the manifest, and optionally a colorized
@@ -58,26 +60,44 @@ def write_bundle(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
     (root / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _manifest_entry(e) -> tuple[str, np.dtype, tuple[int, ...]]:
+    """(name, dtype, shape) of one manifest entry, exactly as write_bundle writes it."""
+    if not (isinstance(e, dict) and isinstance(e.get("name"), str) and _NAME_RE.fullmatch(e["name"])
+            and isinstance(e.get("dtype"), str) and e["dtype"] in DTYPES
+            and isinstance(e.get("shape"), list) and all(type(d) is int and d >= 0 for d in e["shape"])
+            and e.get("file") == e["name"] + ".bin"):
+        raise ValueError(f"invalid manifest entry {e!r}: needs a tensor name, dtype in {list(DTYPES)}, "
+                         "shape of nonnegative ints and file equal to name + '.bin'")
+    return e["name"], DTYPES[e["dtype"]], tuple(e["shape"])
+
+
 def read_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a bundle directory; byte lengths are validated against shapes."""
+    """Read a bundle directory; entries are schema-checked and byte lengths
+    validated against shapes."""
     root = Path(path)
     mpath = root / MANIFEST
     if not mpath.is_file():
         raise ValueError(f"{root} is not a tensor bundle (missing {MANIFEST})")
     manifest = json.loads(mpath.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{mpath} does not hold a JSON object")
     if manifest.get("format") != FORMAT:
         raise ValueError(f"unsupported bundle format {manifest.get('format')!r}")
+    entries, meta = manifest.get("tensors"), manifest.get("meta", {})
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise ValueError(f"{mpath}: 'tensors' must be a list and 'meta' an object")
     tensors: dict[str, np.ndarray] = {}
-    for e in manifest["tensors"]:
-        name, dtype, shape, fname = e["name"], e["dtype"], tuple(e["shape"]), e["file"]
-        if dtype not in DTYPES:
-            raise ValueError(f"tensor {name}: unknown dtype {dtype}")
-        raw = (root / fname).read_bytes()
-        expect = int(np.prod(shape, dtype=np.int64)) * DTYPES[dtype].itemsize
+    for e in entries:
+        name, dtype, shape = _manifest_entry(e)
+        fpath = root / (name + ".bin")
+        if not fpath.is_file():
+            raise ValueError(f"tensor {name}: missing file {fpath.name}")
+        raw = fpath.read_bytes()
+        expect = math.prod(shape) * dtype.itemsize
         if len(raw) != expect:
             raise ValueError(f"tensor {name}: file holds {len(raw)} bytes, manifest implies {expect}")
-        tensors[name] = np.frombuffer(raw, dtype=DTYPES[dtype]).reshape(shape).copy()
-    return tensors, manifest.get("meta", {})
+        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    return tensors, meta
 
 
 def _specs_to_meta(specs: list[LevelSpec]) -> list[dict]:

@@ -92,7 +92,7 @@ class DenseBoxLevel:
         if self.offsets.min(initial=0.0) < 0:
             raise ValueError("offsets must be nonnegative")
         for name, arr in (("class_probs", self.class_probs), ("centerness", self.centerness)):
-            if arr.size and (arr.min() < 0 or arr.max() > 1):
+            if arr.size and not (arr.min() >= 0 and arr.max() <= 1):
                 raise ValueError(f"{name} must lie in [0, 1]")
 
     @property
@@ -115,10 +115,10 @@ class SemanticField:
         if self.probs.ndim != 3:
             raise ValueError("semantic probs must be (h, w, n_classes)")
         if self.probs.size:
-            if self.probs.min() < -1e-6 or self.probs.max() > 1 + 1e-6:
+            if not (self.probs.min() >= -1e-6 and self.probs.max() <= 1 + 1e-6):
                 raise ValueError("semantic probs must lie in [0, 1]")
             sums = self.probs.sum(axis=2, dtype=np.float64)
-            if np.abs(sums - 1.0).max() > 1e-5:
+            if not np.abs(sums - 1.0).max() <= 1e-5:
                 raise ValueError("semantic probs must sum to 1 per pixel")
 
     @property
@@ -162,26 +162,22 @@ class LevelnessField:
 
 @dataclass
 class GlobalBoxField:
-    """Resolution-uniform absolute box per pixel plus a background flag.
+    """Resolution-uniform absolute box per pixel, (h, w, 4) float32.
 
     Background pixels carry the degenerate point box at their own sample
     location so they score IoU 0 against every proper box.
     """
 
     boxes: np.ndarray
-    background: np.ndarray
 
     def __post_init__(self):
         self.boxes = np.ascontiguousarray(self.boxes, dtype=np.float32)
-        self.background = np.ascontiguousarray(self.background, dtype=bool)
         if self.boxes.ndim != 3 or self.boxes.shape[2] != 4:
             raise ValueError("global boxes must be (h, w, 4)")
-        if self.background.shape != self.boxes.shape[:2]:
-            raise ValueError("background mask shape mismatch")
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.background.shape
+        return self.boxes.shape[:2]
 
 
 @dataclass(frozen=True)
@@ -275,6 +271,9 @@ class DensePrediction:
             raise ValueError(f"semantic logits shape {self.semantic_logits.shape} mismatch")
         if self.levelness_logits.shape != (*q, len(self.levels) + 1):
             raise ValueError(f"levelness logits shape {self.levelness_logits.shape} mismatch")
+        for name, arr in (("semantic", self.semantic_logits), ("levelness", self.levelness_logits)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} logits must be finite")
         if len(self.levels) != len(self.specs):
             raise ValueError("one spec per level required")
         validate_level_specs(self.specs)

@@ -39,9 +39,6 @@ class BoundingBox:
     def contains(self, x: float, y: float) -> bool:
         return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class BoxOffsets:
@@ -123,24 +120,27 @@ def receptive_center(stride: int, ix: int, iy: int) -> tuple[float, float]:
     return (float(stride // 2 + ix * stride), float(stride // 2 + iy * stride))
 
 
-def iou_grid(boxes: np.ndarray, box: BoundingBox) -> np.ndarray:
+def iou_grid(boxes: np.ndarray, box) -> np.ndarray:
     """IoU of every box in a dense (..., 4) array against one box.
 
+    `box` is (x1, y1, x2, y2) as Python floats: a numpy float64 scalar would
+    promote float32 `boxes` arithmetic to float64 and change results.
     Degenerate entries (zero width or height) score 0. Returns float32 with
     the leading shape of `boxes`.
     """
     boxes = np.asarray(boxes)
     if boxes.shape[-1] != 4:
         raise ValueError(f"expected trailing dimension 4, got {boxes.shape}")
+    bx1, by1, bx2, by2 = box
     x1 = boxes[..., 0]
     y1 = boxes[..., 1]
     x2 = boxes[..., 2]
     y2 = boxes[..., 3]
-    iw = np.minimum(x2, box.x2) - np.maximum(x1, box.x1)
-    ih = np.minimum(y2, box.y2) - np.maximum(y1, box.y1)
+    iw = np.minimum(x2, bx2) - np.maximum(x1, bx1)
+    ih = np.minimum(y2, by2) - np.maximum(y1, by1)
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     areas = (x2 - x1) * (y2 - y1)
-    union = areas + box.area - inter
+    union = areas + max(0.0, bx2 - bx1) * max(0.0, by2 - by1) - inter
     out = np.zeros(boxes.shape[:-1], dtype=np.float32)
     np.divide(inter, union, out=out, where=union > 0, casting="unsafe")
     # a zero-width intersection strip must not survive the division

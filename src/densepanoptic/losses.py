@@ -228,8 +228,7 @@ def mask_loss(
     if unmatched:
         logger.warning("mask_loss: %d of %d queries matched no gt box", unmatched, len(queries))
     terms = []
-    for i, q in enumerate(queries):
-        j = int(matches[i])
+    for i, (box, j) in enumerate(zip(qboxes.tolist(), matches.tolist())):
         if j < 0:
             continue
         inside = gt_instances == j + 1
@@ -237,7 +236,7 @@ def mask_loss(
         if n_j == 0:
             continue
         beta = iou_elementwise(qboxes[i][None], g[j][None])[0]
-        ious = iou_grid(global_boxes.boxes, q.box).astype(np.float64)
+        ious = iou_grid(global_boxes.boxes, box).astype(np.float64)
         e_fn = float((1.0 - ious[inside]).sum())
         e_fp = float(ious[~inside].sum())
         terms.append(beta / n_j * (e_fp + e_fn))

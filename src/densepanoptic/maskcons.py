@@ -10,37 +10,21 @@ fills the rest from the semantic field.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import GlobalBoxField, PanopticMap, SegmentInfo, SemanticField, upsample_nearest
 from .geometry import iou_grid
-from .selection import QuerySet, ScoredBox
+from .selection import QuerySet, location_probability_maxlevel
 
 
-@dataclass
-class MaskProbabilityMap:
-    """Per-pixel probability that a pixel belongs to one query."""
+def location_probability(field: GlobalBoxField, box) -> np.ndarray:
+    """IoU of every pixel's predicted box against a query box, (h, w) float32.
 
-    query: ScoredBox
-    probs: np.ndarray
-
-
-@dataclass
-class InstanceMask:
-    """Boolean quarter-resolution mask for one query."""
-
-    query: ScoredBox
-    mask: np.ndarray
-
-
-def location_probability(field: GlobalBoxField, query: ScoredBox) -> np.ndarray:
-    """IoU of every pixel's predicted box against the query box, (h, w) float32.
-
-    Background pixels hold degenerate point boxes and therefore score 0.
+    `box` is (x1, y1, x2, y2) as Python floats. Background pixels hold
+    degenerate point boxes and therefore score 0.
     """
-    return iou_grid(field.boxes, query.box)
+    return iou_grid(field.boxes, box)
 
 
 def mask_probability(
@@ -93,18 +77,15 @@ def construct_masks(
     h, w = semantics.shape
     out = np.zeros((len(queries), h, w), dtype=bool)
 
-    if global_boxes is not None:
-        def one(i: int) -> None:
-            q = queries[i]
-            p = location_probability(global_boxes, q)
-            out[i] = threshold_mask(mask_probability(p, semantics, q.class_id, n_stuff), sigma)
-    else:
-        from .selection import location_probability_maxlevel
+    boxes = queries.boxes.tolist()
+    classes = queries.classes.tolist()
 
-        def one(i: int) -> None:
-            q = queries[i]
-            p = location_probability_maxlevel(levels, q)
-            out[i] = threshold_mask(mask_probability(p, semantics, q.class_id, n_stuff), sigma)
+    def one(i: int) -> None:
+        if global_boxes is not None:
+            p = location_probability(global_boxes, boxes[i])
+        else:
+            p = location_probability_maxlevel(levels, boxes[i])
+        out[i] = threshold_mask(mask_probability(p, semantics, classes[i], n_stuff), sigma)
 
     if threads == 1 or len(queries) <= 1:
         for i in range(len(queries)):
@@ -139,38 +120,35 @@ def fuse_panoptic(
         raise ValueError("upsample must be positive")
     if stuff_area_min < 0:
         raise ValueError("stuff_area_min must be nonnegative")
-    scores = [q.score for q in queries]
-    if any(a < b for a, b in zip(scores, scores[1:])):
+    scores = queries.scores
+    if np.any(scores[1:] > scores[:-1]):
         raise ValueError("queries must be ordered by descending score")
     h, w = semantics.shape
     if masks.shape[1:] != (h, w):
         raise ValueError("mask and semantic shapes differ")
+    if np.any(queries.classes <= n_stuff):
+        raise ValueError("queries must carry thing classes")
     class_map = np.zeros((h, w), dtype=np.uint16)
     inst_map = np.zeros((h, w), dtype=np.uint16)
     claimed = np.zeros((h, w), dtype=bool)
-    segments: list[SegmentInfo] = []
-    next_id = 1
-    for i, q in enumerate(queries):
-        if q.class_id <= n_stuff:
-            raise ValueError("queries must carry thing classes")
+    claims: list[tuple[int, float]] = []  # (class id, score) of instance id k at index k - 1
+    for i, (cls, score) in enumerate(zip(queries.classes.tolist(), scores.tolist())):
         take = masks[i] & ~claimed
         if not take.any():
             continue
-        class_map[take] = q.class_id
-        inst_map[take] = next_id
+        claims.append((cls, score))
+        class_map[take] = cls
+        inst_map[take] = len(claims)
         claimed |= take
-        segments.append(SegmentInfo(segment_id=next_id, class_id=q.class_id,
-                                    area=0, score=float(q.score)))
-        next_id += 1
 
     free = ~claimed
     if free.any():
         sem_cls = semantics.argmax_classes()
         fill = np.where(sem_cls <= n_stuff, sem_cls, 0).astype(np.uint16)
         class_map[free] = fill[free]
+    factor2 = upsample * upsample
     if n_stuff:
         counts = np.bincount(class_map[class_map <= n_stuff].ravel(), minlength=n_stuff + 1)
-        factor2 = upsample * upsample
         for c in range(1, n_stuff + 1):
             if counts[c] and counts[c] * factor2 < stuff_area_min:
                 kill = (class_map == c) & (inst_map == 0)
@@ -178,12 +156,9 @@ def fuse_panoptic(
 
     class_full = upsample_nearest(class_map, upsample)
     inst_full = upsample_nearest(inst_map, upsample)
-    factor2 = upsample * upsample
-    final: list[SegmentInfo] = []
-    inst_areas = np.bincount(inst_map.ravel(), minlength=next_id)
-    for s in segments:
-        final.append(SegmentInfo(segment_id=s.segment_id, class_id=s.class_id,
-                                 area=int(inst_areas[s.segment_id]) * factor2, score=s.score))
+    inst_areas = np.bincount(inst_map.ravel(), minlength=len(claims) + 1)
+    final = [SegmentInfo(segment_id=k, class_id=cls, area=int(inst_areas[k]) * factor2, score=score)
+             for k, (cls, score) in enumerate(claims, start=1)]
     stuff_counts = np.bincount(class_map[inst_map == 0].ravel(), minlength=n_stuff + 1)
     for c in range(1, n_stuff + 1):
         if stuff_counts[c]:

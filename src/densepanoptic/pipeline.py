@@ -11,7 +11,7 @@ from . import losses as L
 from .bundle import TargetBundle
 from .fields import DensePrediction, PanopticMap
 from .maskcons import construct_masks, fuse_panoptic
-from .selection import QuerySet, assemble_global_boxes, decode_candidates, nms
+from .selection import QuerySet, assemble_global_boxes, decode_boxes, decode_candidates, nms
 
 ASSEMBLY_MODES = ("levelness", "max-iou")
 
@@ -84,20 +84,8 @@ def compute_loss_report(
     for lv, t in zip(pred.levels, targets.level_targets):
         if lv.stride != t.stride or lv.shape != t.centerness.shape:
             raise ValueError("prediction and target grids disagree")
-        z = lv.stride
-        h, w = lv.shape
-        cx = (z // 2 + np.arange(w) * z).astype(np.float64)
-        cy = (z // 2 + np.arange(h) * z).astype(np.float64)
-        px = np.broadcast_to(cx[None, :], (h, w))
-        py = np.broadcast_to(cy[:, None], (h, w))
-        off = lv.offsets.astype(np.float64)
-        pb = np.stack([px - off[:, :, 0], py - off[:, :, 1],
-                       px + off[:, :, 2], py + off[:, :, 3]], axis=2)
-        toff = t.offsets.astype(np.float64)
-        tb = np.stack([px - toff[:, :, 0], py - toff[:, :, 1],
-                       px + toff[:, :, 2], py + toff[:, :, 3]], axis=2)
-        pred_boxes.append(pb.reshape(-1, 4))
-        tgt_boxes.append(tb.reshape(-1, 4))
+        pred_boxes.append(decode_boxes(lv.offsets, lv.stride, np.float64).reshape(-1, 4))
+        tgt_boxes.append(decode_boxes(t.offsets, lv.stride, np.float64).reshape(-1, 4))
         fg_all.append(t.foreground.reshape(-1))
         pred_cent.append(lv.centerness.reshape(-1))
         tgt_cent.append(t.centerness.reshape(-1))

@@ -1,13 +1,14 @@
 """Candidate decoding, class-wise NMS and global box-field assembly.
 
-All ordering in this module follows one total order so results never depend
-on input permutation: descending score, then ascending class id, box
+Candidates and queries travel as one QuerySet of parallel arrays. All
+ordering in this module follows one total order so results never depend on
+input permutation: descending score, then ascending class id, box
 coordinates (x1, y1, x2, y2) and level index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,63 +18,84 @@ from .geometry import BoundingBox, iou_grid
 
 @dataclass(frozen=True)
 class ScoredBox:
-    """One detection candidate: absolute box, global class id, score, level."""
+    """One query as a row object: absolute box, global class id, score, level.
+
+    Built on demand when a QuerySet is iterated; the pipeline reads the
+    QuerySet arrays directly.
+    """
 
     box: BoundingBox
     class_id: int
     score: float
     level: int
 
-    def sort_key(self) -> tuple:
-        return (-self.score, self.class_id, self.box.x1, self.box.y1, self.box.x2, self.box.y2, self.level)
 
-
-@dataclass
+@dataclass(eq=False)
 class QuerySet:
-    """NMS survivors ordered by descending score."""
+    """Detection candidates or NMS survivors as four parallel arrays.
 
-    boxes: list[ScoredBox] = field(default_factory=list)
+    boxes: (M, 4) float64 absolute (x1, y1, x2, y2); classes: (M,) int64
+    global class ids; scores: (M,) float64; levels: (M,) int64 pyramid level
+    indices. decode_candidates and nms emit their sets in the total order;
+    the constructor keeps the order it is given.
+    """
+
+    boxes: np.ndarray
+    classes: np.ndarray
+    scores: np.ndarray
+    levels: np.ndarray
+
+    def __post_init__(self):
+        self.boxes = np.asarray(self.boxes, dtype=np.float64)
+        self.classes = np.asarray(self.classes, dtype=np.int64)
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.levels = np.asarray(self.levels, dtype=np.int64)
+        n = len(self.scores)
+        columns = (self.classes, self.scores, self.levels)
+        if self.boxes.shape != (n, 4) or any(a.shape != (n,) for a in columns):
+            raise ValueError("a QuerySet needs (M, 4) boxes and M classes, scores and levels")
+        b = self.boxes
+        if not (np.isfinite(b).all() and (b[:, :2] <= b[:, 2:]).all()):
+            raise ValueError("query boxes must be finite and satisfy x1 <= x2 and y1 <= y2")
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.scores)
 
     def __iter__(self):
-        return iter(self.boxes)
-
-    def __getitem__(self, i: int) -> ScoredBox:
-        return self.boxes[i]
+        rows = zip(self.boxes.tolist(), self.classes.tolist(), self.scores.tolist(), self.levels.tolist())
+        return (ScoredBox(BoundingBox(*b), c, s, l) for b, c, s, l in rows)
 
     def box_array(self) -> np.ndarray:
         """(M, 4) float64 box coordinates in query order."""
-        return np.array([q.box.as_array() for q in self.boxes], dtype=np.float64).reshape(-1, 4)
+        return self.boxes
+
+    def take(self, idx) -> QuerySet:
+        """The queries at integer indices `idx`, in that order."""
+        return QuerySet(self.boxes[idx], self.classes[idx], self.scores[idx], self.levels[idx])
+
+    def ordered(self, k: int | None = None) -> QuerySet:
+        """The first k queries (all by default) in the total order."""
+        b = self.boxes
+        order = np.lexsort((self.levels, b[:, 3], b[:, 2], b[:, 1], b[:, 0], self.classes, -self.scores))
+        return self.take(order[:k])
 
 
-def _candidate_arrays(levels: list[DenseBoxLevel], score_thresh: float, n_stuff: int):
-    """Flatten all locations scoring >= threshold into parallel arrays."""
-    boxes, classes, scores, lvls = [], [], [], []
-    for li, lv in enumerate(levels):
-        z = lv.stride
-        h, w = lv.shape
-        score = lv.class_probs * lv.centerness[:, :, None]
-        yy, xx, cc = np.nonzero(score >= score_thresh)
-        if yy.size == 0:
-            continue
-        px = (z // 2 + xx * z).astype(np.float64)
-        py = (z // 2 + yy * z).astype(np.float64)
-        off = lv.offsets[yy, xx].astype(np.float64)
-        boxes.append(np.stack([px - off[:, 0], py - off[:, 1], px + off[:, 2], py + off[:, 3]], axis=1))
-        classes.append((cc + n_stuff + 1).astype(np.int64))
-        scores.append(score[yy, xx, cc].astype(np.float64))
-        lvls.append(np.full(yy.size, li, dtype=np.int64))
-    if not boxes:
-        empty = np.zeros((0, 4), dtype=np.float64)
-        return empty, np.zeros(0, np.int64), np.zeros(0, np.float64), np.zeros(0, np.int64)
-    return (np.concatenate(boxes), np.concatenate(classes), np.concatenate(scores), np.concatenate(lvls))
+def decode_boxes(offsets: np.ndarray, stride: int, dtype, ix=None, iy=None) -> np.ndarray:
+    """Absolute boxes from side offsets at receptive centres, (..., 4) of `dtype`.
 
-
-def _total_order(boxes, classes, scores, lvls) -> np.ndarray:
-    """Indices sorting candidates by the module's deterministic total order."""
-    return np.lexsort((lvls, boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], classes, -scores))
+    Grid cell (ix, iy) of a stride-z level has its centre at
+    (z//2 + ix*z, z//2 + iy*z); the box is (cx - l, cy - t, cx + r, cy + b).
+    ix and iy broadcast against offsets[..., 0] and default to the full
+    (h, w) grid of an (h, w, 4) offsets array. Centres and offsets are cast
+    to `dtype` before the arithmetic.
+    """
+    if ix is None:
+        h, w = offsets.shape[:2]
+        ix, iy = np.arange(w)[None, :], np.arange(h)[:, None]
+    cx = (stride // 2 + ix * stride).astype(dtype)
+    cy = (stride // 2 + iy * stride).astype(dtype)
+    off = offsets.astype(dtype, copy=False)
+    return np.stack([cx - off[..., 0], cy - off[..., 1], cx + off[..., 2], cy + off[..., 3]], axis=-1)
 
 
 def decode_candidates(
@@ -81,7 +103,7 @@ def decode_candidates(
     score_thresh: float = 0.05,
     topk_per_level: int = 1000,
     n_stuff: int = 0,
-) -> list[ScoredBox]:
+) -> QuerySet:
     """Turn dense per-level predictions into scored box candidates.
 
     A location's score for thing channel c is class_probs[..., c] *
@@ -90,37 +112,25 @@ def decode_candidates(
     global (n_stuff + 1 + channel).
 
     Returns:
-        Candidates sorted by the total order.
+        Candidates in the total order.
     """
     if score_thresh < 0:
         raise ValueError("score_thresh must be nonnegative")
     if topk_per_level < 1:
         raise ValueError("topk_per_level must be positive")
-    parts = []
+    parts = [QuerySet(np.zeros((0, 4)), [], [], [])]
     for li, lv in enumerate(levels):
-        b, c, s, l = _candidate_arrays([lv], score_thresh, n_stuff)
-        l[:] = li
-        if len(b) > topk_per_level:
-            order = _total_order(b, c, s, l)[:topk_per_level]
-            b, c, s, l = b[order], c[order], s[order], l[order]
-        parts.append((b, c, s, l))
-    boxes = np.concatenate([p[0] for p in parts]) if parts else np.zeros((0, 4))
-    classes = np.concatenate([p[1] for p in parts]) if parts else np.zeros(0, np.int64)
-    scores = np.concatenate([p[2] for p in parts]) if parts else np.zeros(0, np.float64)
-    lvls = np.concatenate([p[3] for p in parts]) if parts else np.zeros(0, np.int64)
-    order = _total_order(boxes, classes, scores, lvls)
-    return [
-        ScoredBox(
-            box=BoundingBox(*boxes[i].tolist()),
-            class_id=int(classes[i]),
-            score=float(scores[i]),
-            level=int(lvls[i]),
-        )
-        for i in order
-    ]
+        score = lv.class_probs * lv.centerness[:, :, None]
+        yy, xx, cc = np.nonzero(score >= score_thresh)
+        part = QuerySet(decode_boxes(lv.offsets[yy, xx], lv.stride, np.float64, xx, yy),
+                        cc + n_stuff + 1, score[yy, xx, cc], np.full(yy.size, li))
+        parts.append(part.ordered(topk_per_level) if len(part) > topk_per_level else part)
+    return QuerySet(np.concatenate([p.boxes for p in parts]), np.concatenate([p.classes for p in parts]),
+                    np.concatenate([p.scores for p in parts]),
+                    np.concatenate([p.levels for p in parts])).ordered()
 
 
-def nms(candidates: list[ScoredBox], iou_thresh: float = 0.6) -> QuerySet:
+def nms(candidates: QuerySet, iou_thresh: float = 0.6) -> QuerySet:
     """Greedy class-wise non-maximum suppression.
 
     Candidates are visited in the deterministic total order; each kept box
@@ -130,19 +140,16 @@ def nms(candidates: list[ScoredBox], iou_thresh: float = 0.6) -> QuerySet:
     """
     if not 0 <= iou_thresh <= 1:
         raise ValueError("iou_thresh must be in [0, 1]")
-    if not candidates:
-        return QuerySet([])
-    cands = sorted(candidates, key=ScoredBox.sort_key)
-    boxes = np.array([c.box.as_array() for c in cands], dtype=np.float64)
-    classes = np.array([c.class_id for c in cands], dtype=np.int64)
-    x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
+    cands = candidates.ordered()
+    x1, y1, x2, y2 = cands.boxes.T
+    classes = cands.classes
     areas = (x2 - x1) * (y2 - y1)
     alive = np.ones(len(cands), dtype=bool)
     kept = []
     for i in range(len(cands)):
         if not alive[i]:
             continue
-        kept.append(cands[i])
+        kept.append(i)
         later = alive.copy()
         later[: i + 1] = False
         later &= classes == classes[i]
@@ -157,7 +164,7 @@ def nms(candidates: list[ScoredBox], iou_thresh: float = 0.6) -> QuerySet:
         np.divide(inter, union, out=ious, where=union > 0)
         ious[inter <= 0] = 0.0
         alive[idx[ious > iou_thresh]] = False
-    return QuerySet(kept)
+    return cands.take(np.array(kept, dtype=np.int64))
 
 
 def resample_level_boxes(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> np.ndarray:
@@ -172,29 +179,14 @@ def resample_level_boxes(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> n
     h, w = level.shape
     if (h * (z // 4), w * (z // 4)) != quarter_hw:
         raise ValueError("level grid does not tile the quarter resolution")
-    cx = (z // 2 + np.arange(w) * z).astype(np.float32)
-    cy = (z // 2 + np.arange(h) * z).astype(np.float32)
-    off = level.offsets
-    boxes = np.empty((h, w, 4), dtype=np.float32)
-    boxes[:, :, 0] = cx[None, :] - off[:, :, 0]
-    boxes[:, :, 1] = cy[:, None] - off[:, :, 1]
-    boxes[:, :, 2] = cx[None, :] + off[:, :, 2]
-    boxes[:, :, 3] = cy[:, None] + off[:, :, 3]
+    boxes = decode_boxes(level.offsets, z, np.float32)
     rep = z // 4
     return np.repeat(np.repeat(boxes, rep, axis=0), rep, axis=1)
 
 
 def quarter_point_boxes(quarter_hw: tuple[int, int]) -> np.ndarray:
     """Degenerate per-pixel point boxes at the quarter-grid sample locations."""
-    qh, qw = quarter_hw
-    px = (2 + 4 * np.arange(qw)).astype(np.float32)
-    py = (2 + 4 * np.arange(qh)).astype(np.float32)
-    boxes = np.empty((qh, qw, 4), dtype=np.float32)
-    boxes[:, :, 0] = px[None, :]
-    boxes[:, :, 1] = py[:, None]
-    boxes[:, :, 2] = px[None, :]
-    boxes[:, :, 3] = py[:, None]
-    return boxes
+    return decode_boxes(np.zeros((*quarter_hw, 4), dtype=np.float32), 4, np.float32)
 
 
 def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField) -> GlobalBoxField:
@@ -213,14 +205,15 @@ def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField
         pick = sel == li + 1
         if pick.any():
             out[pick] = resample_level_boxes(lv, (qh, qw))[pick]
-    return GlobalBoxField(boxes=out, background=sel == 0)
+    return GlobalBoxField(boxes=out)
 
 
-def location_probability_maxlevel(levels: list[DenseBoxLevel], query: ScoredBox) -> np.ndarray:
+def location_probability_maxlevel(levels: list[DenseBoxLevel], box) -> np.ndarray:
     """Levelness-free location probability: max over levels of per-level IoU.
 
     Every level's box grid is resampled to quarter resolution and scored
-    against the query box; the per-pixel maximum is returned as (H/4, W/4)
+    against the query box (x1, y1, x2, y2), given as Python floats as
+    `iou_grid` requires; the per-pixel maximum is returned as (H/4, W/4)
     float32.
     """
     if not levels:
@@ -230,5 +223,5 @@ def location_probability_maxlevel(levels: list[DenseBoxLevel], query: ScoredBox)
     quarter_hw = (h0 * (z0 // 4), w0 * (z0 // 4))
     out = np.zeros(quarter_hw, dtype=np.float32)
     for lv in levels:
-        np.maximum(out, iou_grid(resample_level_boxes(lv, quarter_hw), query.box), out=out)
+        np.maximum(out, iou_grid(resample_level_boxes(lv, quarter_hw), box), out=out)
     return out

@@ -29,6 +29,7 @@ from oracles import (
     pq_ref,
     semantic_loss_ref,
 )
+from query_rows import query_set
 
 from densepanoptic.assignment import build_targets
 from densepanoptic.bench import run_benchmark
@@ -58,7 +59,7 @@ from densepanoptic.pipeline import (
     compute_loss_report,
     construct_panoptic,
 )
-from densepanoptic.selection import QuerySet, ScoredBox, nms
+from densepanoptic.selection import QuerySet, nms
 from densepanoptic.synth import (
     NoiseConfig,
     SceneConfig,
@@ -165,13 +166,12 @@ def test_02_vectorized_stages_match_scalar_references(capfd):
         boxes[bg, 3] = boxes[bg, 1]
         probs = rng.random((h, w, n_classes))
         probs /= probs.sum(axis=-1, keepdims=True)
-        field = GlobalBoxField(boxes=boxes, background=bg)
+        field = GlobalBoxField(boxes=boxes)
         sem = SemanticField(probs)
         nq = 100 if big else int(rng.integers(1, 8))
         qb = _rand_boxes(rng, nq, span=8.0)
         qcls = rng.integers(n_stuff + 1, n_classes + 1, nq)
-        queries = QuerySet([ScoredBox(BoundingBox(*qb[i]), int(qcls[i]),
-                                      1.0 - i * 1e-4, 0) for i in range(nq)])
+        queries = QuerySet(qb, qcls, 1.0 - np.arange(nq) * 1e-4, np.zeros(nq))
         got = construct_masks(queries, sem, n_stuff, sigma=0.3, global_boxes=field)
         want = construct_masks_ref(field.boxes, sem.probs,
                                    [(tuple(qb[i]), int(qcls[i])) for i in range(nq)], 0.3)
@@ -187,12 +187,11 @@ def test_02_vectorized_stages_match_scalar_references(capfd):
             x1 = float(rng.integers(0, 12)) + float(rng.random()) * 0.5
             y1 = float(rng.integers(0, 12)) + float(rng.random()) * 0.5
             b = (x1, y1, x1 + float(rng.integers(2, 10)), y1 + float(rng.integers(2, 10)))
-            cands.append(ScoredBox(BoundingBox(*b), int(rng.integers(1, 5)),
-                                   float(rng.random()), int(rng.integers(0, 4))))
+            cands.append((b, int(rng.integers(1, 5)),
+                          float(rng.random()), int(rng.integers(0, 4))))
         thr = float(rng.uniform(0.2, 0.8))
-        got = nms(cands, iou_thresh=thr).boxes
-        want = nms_ref([((c.box.x1, c.box.y1, c.box.x2, c.box.y2),
-                         c.class_id, c.score, c.level) for c in cands], thr)
+        got = list(nms(query_set(cands), iou_thresh=thr))
+        want = nms_ref(cands, thr)
         assert len(got) == len(want)
         for g, t in zip(got, want):
             assert ((g.box.x1, g.box.y1, g.box.x2, g.box.y2) == t[0]
@@ -286,12 +285,11 @@ def test_02_vectorized_stages_match_scalar_references(capfd):
         bg = rng.random((hq, wq)) < 0.2
         boxes[bg, 2] = boxes[bg, 0]
         boxes[bg, 3] = boxes[bg, 1]
-        field = GlobalBoxField(boxes=boxes, background=bg)
+        field = GlobalBoxField(boxes=boxes)
         m = int(rng.integers(1, 13))
         qb = _rand_boxes(rng, m, span=span)
         qb[rng.random(m) < 0.1] += 10 * span  # some queries match nothing
-        queries = QuerySet([ScoredBox(BoundingBox(*qb[i]), 1, 1.0 - i * 1e-4, 0)
-                            for i in range(m)])
+        queries = QuerySet(qb, np.ones(m), 1.0 - np.arange(m) * 1e-4, np.zeros(m))
         assert np.array_equal(match_queries(qb, gt_boxes),
                               np.asarray(match_queries_ref(qb, gt_boxes)))
         worst = max(worst, abs(mask_loss(field, queries, gt_boxes, gt_inst)

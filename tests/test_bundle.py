@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densepanoptic.assignment import build_targets
 from densepanoptic.bundle import (
@@ -65,6 +66,57 @@ class TestRawBundle:
         assert manifest["format"] == "tensor-bundle-v1"
         (entry,) = [t for t in manifest["tensors"] if t["name"] == "a"]
         assert entry["dtype"] == "f32" and entry["shape"] == [2]
+
+
+class TestManifestSchema:
+    def _bundle(self, tmp_path):
+        tensors = {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                   "b": np.arange(4, dtype=np.uint16)}
+        write_bundle(tmp_path / "b", tensors)
+        mpath = tmp_path / "b" / "manifest.json"
+        return tensors, mpath, json.loads(mpath.read_text())
+
+    def test_file_outside_bundle_rejected(self, tmp_path):
+        _, mpath, manifest = self._bundle(tmp_path)
+        (tmp_path / "outside.bin").write_bytes(np.zeros(6, np.float32).tobytes())
+        manifest["tensors"][0]["file"] = "../outside.bin"
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest entry"):
+            read_bundle(tmp_path / "b")
+
+    def test_missing_dtype_is_value_error(self, tmp_path):
+        _, mpath, manifest = self._bundle(tmp_path)
+        del manifest["tensors"][1]["dtype"]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'name': 'b'"):
+            read_bundle(tmp_path / "b")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 1), st.sampled_from(["name", "dtype", "shape", "file", None]),
+           st.sampled_from([None, 0, -1, 6, 2.0, True, "a", "b", "c", "a.bin", "b.bin", "c.bin",
+                            "../outside.bin", "/etc/passwd", "f32", "u16", "u8", "i64",
+                            [], [6], [3, 2], [2, 3], [4], [2, 2], [-1, -6], [2.0, 3], [True, 6],
+                            {}, ["f32"]]),
+           st.booleans())
+    def test_mutated_manifest_is_rejected_or_exact(self, tmp_path_factory, index, key, value, drop):
+        tmp_path = tmp_path_factory.mktemp("m")
+        tensors, mpath, manifest = self._bundle(tmp_path)
+        (tmp_path / "outside.bin").write_bytes(np.zeros(6, np.float32).tobytes())
+        entries = manifest["tensors"]
+        if key is None:
+            entries[index] = value
+        elif drop:
+            del entries[index][key]
+        else:
+            entries[index][key] = value
+        mpath.write_text(json.dumps(manifest))
+        try:
+            back, _ = read_bundle(tmp_path / "b")
+        except ValueError:
+            return
+        for name, arr in back.items():
+            assert arr.dtype == tensors[name].dtype
+            assert arr.tobytes() == tensors[name].tobytes()
 
 
 class TestSceneBundle:

@@ -163,6 +163,19 @@ class TestPipelineCommands:
                              "--targets", str(d / "targets"), "--lambda", "0.4")
         assert code == 0, err
 
+    def test_nan_prediction_bundle_is_clean_error(self, scene_and_preds, capsys):
+        d = scene_and_preds
+        raw = d / "preds" / "semantic_logits.bin"
+        logits = np.frombuffer(raw.read_bytes(), dtype="<f4").copy()
+        logits[17] = np.nan
+        raw.write_bytes(logits.tobytes())
+        code, _, err = run(capsys, "construct", "--preds", str(d / "preds"),
+                           "--out", str(d / "pan"))
+        assert code == 1
+        assert err.strip().startswith("error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (d / "pan").exists()
+
     def test_missing_bundle_is_clean_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "construct", "--preds", str(tmp_path / "nope"),
                            "--out", str(tmp_path / "pan"))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from densepanoptic.fields import (
     DenseBoxLevel,
+    DensePrediction,
     LevelnessField,
     LevelSpec,
     GlobalBoxField,
@@ -79,6 +81,13 @@ class TestDenseBoxLevel:
         with pytest.raises(ValueError):
             DenseBoxLevel(**kw)
 
+    @pytest.mark.parametrize("name", ["class_probs", "centerness"])
+    def test_nan_probability_rejected(self, name):
+        kw = self._mk()
+        kw[name][0, 0] = np.nan
+        with pytest.raises(ValueError, match=name):
+            DenseBoxLevel(**kw)
+
 
 class TestSemanticField:
     def test_ok_and_argmax(self):
@@ -94,6 +103,13 @@ class TestSemanticField:
     def test_rejects_out_of_range(self):
         probs = np.zeros((1, 1, 2), np.float32)
         probs[0, 0] = (1.5, -0.5)
+        with pytest.raises(ValueError):
+            SemanticField(probs)
+
+    def test_rejects_nan(self):
+        probs = np.zeros((2, 2, 3), np.float32)
+        probs[..., 0] = 1.0
+        probs[1, 1, 2] = np.nan
         with pytest.raises(ValueError):
             SemanticField(probs)
 
@@ -118,14 +134,33 @@ class TestLevelnessField:
             LevelnessField(logits)
 
 
+class TestDensePrediction:
+    def _pred(self):
+        q = (4, 4)
+        return DensePrediction(
+            levels=[DenseBoxLevel(stride=8, offsets=np.zeros((2, 2, 4), np.float32),
+                                  class_probs=np.zeros((2, 2, 1), np.float32),
+                                  centerness=np.zeros((2, 2), np.float32))],
+            semantic_logits=np.zeros((*q, 3), np.float32),
+            levelness_logits=np.zeros((*q, 2), np.float32),
+            specs=default_level_specs(1), n_stuff=2, n_things=1, image_hw=(16, 16))
+
+    @pytest.mark.parametrize("name", ["semantic_logits", "levelness_logits"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_logits_rejected(self, name, bad):
+        pred = self._pred()
+        logits = getattr(pred, name).copy()
+        logits[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            dataclasses.replace(pred, **{name: logits})
+
+
 class TestGlobalBoxField:
     def test_shape_checks(self):
         with pytest.raises(ValueError):
-            GlobalBoxField(boxes=np.zeros((2, 2, 3), np.float32),
-                           background=np.zeros((2, 2), bool))
+            GlobalBoxField(boxes=np.zeros((2, 2, 3), np.float32))
         with pytest.raises(ValueError):
-            GlobalBoxField(boxes=np.zeros((2, 2, 4), np.float32),
-                           background=np.zeros((2, 3), bool))
+            GlobalBoxField(boxes=np.zeros((2, 4), np.float32))
 
 
 class TestPanopticMap:

@@ -198,16 +198,16 @@ class TestVectorized:
         boxes[..., 2:] += boxes[..., :2]  # ensure x2 >= x1, y2 >= y1
         boxes = np.concatenate([np.minimum(boxes[..., :2], boxes[..., 2:]),
                                 np.maximum(boxes[..., :2], boxes[..., 2:])], axis=-1)
-        q = BoundingBox(10, 10, 50, 45)
+        q = (10.0, 10.0, 50.0, 45.0)
         grid = iou_grid(boxes, q)
         for y in range(7):
             for x in range(9):
-                ref = iou_ref(boxes[y, x].tolist(), (q.x1, q.y1, q.x2, q.y2))
+                ref = iou_ref(boxes[y, x].tolist(), q)
                 assert grid[y, x] == pytest.approx(ref, abs=1e-6)
 
     def test_iou_grid_degenerate_rows(self):
         boxes = np.zeros((2, 2, 4), dtype=np.float32)
-        q = BoundingBox(0, 0, 10, 10)
+        q = (0.0, 0.0, 10.0, 10.0)
         assert (iou_grid(boxes, q) == 0).all()
 
     def test_iou_elementwise_and_matrix(self):

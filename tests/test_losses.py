@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densepanoptic.fields import GlobalBoxField
-from densepanoptic.geometry import BoundingBox
 from densepanoptic.losses import (
     LossReport,
     bootstrap_count,
@@ -20,11 +19,11 @@ from densepanoptic.losses import (
     semantic_loss,
     total_loss,
 )
-from densepanoptic.selection import QuerySet, ScoredBox
+from query_rows import query_set, row
 
 
 def sb(x1, y1, x2, y2, cls=2, score=0.9):
-    return ScoredBox(box=BoundingBox(x1, y1, x2, y2), class_id=cls, score=score, level=0)
+    return row(x1, y1, x2, y2, cls, score)
 
 
 class TestIouLoss:
@@ -306,22 +305,21 @@ class TestMaskLoss:
         boxes[0, 1] = (0, 0, 8, 8)
         boxes[1, 0] = (0, 0, 8, 4)  # IoU 0.5 against the query
         boxes[1, 1] = (0, 0, 4, 8)  # IoU 0.5
-        field = GlobalBoxField(boxes=boxes, background=np.zeros((2, 2), bool))
-        queries = QuerySet([sb(0, 0, 8, 8)])
+        field = GlobalBoxField(boxes=boxes)
+        queries = query_set([sb(0, 0, 8, 8)])
         gt_boxes = np.array([[0, 0, 8, 8]], np.float64)
         gt_instances = np.ones((2, 2), np.int64)
         v = mask_loss(field, queries, gt_boxes, gt_instances)
         assert v == pytest.approx(0.25, abs=1e-12)
 
     def test_empty_queries(self):
-        field = GlobalBoxField(boxes=np.zeros((2, 2, 4), np.float32),
-                               background=np.ones((2, 2), bool))
-        assert mask_loss(field, QuerySet([]), np.zeros((1, 4)), np.zeros((2, 2))) == 0.0
+        field = GlobalBoxField(boxes=np.zeros((2, 2, 4), np.float32))
+        assert mask_loss(field, query_set([]), np.zeros((1, 4)), np.zeros((2, 2))) == 0.0
 
     def test_unmatched_query_excluded(self, caplog):
         boxes = np.zeros((1, 1, 4), np.float32)
-        field = GlobalBoxField(boxes=boxes, background=np.ones((1, 1), bool))
-        queries = QuerySet([sb(0, 0, 1, 1)])
+        field = GlobalBoxField(boxes=boxes)
+        queries = query_set([sb(0, 0, 1, 1)])
         gt_boxes = np.array([[50, 50, 60, 60]], np.float64)
         with caplog.at_level(logging.WARNING, logger="densepanoptic.losses"):
             v = mask_loss(field, queries, gt_boxes, np.ones((1, 1), np.int64))
@@ -335,8 +333,8 @@ class TestMaskLoss:
         boxes[0, 1] = (0, 0, 8, 8)
         boxes[1, 0] = (20, 20, 22, 22)
         boxes[1, 1] = (20, 20, 22, 22)
-        field = GlobalBoxField(boxes=boxes, background=np.zeros((2, 2), bool))
-        queries = QuerySet([sb(0, 0, 8, 8)])
+        field = GlobalBoxField(boxes=boxes)
+        queries = query_set([sb(0, 0, 8, 8)])
         gt_boxes = np.array([[0, 0, 8, 8]], np.float64)
         gt_instances = np.array([[1, 1], [0, 0]], np.int64)
         assert mask_loss(field, queries, gt_boxes, gt_instances) == 0.0
@@ -350,7 +348,7 @@ class TestMaskLoss:
         h, w = (int(v) for v in rng.integers(2, 7, 2))
         boxes = rng.uniform(0, 16, (h, w, 4)).astype(np.float32)
         boxes[..., 2:] += boxes[..., :2]
-        field = GlobalBoxField(boxes=boxes, background=np.zeros((h, w), bool))
+        field = GlobalBoxField(boxes=boxes)
         ng = int(rng.integers(1, 4))
         g = rng.uniform(0, 12, (ng, 4))
         g[:, 2:] += g[:, :2] + 1
@@ -361,11 +359,11 @@ class TestMaskLoss:
             bw, bh = rng.uniform(1, 8, 2)
             queries.append(sb(float(x1), float(y1), float(x1 + bw), float(y1 + bh),
                               score=float(rng.uniform(0.1, 1.0))))
-        queries.sort(key=lambda c: -c.score)
-        got = mask_loss(field, QuerySet(queries), g, gt_instances)
+        queries.sort(key=lambda c: -c[2])
+        got = mask_loss(field, query_set(queries), g, gt_instances)
         want = mask_loss_ref(
             boxes.tolist(),
-            [(q.box.x1, q.box.y1, q.box.x2, q.box.y2) for q in queries],
+            [q[0] for q in queries],
             g.tolist(), gt_instances.tolist())
         # pixel IoUs are computed in float32; the scalar reference is float64
         assert got == pytest.approx(want, abs=1e-6)

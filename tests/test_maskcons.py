@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from densepanoptic.fields import GlobalBoxField, SemanticField
-from densepanoptic.geometry import BoundingBox
 from densepanoptic.maskcons import (
     construct_masks,
     fuse_panoptic,
@@ -10,11 +9,11 @@ from densepanoptic.maskcons import (
     mask_probability,
     threshold_mask,
 )
-from densepanoptic.selection import QuerySet, ScoredBox
+from query_rows import query_set, row
 
 
 def sb(x1, y1, x2, y2, cls=2, score=0.9, level=0):
-    return ScoredBox(box=BoundingBox(x1, y1, x2, y2), class_id=cls, score=score, level=level)
+    return row(x1, y1, x2, y2, cls, score, level)
 
 
 def uniform_semantics(h, w, n_classes, cls):
@@ -26,18 +25,16 @@ def uniform_semantics(h, w, n_classes, cls):
 class TestLocationProbability:
     def _field(self):
         boxes = np.zeros((2, 3, 4), np.float32)
-        bg = np.zeros((2, 3), bool)
         boxes[0, 0] = (0, 0, 10, 10)
         boxes[0, 1] = (5, 0, 15, 10)
         boxes[0, 2] = (100, 100, 110, 110)
-        boxes[1, 0] = (50, 50, 50, 50)
-        bg[1, 0] = True
+        boxes[1, 0] = (50, 50, 50, 50)  # background point box
         boxes[1, 1] = (0, 0, 10, 10)
         boxes[1, 2] = (2, 2, 6, 6)
-        return GlobalBoxField(boxes=boxes, background=bg)
+        return GlobalBoxField(boxes=boxes)
 
     def test_identity_and_zero(self):
-        p = location_probability(self._field(), sb(0, 0, 10, 10))
+        p = location_probability(self._field(), (0, 0, 10, 10))
         assert p[0, 0] == 1.0  # equal boxes
         assert p[0, 2] == 0.0  # disjoint
         assert p[1, 0] == 0.0  # background point box
@@ -46,11 +43,11 @@ class TestLocationProbability:
         # the pixel at grid (1,1) is spatially wherever it is; only its
         # PREDICTED box matters, so a perfect prediction scores 1 even for a
         # pixel whose own location is outside the query box
-        p = location_probability(self._field(), sb(0, 0, 10, 10))
+        p = location_probability(self._field(), (0, 0, 10, 10))
         assert p[1, 1] == 1.0
 
     def test_partial_overlap_value(self):
-        p = location_probability(self._field(), sb(0, 0, 10, 10))
+        p = location_probability(self._field(), (0, 0, 10, 10))
         assert p[0, 1] == pytest.approx(1 / 3, abs=1e-6)  # 50 / 150
 
 
@@ -100,11 +97,11 @@ class TestConstructMasks:
         boxes[..., 2:] += boxes[..., :2]  # make x2>=x1, y2>=y1
         bg = rng.random((h, w)) < 0.2
         boxes[bg, 2:] = boxes[bg, :2]  # background pixels carry point boxes
-        field = GlobalBoxField(boxes=boxes, background=bg)
+        field = GlobalBoxField(boxes=boxes)
         logits = rng.normal(0, 2, (h, w, 4)).astype(np.float32)
         e = np.exp(logits - logits.max(-1, keepdims=True))
         sem = SemanticField((e / e.sum(-1, keepdims=True)).astype(np.float32))
-        queries = QuerySet([
+        queries = query_set([
             sb(2, 2, 14, 12, cls=3, score=0.9),
             sb(0, 5, 9, 19, cls=4, score=0.6),
             sb(6, 1, 19, 9, cls=3, score=0.5),
@@ -138,7 +135,7 @@ class TestConstructMasks:
 
     def test_empty_query_set(self):
         field, sem, _ = self._setup()
-        out = construct_masks(QuerySet([]), sem, n_stuff=2, global_boxes=field)
+        out = construct_masks(query_set([]), sem, n_stuff=2, global_boxes=field)
         assert out.shape == (0, 8, 8)
 
 
@@ -147,7 +144,7 @@ class TestFusion:
         masks = np.zeros((1, 4, 4), bool)
         masks[0, :2, :2] = True
         sem = uniform_semantics(4, 4, 3, cls=1)  # stuff class 1 everywhere
-        queries = QuerySet([sb(0, 0, 8, 8, cls=2, score=0.9)])
+        queries = query_set([sb(0, 0, 8, 8, cls=2, score=0.9)])
         pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0, upsample=1)
         pm.validate()
         assert pm.instance_map[0, 0] == 1 and pm.class_map[0, 0] == 2
@@ -160,7 +157,7 @@ class TestFusion:
         masks[0, :, :3] = True
         masks[1, :, 1:] = True
         sem = uniform_semantics(4, 4, 3, cls=1)
-        queries = QuerySet([
+        queries = query_set([
             sb(0, 0, 3, 4, cls=2, score=0.9),
             sb(1, 0, 4, 4, cls=3, score=0.8),
         ])
@@ -171,7 +168,7 @@ class TestFusion:
 
     def test_scores_must_be_descending(self):
         masks = np.zeros((2, 4, 4), bool)
-        queries = QuerySet([sb(0, 0, 2, 2, score=0.5), sb(0, 0, 2, 2, score=0.9)])
+        queries = query_set([sb(0, 0, 2, 2, score=0.5), sb(0, 0, 2, 2, score=0.9)])
         sem = uniform_semantics(4, 4, 3, cls=1)
         with pytest.raises(ValueError):
             fuse_panoptic(masks, queries, sem, n_stuff=1)
@@ -186,7 +183,7 @@ class TestFusion:
         probs[1, :5, 0] = 0.0
         probs[1, :5, 1] = 1.0
         sem = SemanticField(probs)
-        pm = fuse_panoptic(np.zeros((0, 16, 16), bool), QuerySet([]), sem,
+        pm = fuse_panoptic(np.zeros((0, 16, 16), bool), query_set([]), sem,
                            n_stuff=2, stuff_area_min=100, upsample=1)
         assert (pm.class_map[:2, :5] == 0).all()  # 10 px < 100 -> void
         assert (pm.class_map[2:] == 1).all()
@@ -202,7 +199,7 @@ class TestFusion:
         probs[1, :3, 0] = 0.0
         probs[1, :3, 1] = 1.0
         sem = SemanticField(probs)
-        pm = fuse_panoptic(np.zeros((0, 4, 4), bool), QuerySet([]), sem,
+        pm = fuse_panoptic(np.zeros((0, 4, 4), bool), query_set([]), sem,
                            n_stuff=2, stuff_area_min=100, upsample=4)
         assert pm.shape == (16, 16)
         assert (pm.class_map[0:4, :] == 2).all()
@@ -216,7 +213,7 @@ class TestFusion:
         probs = np.zeros((4, 4, 3), np.float32)
         probs[..., 2] = 1.0  # thing class 3 everywhere, no queries claim it
         sem = SemanticField(probs)
-        pm = fuse_panoptic(np.zeros((0, 4, 4), bool), QuerySet([]), sem,
+        pm = fuse_panoptic(np.zeros((0, 4, 4), bool), query_set([]), sem,
                            n_stuff=1, stuff_area_min=0, upsample=1)
         assert (pm.class_map == 0).all() and (pm.instance_map == 0).all()
         assert pm.segments == []
@@ -227,7 +224,7 @@ class TestFusion:
         # query 2's mask is empty; query 3 claims a pixel and gets id 2
         masks[2, 3, 3] = True
         sem = uniform_semantics(4, 4, 4, cls=1)
-        queries = QuerySet([
+        queries = query_set([
             sb(0, 0, 1, 1, cls=2, score=0.9),
             sb(0, 0, 1, 1, cls=3, score=0.8),
             sb(3, 3, 4, 4, cls=4, score=0.7),
@@ -242,7 +239,7 @@ class TestFusion:
         masks = np.zeros((1, 2, 2), bool)
         masks[0, 0, 0] = True
         sem = uniform_semantics(2, 2, 3, cls=1)
-        queries = QuerySet([sb(0, 0, 4, 4, cls=2, score=0.9)])
+        queries = query_set([sb(0, 0, 4, 4, cls=2, score=0.9)])
         pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0, upsample=4)
         assert pm.shape == (8, 8)
         assert (pm.instance_map[:4, :4] == 1).all()
@@ -254,7 +251,7 @@ class TestFusion:
         rng = np.random.default_rng(9)
         masks = rng.random((4, 8, 8)) < 0.3
         scores = [0.9, 0.8, 0.7, 0.6]
-        queries = QuerySet([
+        queries = query_set([
             sb(0, 0, 4, 4, cls=2 + (i % 2), score=s) for i, s in enumerate(scores)])
         logits = rng.normal(0, 1, (8, 8, 4)).astype(np.float32)
         e = np.exp(logits)

@@ -6,14 +6,17 @@ from densepanoptic.fields import DenseBoxLevel, LevelnessField
 from densepanoptic.geometry import BoundingBox, iou
 from densepanoptic.maskcons import location_probability
 from densepanoptic.selection import (
+    QuerySet,
     ScoredBox,
     assemble_global_boxes,
+    decode_boxes,
     decode_candidates,
     location_probability_maxlevel,
     nms,
     quarter_point_boxes,
     resample_level_boxes,
 )
+from query_rows import query_set, row
 
 
 def make_level(stride=8, gh=2, gw=2, t=1):
@@ -26,7 +29,51 @@ def make_level(stride=8, gh=2, gw=2, t=1):
 
 
 def sb(x1, y1, x2, y2, cls=1, score=0.9, level=0):
-    return ScoredBox(box=BoundingBox(x1, y1, x2, y2), class_id=cls, score=score, level=level)
+    return row(x1, y1, x2, y2, cls, score, level)
+
+
+def box(r):
+    return BoundingBox(*r[0])
+
+
+class TestQuerySet:
+    def test_rows_on_iteration(self):
+        q = query_set([sb(0, 0, 4, 2, cls=3, score=0.5, level=2)])
+        (r,) = q
+        assert r == ScoredBox(BoundingBox(0.0, 0.0, 4.0, 2.0), 3, 0.5, 2)
+        assert type(r.box.x1) is float and type(r.class_id) is int
+        assert q.box_array() is q.boxes and q.box_array().shape == (1, 4)
+
+    @pytest.mark.parametrize("bad", [(0, 0, np.nan, 1), (0, 0, np.inf, 1), (2, 0, 1, 1), (0, 2, 1, 1)])
+    def test_invalid_boxes_rejected(self, bad):
+        with pytest.raises(ValueError, match="x1 <= x2"):
+            QuerySet(np.array([bad], np.float64), [1], [0.5], [0])
+
+    def test_column_lengths_checked(self):
+        with pytest.raises(ValueError):
+            QuerySet(np.zeros((2, 4)), [1], [0.5, 0.4], [0, 0])
+        with pytest.raises(ValueError):
+            QuerySet(np.zeros(4), [1], [0.5], [0])
+
+    def test_take_and_ordered(self):
+        q = query_set([sb(0, 0, 1, 1, cls=2, score=0.5), sb(0, 0, 2, 2, cls=1, score=0.5),
+                       sb(0, 0, 1, 1, cls=1, score=0.9)])
+        assert q.ordered().scores.tolist() == [0.9, 0.5, 0.5]
+        assert q.ordered().classes.tolist() == [1, 1, 2]
+        assert q.ordered(2).boxes.tolist() == [[0, 0, 1, 1], [0, 0, 2, 2]]
+        assert q.take([2, 0]).classes.tolist() == [1, 2]
+
+
+class TestDecodeBoxes:
+    def test_grid_and_points_agree(self):
+        off = np.zeros((2, 3, 4), np.float32)
+        off[1, 2] = (1, 2, 3, 4)
+        grid = decode_boxes(off, 8, np.float32)
+        assert grid.dtype == np.float32 and grid.shape == (2, 3, 4)
+        # cell (ix=2, iy=1) at stride 8 has its centre at (20, 12)
+        assert tuple(grid[1, 2]) == (19.0, 10.0, 23.0, 16.0)
+        pts = decode_boxes(off[[1], [2]], 8, np.float64, np.array([2]), np.array([1]))
+        assert pts.dtype == np.float64 and pts.tolist() == [[19.0, 10.0, 23.0, 16.0]]
 
 
 class TestDecode:
@@ -56,7 +103,7 @@ class TestDecode:
         lv.class_probs[...] = 0.04
         lv.centerness[...] = 1.0
         lv.offsets[...] = 1.0
-        assert decode_candidates([lv], score_thresh=0.05) == []
+        assert len(decode_candidates([lv], score_thresh=0.05)) == 0
 
     def test_threshold_is_inclusive(self):
         lv = make_level()
@@ -64,7 +111,7 @@ class TestDecode:
         lv.class_probs[0, 0, 0] = 0.1
         lv.centerness[0, 0] = 0.5
         out = decode_candidates([lv], score_thresh=0.05)
-        assert len(out) == 1 and out[0].score == pytest.approx(0.05)
+        assert len(out) == 1 and out.scores[0] == pytest.approx(0.05)
 
     def test_topk_caps_each_level(self):
         lv = make_level(gh=4, gw=4)
@@ -73,7 +120,7 @@ class TestDecode:
         lv.class_probs[..., 0] = np.linspace(0.1, 0.9, 16).reshape(4, 4)
         out = decode_candidates([lv], topk_per_level=5)
         assert len(out) == 5
-        assert out[0].score == pytest.approx(0.9)
+        assert out.scores[0] == pytest.approx(0.9)
 
     def test_class_ids_are_global(self):
         lv = make_level(t=2)
@@ -98,39 +145,39 @@ class TestNms:
     def test_suppresses_heavy_overlap(self):
         a = sb(0, 0, 10, 10, score=0.9)
         b = sb(0, 0, 10, 9, score=0.8)  # IoU 0.9
-        assert iou(a.box, b.box) == pytest.approx(0.9)
-        kept = nms([a, b], 0.6)
-        assert len(kept) == 1 and kept[0].score == 0.9
+        assert iou(box(a), box(b)) == pytest.approx(0.9)
+        kept = nms(query_set([a, b]), 0.6)
+        assert len(kept) == 1 and kept.scores[0] == 0.9
 
     def test_keeps_light_overlap(self):
         a = sb(0, 0, 10, 10, score=0.9)
         b = sb(5, 0, 15, 10, score=0.8)  # IoU 1/3
-        assert len(nms([a, b], 0.6)) == 2
+        assert len(nms(query_set([a, b]), 0.6)) == 2
 
     def test_class_wise(self):
         a = sb(0, 0, 10, 10, cls=1, score=0.9)
         b = sb(0, 0, 10, 10, cls=2, score=0.8)
-        assert len(nms([a, b], 0.6)) == 2
+        assert len(nms(query_set([a, b]), 0.6)) == 2
 
     def test_threshold_is_strict(self):
         a = sb(0, 0, 10, 10, score=0.9)
         b = sb(0, 0, 10, 6, score=0.8)  # IoU exactly 0.6
-        assert iou(a.box, b.box) == pytest.approx(0.6)
-        assert len(nms([a, b], 0.6)) == 2
-        assert len(nms([a, b], 0.59)) == 1
+        assert iou(box(a), box(b)) == pytest.approx(0.6)
+        assert len(nms(query_set([a, b]), 0.6)) == 2
+        assert len(nms(query_set([a, b]), 0.59)) == 1
 
     def test_suppression_is_not_transitive(self):
         # b is suppressed by a; c overlaps b but not a, so c survives
         a = sb(0, 0, 10, 10, score=0.9)
         b = sb(0, 4, 10, 14, score=0.8)
         c = sb(0, 8, 10, 18, score=0.7)
-        assert iou(a.box, b.box) > 0.33 and iou(b.box, c.box) > 0.33
-        assert iou(a.box, c.box) < 0.33
-        kept = nms([a, b, c], 0.33)
+        assert iou(box(a), box(b)) > 0.33 and iou(box(b), box(c)) > 0.33
+        assert iou(box(a), box(c)) < 0.33
+        kept = nms(query_set([a, b, c]), 0.33)
         assert [k.score for k in kept] == [0.9, 0.7]
 
     def test_empty(self):
-        assert list(nms([], 0.6)) == []
+        assert list(nms(query_set([]), 0.6)) == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 120))
@@ -145,7 +192,7 @@ class TestNms:
             cands.append(sb(x1, y1, x1 + w, y1 + h,
                             cls=int(rng.integers(1, 4)),
                             score=float(rng.uniform(0.05, 1.0))))
-        cands.sort(key=lambda c: c.sort_key())
+        cands = query_set(cands).ordered()
         got = nms(cands, 0.5)
         want = nms_ref(
             [((c.box.x1, c.box.y1, c.box.x2, c.box.y2), c.class_id, c.score, c.level)
@@ -164,10 +211,8 @@ class TestNms:
             cands.append(sb(float(x1), float(y1), float(x1 + w), float(y1 + h),
                             cls=int(rng.integers(1, 6)),
                             score=float(rng.uniform(0.05, 1.0))))
-        got = nms(cands, 0.6)
-        want = nms_ref(
-            [((c.box.x1, c.box.y1, c.box.x2, c.box.y2), c.class_id, c.score, c.level)
-             for c in cands], 0.6)
+        got = nms(query_set(cands), 0.6)
+        want = nms_ref(cands, 0.6)
         assert len(got) == len(want)
         for g, wref in zip(got, want):
             assert (g.box.x1, g.box.y1, g.box.x2, g.box.y2) == wref[0]
@@ -181,11 +226,11 @@ class TestNms:
             cands.append(sb(float(x1), float(y1), float(x1 + w), float(y1 + h),
                             cls=int(rng.integers(1, 3)),
                             score=float(rng.uniform(0.05, 1.0))))
-        base = nms(cands, 0.5)
+        base = list(nms(query_set(cands), 0.5))
         for perm_seed in range(4):
             perm = np.random.default_rng(perm_seed).permutation(len(cands))
-            again = nms([cands[i] for i in perm], 0.5)
-            assert [c.sort_key() for c in again] == [c.sort_key() for c in base]
+            again = list(nms(query_set([cands[i] for i in perm]), 0.5))
+            assert again == base
 
     def test_survivor_invariants(self):
         rng = np.random.default_rng(11)
@@ -196,7 +241,7 @@ class TestNms:
             cands.append(sb(float(x1), float(y1), float(x1 + w), float(y1 + h),
                             cls=int(rng.integers(1, 4)),
                             score=float(rng.uniform(0.05, 1.0))))
-        kept = nms(cands, 0.55)
+        kept = list(nms(query_set(cands), 0.55))
         scores = [c.score for c in kept]
         assert scores == sorted(scores, reverse=True)
         for i in range(len(kept)):
@@ -236,10 +281,8 @@ class TestAssembly:
         field = assemble_global_boxes([lv0, lv1], LevelnessField(logits))
         r1 = resample_level_boxes(lv1, (8, 8))
         assert (field.boxes[0, 0] == r1[0, 0]).all()
-        assert not field.background[0, 0]
         r0 = resample_level_boxes(lv0, (8, 8))
         assert (field.boxes[3, 5] == r0[3, 5]).all()
-        assert field.background[7, 7]
         assert tuple(field.boxes[7, 7]) == (30.0, 30.0, 30.0, 30.0)
 
     def test_single_level_everywhere_foreground(self):
@@ -247,7 +290,6 @@ class TestAssembly:
         logits = np.zeros((8, 8, 2), np.float32)
         logits[..., 1] = 3.0
         field = assemble_global_boxes([lv0], LevelnessField(logits))
-        assert not field.background.any()
         assert (field.boxes == resample_level_boxes(lv0, (8, 8))).all()
 
     def test_level_count_mismatch_rejected(self):
@@ -267,14 +309,14 @@ class TestMaxLevelProbability:
 
     def test_exact_box_gives_one(self):
         levels = self._levels()
-        q = sb(2, 2, 14, 14)  # level-1 box at its only cell (center 8, 8)
+        q = (2, 2, 14, 14)  # level-1 box at its only cell (center 8, 8)
         p = location_probability_maxlevel(levels, q)
         assert p.shape == (4, 4)
         assert p.max() == 1.0
 
     def test_disjoint_everywhere_gives_zero(self):
         levels = self._levels()
-        q = sb(100, 100, 120, 120)
+        q = (100, 100, 120, 120)
         assert (location_probability_maxlevel(levels, q) == 0).all()
 
     def test_single_level_matches_assembled_path(self):
@@ -282,7 +324,7 @@ class TestMaxLevelProbability:
         logits = np.zeros((4, 4, 2), np.float32)
         logits[..., 1] = 2.0
         field = assemble_global_boxes([lv0], LevelnessField(logits))
-        q = sb(1, 1, 9, 9)
+        q = (1, 1, 9, 9)
         direct = location_probability(field, q)
         viamax = location_probability_maxlevel([lv0], q)
         assert np.allclose(direct, viamax)
@@ -293,7 +335,7 @@ class TestMaxLevelProbability:
         lv0.offsets[...] = rng.uniform(1, 8, lv0.offsets.shape).astype(np.float32)
         lv1 = make_level(stride=16, gh=2, gw=2)
         lv1.offsets[...] = rng.uniform(4, 20, lv1.offsets.shape).astype(np.float32)
-        q = sb(4, 4, 20, 18)
+        q = (4, 4, 20, 18)
         pmax = location_probability_maxlevel([lv0, lv1], q)
         for pick in range(3):  # bg, level 0, level 1
             logits = np.zeros((8, 8, 3), np.float32)

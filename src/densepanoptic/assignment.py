@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import LevelSpec, PanopticMap, validate_level_specs
-from .geometry import BoxOffsets
+from .geometry import boxes_to_offsets, centerness, max_offset, receptive_centers
 
 MODES = ("full", "weak")
 
@@ -127,24 +127,17 @@ def assign_foreground(scene: GroundTruthScene, mode: str = "full") -> np.ndarray
     return out
 
 
-def assign_levels(off: BoxOffsets, specs: list[LevelSpec]) -> int:
-    """Index of the unique level whose size range contains max(l, t, r, b).
+def levels_for(vmax: np.ndarray, specs: list[LevelSpec]) -> np.ndarray:
+    """Index of the level whose half-open size range (min, max] holds each value.
 
-    Values above the last finite bound land on the last level. Raises for a
-    degenerate all-zero offset tuple, which no half-open range contains.
+    Values above the last finite bound land on the last level. A
+    nonpositive value, which no range holds, raises.
     """
-    validate_level_specs(specs)
-    v = off.max()
-    for i, spec in enumerate(specs):
-        if spec.min_size < v <= spec.max_size:
-            return i
-    raise ValueError(f"max offset {v} selects no level")
-
-
-def _levels_for(values: np.ndarray, specs: list[LevelSpec]) -> np.ndarray:
-    """Vectorized level lookup; values must be positive."""
+    vmax = np.asarray(vmax, dtype=np.float64)
+    if vmax.size and not vmax.min() > 0:
+        raise ValueError("max offsets must be positive to select a level")
     his = np.array([s.max_size for s in specs], dtype=np.float64)
-    return np.searchsorted(his, values, side="left").astype(np.int64)
+    return np.searchsorted(his, vmax, side="left").astype(np.int64)
 
 
 def build_targets(
@@ -180,8 +173,8 @@ def build_targets(
     for li, spec in enumerate(specs):
         z = spec.stride
         gh, gw = h // z, w // z
-        cy = (z // 2 + np.arange(gh) * z).astype(np.int64)
-        cx = (z // 2 + np.arange(gw) * z).astype(np.int64)
+        cy = receptive_centers(z, np.arange(gh))
+        cx = receptive_centers(z, np.arange(gw))
         ids = fg_map[np.ix_(cy, cx)].astype(np.int64)
         fg = ids > 0
         offsets = np.zeros((gh, gw, 4), dtype=np.float32)
@@ -189,30 +182,17 @@ def build_targets(
         cls = np.zeros((gh, gw), dtype=np.uint16)
         if fg.any():
             yy, xx = np.nonzero(fg)
-            b = boxes[ids[yy, xx] - 1]
-            px = cx[xx].astype(np.float64)
-            py = cy[yy].astype(np.float64)
-            l = px - b[:, 0]
-            t = py - b[:, 1]
-            r = b[:, 2] - px
-            bt = b[:, 3] - py
-            off = np.stack([l, t, r, bt], axis=1)
+            off = boxes_to_offsets(boxes[ids[yy, xx] - 1], cx[xx], cy[yy])
             if off.min(initial=0.0) < 0:
                 raise ValueError("foreground center falls outside its box")
-            vmax = off.max(axis=1)
+            vmax = max_offset(off)
             keep = (vmax > spec.min_size) & (vmax <= spec.max_size)
             yy, xx, off = yy[keep], xx[keep], off[keep]
             fg = np.zeros_like(fg)
             fg[yy, xx] = True
             if yy.size:
-                lr = off[:, [0, 2]]
-                tb = off[:, [1, 3]]
-                num = lr.min(axis=1) * tb.min(axis=1)
-                den = lr.max(axis=1) * tb.max(axis=1)
-                c = np.zeros(len(off), dtype=np.float64)
-                np.divide(num, den, out=c, where=den > 0)
                 offsets[yy, xx] = off.astype(np.float32)
-                cent[yy, xx] = np.sqrt(c).astype(np.float32)
+                cent[yy, xx] = centerness(off).astype(np.float32)
                 cls[yy, xx] = classes[ids[yy, xx] - 1]
         level_targets.append(
             LevelTargets(stride=z, offsets=offsets, class_ids=cls, centerness=cent, foreground=fg)
@@ -223,11 +203,9 @@ def build_targets(
     qfg = q_ids > 0
     if qfg.any():
         yy, xx = np.nonzero(qfg)
-        b = boxes[q_ids[yy, xx] - 1]
-        px = (2 + 4 * xx).astype(np.float64)
-        py = (2 + 4 * yy).astype(np.float64)
-        vmax = np.maximum.reduce([px - b[:, 0], py - b[:, 1], b[:, 2] - px, b[:, 3] - py])
+        off = boxes_to_offsets(boxes[q_ids[yy, xx] - 1], receptive_centers(4, xx), receptive_centers(4, yy))
+        vmax = max_offset(off)
         ok = vmax > 0
-        levelness[yy[ok], xx[ok]] = (_levels_for(vmax[ok], specs) + 1).astype(np.uint16)
+        levelness[yy[ok], xx[ok]] = (levels_for(vmax[ok], specs) + 1).astype(np.uint16)
     semantics = scene.quarter_class_map()
     return level_targets, GlobalTargets(levelness=levelness, semantics=semantics)

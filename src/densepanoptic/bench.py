@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import GlobalBoxField, SemanticField, softmax_field
+from .geometry import offsets_to_boxes, receptive_centers
 from .maskcons import construct_masks, fuse_panoptic
 from .selection import QuerySet, nms
 
@@ -64,21 +65,15 @@ def make_bench_inputs(height: int, width: int, n_queries: int, seed: int = 0):
         raise ValueError("bench inputs need a real grid and at least one query")
     rng = np.random.Generator(np.random.PCG64(seed))
     n_stuff, n_things = 2, 4
-    px = (2 + 4 * np.arange(width)).astype(np.float64)
-    py = (2 + 4 * np.arange(height)).astype(np.float64)
-    cx = np.broadcast_to(px[None, :], (height, width))
-    cy = np.broadcast_to(py[:, None], (height, width))
+    cx = np.broadcast_to(receptive_centers(4, np.arange(width)), (height, width))
+    cy = np.broadcast_to(receptive_centers(4, np.arange(height))[:, None], (height, width))
     jitter = rng.normal(0, 30.0, (height, width, 2))
     half_w = rng.uniform(20.0, 150.0, (height, width))
     half_h = rng.uniform(20.0, 150.0, (height, width))
-    boxes = np.stack([cx + jitter[:, :, 0] - half_w, cy + jitter[:, :, 1] - half_h,
-                      cx + jitter[:, :, 0] + half_w, cy + jitter[:, :, 1] + half_h],
-                     axis=2).astype(np.float32)
+    boxes = offsets_to_boxes(np.stack([half_w, half_h, half_w, half_h], axis=2),
+                             cx + jitter[:, :, 0], cy + jitter[:, :, 1]).astype(np.float32)
     ys, xs = np.nonzero(rng.random((height, width)) < 0.2)
-    boxes[ys, xs, 0] = cx[ys, xs]
-    boxes[ys, xs, 1] = cy[ys, xs]
-    boxes[ys, xs, 2] = cx[ys, xs]
-    boxes[ys, xs, 3] = cy[ys, xs]
+    boxes[ys, xs] = offsets_to_boxes(np.zeros((ys.size, 4)), cx[ys, xs], cy[ys, xs])
     gb = GlobalBoxField(boxes=boxes)
     sem = SemanticField(softmax_field(rng.normal(0, 2.0, (height, width, n_stuff + n_things)).astype(np.float32)))
     qboxes = np.empty((n_queries, 4))

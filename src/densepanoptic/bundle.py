@@ -6,7 +6,10 @@ file per tensor. Element types are f32, u16 and u8. Reads check every
 manifest entry against that schema (the filename must be the tensor name
 plus ".bin", so no entry reaches outside the directory) and verify that
 file byte lengths match the manifest shapes exactly, so round-trips are
-bitwise faithful.
+bitwise faithful. Each kind of bundle (scene, predictions, targets,
+panoptic) also checks the `meta` keys and value types and the tensors it
+needs before decoding, so a malformed bundle fails with one ValueError that
+names the key or tensor.
 
 A panoptic archive is a bundle specialization carrying the fused class and
 instance maps, a segments table in the manifest, and optionally a colorized
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import GroundTruthScene, GlobalTargets, LevelTargets
+from .assignment import MODES, GroundTruthScene, GlobalTargets, LevelTargets
 from .fields import DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo
 
 FORMAT = "tensor-bundle-v1"
@@ -106,7 +109,7 @@ def _specs_to_meta(specs: list[LevelSpec]) -> list[dict]:
 
 
 def _specs_from_meta(items: list[dict]) -> list[LevelSpec]:
-    return [LevelSpec(stride=int(i["stride"]), min_size=float(i["min_size"]),
+    return [LevelSpec(stride=i["stride"], min_size=float(i["min_size"]),
                       max_size=math.inf if i["max_size"] is None else float(i["max_size"]))
             for i in items]
 
@@ -117,8 +120,58 @@ def _segments_to_meta(segments: list[SegmentInfo]) -> list[dict]:
 
 
 def _segments_from_meta(items: list[dict]) -> list[SegmentInfo]:
-    return [SegmentInfo(segment_id=int(i["id"]), class_id=int(i["class_id"]),
-                        area=int(i["area"]), score=float(i["score"])) for i in items]
+    return [SegmentInfo(segment_id=i["id"], class_id=i["class_id"], area=i["area"], score=float(i["score"]))
+            for i in items]
+
+
+def _count(v) -> bool:
+    return type(v) is int and v >= 0  # bool is not an int here
+
+
+def _number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _records(fields: dict):
+    return lambda v: isinstance(v, list) and all(
+        isinstance(i, dict) and all(k in i and ok(i[k]) for k, ok in fields.items()) for i in v)
+
+
+_INT = (_count, "a nonnegative int")
+_COUNTS = {"n_stuff": _INT, "n_things": _INT}
+_SIZE = {"height": _INT, "width": _INT}
+_SEGMENTS = (_records({"id": _count, "class_id": _count, "area": _count, "score": _number}),
+             "a list of {id, class_id, area: int, score: number}")
+_LEVELS = (_records({"stride": _count, "min_size": _number, "max_size": lambda v: v is None or _number(v)}),
+           "a list of {stride: int, min_size: number, max_size: number or null}")
+# kind -> (name in errors, required meta keys with their checks, tensors, per-level tensor suffixes)
+_KINDS = {
+    "scene": ("scene bundle", {**_COUNTS, "segments": _SEGMENTS},
+              ["class_map", "instance_map", "boxes", "instance_classes"], []),
+    "predictions": ("predictions bundle", {**_COUNTS, **_SIZE, "levels": _LEVELS},
+                    ["semantic_logits", "levelness_logits"], ["offsets", "class_probs", "centerness"]),
+    "targets": ("targets bundle", {"mode": (lambda v: v in MODES, f"one of {MODES}"),
+                                   **_COUNTS, **_SIZE, "levels": _LEVELS},
+                ["levelness", "semantics", "gt_boxes", "gt_classes", "gt_instances_quarter"],
+                ["offsets", "class", "centerness", "foreground"]),
+    "panoptic": ("panoptic archive", {**_COUNTS, "segments": _SEGMENTS}, ["class_map", "instance_map"], []),
+}
+
+
+def _check_kind(tensors: dict, meta: dict, kind: str, path) -> None:
+    """Raise one ValueError naming the first missing or mistyped meta key or tensor of `kind`."""
+    what, keys, names, level_names = _KINDS[kind]
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path} is not a {what}")
+    for key, (ok, expect) in keys.items():
+        if key not in meta:
+            raise ValueError(f"{path}: meta lacks {key!r}")
+        if not ok(meta[key]):
+            raise ValueError(f"{path}: meta {key!r} must be {expect}, got {meta[key]!r:.80}")
+    names = names + [f"level{i}_{t}" for i in range(len(meta.get("levels", []))) for t in level_names]
+    for name in names:
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
 
 
 # ---------------------------------------------------------------- scenes
@@ -138,15 +191,18 @@ def save_scene(path, scene: GroundTruthScene) -> None:
 
 
 def load_scene(path) -> GroundTruthScene:
-    tensors, meta = read_bundle(path)
-    if meta.get("kind") != "scene":
-        raise ValueError(f"{path} is not a scene bundle")
+    return decode_scene(*read_bundle(path), path)
+
+
+def decode_scene(tensors: dict, meta: dict, path) -> GroundTruthScene:
+    """The scene held by an already read bundle; `path` names it in errors."""
+    _check_kind(tensors, meta, "scene", path)
     pmap = PanopticMap(class_map=tensors["class_map"], instance_map=tensors["instance_map"],
                        segments=_segments_from_meta(meta["segments"]))
     pmap.validate()
     return GroundTruthScene(panoptic=pmap, boxes=tensors["boxes"],
                             instance_classes=tensors["instance_classes"],
-                            n_stuff=int(meta["n_stuff"]), n_things=int(meta["n_things"]))
+                            n_stuff=meta["n_stuff"], n_things=meta["n_things"])
 
 
 # ----------------------------------------------------------- predictions
@@ -172,8 +228,7 @@ def save_predictions(path, pred: DensePrediction) -> None:
 
 def load_predictions(path) -> DensePrediction:
     tensors, meta = read_bundle(path)
-    if meta.get("kind") != "predictions":
-        raise ValueError(f"{path} is not a predictions bundle")
+    _check_kind(tensors, meta, "predictions", path)
     specs = _specs_from_meta(meta["levels"])
     levels = [
         DenseBoxLevel(stride=spec.stride,
@@ -186,8 +241,8 @@ def load_predictions(path) -> DensePrediction:
                            semantic_logits=tensors["semantic_logits"],
                            levelness_logits=tensors["levelness_logits"],
                            specs=specs,
-                           n_stuff=int(meta["n_stuff"]), n_things=int(meta["n_things"]),
-                           image_hw=(int(meta["height"]), int(meta["width"])))
+                           n_stuff=meta["n_stuff"], n_things=meta["n_things"],
+                           image_hw=(meta["height"], meta["width"]))
 
 
 # ---------------------------------------------------------------- targets
@@ -234,8 +289,7 @@ def save_targets(path, bundle: TargetBundle) -> None:
 
 def load_targets(path) -> TargetBundle:
     tensors, meta = read_bundle(path)
-    if meta.get("kind") != "targets":
-        raise ValueError(f"{path} is not a targets bundle")
+    _check_kind(tensors, meta, "targets", path)
     specs = _specs_from_meta(meta["levels"])
     level_targets = [
         LevelTargets(stride=spec.stride,
@@ -252,10 +306,10 @@ def load_targets(path) -> TargetBundle:
         gt_classes=tensors["gt_classes"],
         gt_instances_quarter=tensors["gt_instances_quarter"],
         specs=specs,
-        n_stuff=int(meta["n_stuff"]),
-        n_things=int(meta["n_things"]),
-        image_hw=(int(meta["height"]), int(meta["width"])),
-        mode=str(meta["mode"]),
+        n_stuff=meta["n_stuff"],
+        n_things=meta["n_things"],
+        image_hw=(meta["height"], meta["width"]),
+        mode=meta["mode"],
     )
 
 
@@ -280,9 +334,12 @@ def save_panoptic(path, pmap: PanopticMap, n_stuff: int, n_things: int,
 
 def load_panoptic(path) -> tuple[PanopticMap, dict]:
     """Read an archive back and verify the segment table against the maps."""
-    tensors, meta = read_bundle(path)
-    if meta.get("kind") != "panoptic":
-        raise ValueError(f"{path} is not a panoptic archive")
+    return decode_panoptic(*read_bundle(path), path)
+
+
+def decode_panoptic(tensors: dict, meta: dict, path) -> tuple[PanopticMap, dict]:
+    """The panoptic map and meta of an already read archive; `path` names it in errors."""
+    _check_kind(tensors, meta, "panoptic", path)
     pmap = PanopticMap(class_map=tensors["class_map"], instance_map=tensors["instance_map"],
                        segments=_segments_from_meta(meta["segments"]))
     pmap.validate()

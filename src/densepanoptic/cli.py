@@ -138,14 +138,14 @@ def _add_evaluate(sub):
 
 
 def _load_panoptic_or_scene(path):
-    _, meta = bundle.read_bundle(path)
+    tensors, meta = bundle.read_bundle(path)
     kind = meta.get("kind")
     if kind == "scene":
-        scene = bundle.load_scene(path)
+        scene = bundle.decode_scene(tensors, meta, path)
         return scene.panoptic, scene.n_stuff, scene.n_things
     if kind == "panoptic":
-        pmap, meta = bundle.load_panoptic(path)
-        return pmap, int(meta["n_stuff"]), int(meta["n_things"])
+        pmap, meta = bundle.decode_panoptic(tensors, meta, path)
+        return pmap, meta["n_stuff"], meta["n_things"]
     raise ValueError(f"{path}: expected a scene bundle or panoptic archive, got {kind!r}")
 
 

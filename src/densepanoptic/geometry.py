@@ -1,9 +1,14 @@
-"""Box, offset and centerness primitives shared by every other module.
+"""Box geometry: the one home of the dense-detection box encoding.
 
 Boxes are axis-aligned continuous intervals (x1, y1, x2, y2) with the origin
 at the top-left corner; a pixel is the point (x, y). Area is
 (x2 - x1) * (y2 - y1), so a box whose opposite sides coincide is degenerate
 and has zero area. IoU involving degenerate boxes is defined as 0.
+
+A dense detector encodes a box as side offsets (l, t, r, b) from the
+receptive centre of a grid cell: cell i of a stride-z map is centred at
+z//2 + i*z. Every function here works on arrays; a trailing axis of 4 holds
+a box or an offset tuple.
 """
 
 from __future__ import annotations
@@ -32,92 +37,89 @@ class BoundingBox:
                 f"({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
 
-    @property
-    def area(self) -> float:
-        return max(0.0, self.x2 - self.x1) * max(0.0, self.y2 - self.y1)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
-
-@dataclass(frozen=True)
-class BoxOffsets:
-    """Nonnegative distances (l, t, r, b) from a pixel to the four box sides."""
-
-    l: float
-    t: float
-    r: float
-    b: float
-
-    def __post_init__(self):
-        if min(self.l, self.t, self.r, self.b) < 0:
-            raise ValueError(
-                f"offsets must be nonnegative, got ({self.l}, {self.t}, {self.r}, {self.b})"
-            )
-
-    def max(self) -> float:
-        return max(self.l, self.t, self.r, self.b)
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes.
-
-    Args:
-        a: first box.
-        b: second box.
-
-    Returns:
-        IoU in [0, 1]; 0 whenever the union is degenerate.
-    """
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
-
-
-def box_to_offsets(box: BoundingBox, x: float, y: float) -> BoxOffsets:
-    """Encode a box as side distances from pixel (x, y).
-
-    The pixel must lie inside the box (all four distances nonnegative),
-    otherwise a ValueError is raised.
-    """
-    if not box.contains(x, y):
-        raise ValueError(f"pixel ({x}, {y}) lies outside box {box}")
-    return BoxOffsets(x - box.x1, y - box.y1, box.x2 - x, box.y2 - y)
-
-
-def offsets_to_box(off: BoxOffsets, x: float, y: float) -> BoundingBox:
-    """Decode side distances at pixel (x, y) back into an absolute box."""
-    return BoundingBox(x - off.l, y - off.t, x + off.r, y + off.b)
-
-
-def centerness(off: BoxOffsets) -> float:
-    """Geometric-mean centrality of a pixel inside its box, in [0, 1].
-
-    sqrt((min(l,r)/max(l,r)) * (min(t,b)/max(t,b))); exactly 1 at the box
-    center and 0 on the box border. Degenerate axes (both distances zero)
-    contribute a factor of 0.
-    """
-    mx = max(off.l, off.r)
-    my = max(off.t, off.b)
-    if mx <= 0 or my <= 0:
-        return 0.0
-    return math.sqrt((min(off.l, off.r) / mx) * (min(off.t, off.b) / my))
-
-
-def receptive_center(stride: int, ix: int, iy: int) -> tuple[float, float]:
-    """Full-resolution center of grid cell (ix, iy) on a stride-z map.
-
-    Returns (z//2 + ix*z, z//2 + iy*z) as floats.
-    """
+def receptive_centers(stride: int, idx) -> np.ndarray:
+    """Full-resolution centres z//2 + i*z of grid indices `idx` on a stride-z map, int64."""
     if stride <= 0:
         raise ValueError("stride must be positive")
-    return (float(stride // 2 + ix * stride), float(stride // 2 + iy * stride))
+    return stride // 2 + np.asarray(idx, dtype=np.int64) * stride
+
+
+def boxes_to_offsets(boxes, cx, cy) -> np.ndarray:
+    """Side distances (l, t, r, b) of boxes (..., 4) from points (cx, cy).
+
+    A point outside its box yields a negative distance; callers that require
+    containment check the sign.
+    """
+    boxes = np.asarray(boxes)
+    return np.stack([cx - boxes[..., 0], cy - boxes[..., 1],
+                     boxes[..., 2] - cx, boxes[..., 3] - cy], axis=-1)
+
+
+def offsets_to_boxes(off, cx, cy) -> np.ndarray:
+    """Absolute boxes (cx - l, cy - t, cx + r, cy + b) from side offsets (..., 4)."""
+    off = np.asarray(off)
+    return np.stack([cx - off[..., 0], cy - off[..., 1], cx + off[..., 2], cy + off[..., 3]], axis=-1)
+
+
+def max_offset(off) -> np.ndarray:
+    """Largest side distance max(l, t, r, b) of offsets (..., 4)."""
+    # column by column: a reduction along the short last axis is several times slower
+    return np.maximum.reduce([off[..., 0], off[..., 1], off[..., 2], off[..., 3]])
+
+
+def decode_boxes(offsets: np.ndarray, stride: int, dtype, ix=None, iy=None) -> np.ndarray:
+    """Absolute boxes from side offsets at receptive centres, (..., 4) of `dtype`.
+
+    ix and iy are grid indices that broadcast against offsets[..., 0]; they
+    default to the full (h, w) grid of an (h, w, 4) offsets array. Centres
+    and offsets are cast to `dtype` before the arithmetic.
+    """
+    if ix is None:
+        h, w = offsets.shape[:2]
+        ix, iy = np.arange(w)[None, :], np.arange(h)[:, None]
+    cx = receptive_centers(stride, ix).astype(dtype)
+    cy = receptive_centers(stride, iy).astype(dtype)
+    return offsets_to_boxes(offsets.astype(dtype, copy=False), cx, cy)
+
+
+def centerness(off) -> np.ndarray:
+    """Geometric-mean centrality of points inside their boxes, float64 in [0, 1].
+
+    sqrt((min(l,r)/max(l,r)) * (min(t,b)/max(t,b))) over offsets (..., 4);
+    exactly 1 at the box centre and 0 on the box border. Degenerate axes
+    (both distances zero) contribute a factor of 0. The two products are
+    formed before the division, so offsets must be pixel distances: below
+    about 1e-150 the products underflow and the result is 0.
+    """
+    off = np.asarray(off, dtype=np.float64)
+    l, t, r, b = off[..., 0], off[..., 1], off[..., 2], off[..., 3]
+    num = np.minimum(l, r) * np.minimum(t, b)
+    den = np.maximum(l, r) * np.maximum(t, b)
+    out = np.zeros(num.shape, dtype=np.float64)
+    np.divide(num, den, out=out, where=den > 0)
+    return np.sqrt(out)
+
+
+def box_iou(a, b) -> np.ndarray:
+    """IoU of boxes (..., 4) broadcast against boxes (..., 4), float64.
+
+    `box_iou(a, b)` pairs rows of equal-shape arrays; `box_iou(a[:, None],
+    b[None])` gives the all-pairs matrix.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    out = np.zeros(inter.shape, dtype=np.float64)
+    np.divide(inter, union, out=out, where=union > 0)
+    # a zero-width intersection strip must not survive the division
+    out[inter <= 0] = 0.0
+    return out
 
 
 def iou_grid(boxes: np.ndarray, box) -> np.ndarray:
@@ -144,39 +146,5 @@ def iou_grid(boxes: np.ndarray, box) -> np.ndarray:
     out = np.zeros(boxes.shape[:-1], dtype=np.float32)
     np.divide(inter, union, out=out, where=union > 0, casting="unsafe")
     # a zero-width intersection strip must not survive the division
-    out[inter <= 0] = 0.0
-    return out
-
-
-def iou_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise IoU of two (N, 4) box arrays, float64."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.shape[-1] != 4:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
-    out = np.zeros(a.shape[:-1], dtype=np.float64)
-    np.divide(inter, union, out=out, where=union > 0)
-    out[inter <= 0] = 0.0
-    return out
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs IoU between (M, 4) and (K, 4) box arrays, float64 (M, K)."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros(inter.shape, dtype=np.float64)
-    np.divide(inter, union, out=out, where=union > 0)
     out[inter <= 0] = 0.0
     return out

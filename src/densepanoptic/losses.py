@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GlobalBoxField
-from .geometry import iou_elementwise, iou_grid, iou_matrix
+from .geometry import box_iou, iou_grid
 from .selection import QuerySet
 
 logger = logging.getLogger(__name__)
@@ -78,7 +78,7 @@ def iou_loss(pred_boxes: np.ndarray, target_boxes: np.ndarray, foreground: np.nd
         return 0.0
     a = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 4)[fg]
     b = np.asarray(target_boxes, dtype=np.float64).reshape(-1, 4)[fg]
-    ious = iou_elementwise(a, b)
+    ious = box_iou(a, b)
     clamped = int((ious < IOU_CLAMP).sum())
     if clamped:
         logger.warning("iou_loss clamped %d of %d foreground boxes", clamped, len(ious))
@@ -193,7 +193,7 @@ def match_queries(query_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     out = np.full(len(q), -1, dtype=np.int64)
     if len(q) == 0 or len(g) == 0:
         return out
-    mat = iou_matrix(q, g)
+    mat = box_iou(q[:, None], g[None])
     best = np.argmax(mat, axis=1)
     hit = mat[np.arange(len(q)), best] > 0
     out[hit] = best[hit]
@@ -235,7 +235,7 @@ def mask_loss(
         n_j = int(inside.sum())
         if n_j == 0:
             continue
-        beta = iou_elementwise(qboxes[i][None], g[j][None])[0]
+        beta = box_iou(qboxes[i], g[j])
         ious = iou_grid(global_boxes.boxes, box).astype(np.float64)
         e_fn = float((1.0 - ious[inside]).sum())
         e_fp = float(ious[~inside].sum())

@@ -15,16 +15,22 @@ import numpy as np
 
 from .fields import GlobalBoxField, PanopticMap, SegmentInfo, SemanticField, upsample_nearest
 from .geometry import iou_grid
-from .selection import QuerySet, location_probability_maxlevel
+from .selection import QuerySet, resample_level_boxes
 
 
-def location_probability(field: GlobalBoxField, box) -> np.ndarray:
-    """IoU of every pixel's predicted box against a query box, (h, w) float32.
+def location_probability(box_fields: list[np.ndarray], box) -> np.ndarray:
+    """Per-pixel maximum IoU of predicted boxes against a query box, (h, w) float32.
 
-    `box` is (x1, y1, x2, y2) as Python floats. Background pixels hold
-    degenerate point boxes and therefore score 0.
+    `box_fields` holds one or more (h, w, 4) box fields: the assembled global
+    field, or every pyramid level resampled to quarter resolution. `box` is
+    (x1, y1, x2, y2) as Python floats. Degenerate point boxes score 0.
     """
-    return iou_grid(field.boxes, box)
+    if not box_fields:
+        raise ValueError("at least one box field required")
+    out = iou_grid(box_fields[0], box)
+    for boxes in box_fields[1:]:
+        np.maximum(out, iou_grid(boxes, box), out=out)
+    return out
 
 
 def mask_probability(
@@ -63,7 +69,8 @@ def construct_masks(
     """Instance masks for every query, (M, h, w) bool in query order.
 
     Location probabilities come from the assembled global box field when
-    given, otherwise from the per-level maximum over `levels`. Queries are
+    given, otherwise from the per-level maximum over `levels`, whose boxes
+    are resampled to the semantic grid once per call. Queries are
     independent, so they are distributed over a thread pool; each thread
     writes a disjoint preallocated slice, making the result identical for
     any thread count.
@@ -77,14 +84,15 @@ def construct_masks(
     h, w = semantics.shape
     out = np.zeros((len(queries), h, w), dtype=bool)
 
+    if global_boxes is not None:
+        box_fields = [global_boxes.boxes]
+    else:
+        box_fields = [resample_level_boxes(lv, (h, w)) for lv in levels]
     boxes = queries.boxes.tolist()
     classes = queries.classes.tolist()
 
     def one(i: int) -> None:
-        if global_boxes is not None:
-            p = location_probability(global_boxes, boxes[i])
-        else:
-            p = location_probability_maxlevel(levels, boxes[i])
+        p = location_probability(box_fields, boxes[i])
         out[i] = threshold_mask(mask_probability(p, semantics, classes[i], n_stuff), sigma)
 
     if threads == 1 or len(queries) <= 1:

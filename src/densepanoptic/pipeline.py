@@ -11,7 +11,8 @@ from . import losses as L
 from .bundle import TargetBundle
 from .fields import DensePrediction, PanopticMap
 from .maskcons import construct_masks, fuse_panoptic
-from .selection import QuerySet, assemble_global_boxes, decode_boxes, decode_candidates, nms
+from .geometry import decode_boxes
+from .selection import QuerySet, assemble_global_boxes, decode_candidates, nms
 
 ASSEMBLY_MODES = ("levelness", "max-iou")
 

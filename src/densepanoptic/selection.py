@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DenseBoxLevel, GlobalBoxField, LevelnessField
-from .geometry import BoundingBox, iou_grid
+from .geometry import BoundingBox, box_iou, decode_boxes
 
 
 @dataclass(frozen=True)
@@ -80,24 +80,6 @@ class QuerySet:
         return self.take(order[:k])
 
 
-def decode_boxes(offsets: np.ndarray, stride: int, dtype, ix=None, iy=None) -> np.ndarray:
-    """Absolute boxes from side offsets at receptive centres, (..., 4) of `dtype`.
-
-    Grid cell (ix, iy) of a stride-z level has its centre at
-    (z//2 + ix*z, z//2 + iy*z); the box is (cx - l, cy - t, cx + r, cy + b).
-    ix and iy broadcast against offsets[..., 0] and default to the full
-    (h, w) grid of an (h, w, 4) offsets array. Centres and offsets are cast
-    to `dtype` before the arithmetic.
-    """
-    if ix is None:
-        h, w = offsets.shape[:2]
-        ix, iy = np.arange(w)[None, :], np.arange(h)[:, None]
-    cx = (stride // 2 + ix * stride).astype(dtype)
-    cy = (stride // 2 + iy * stride).astype(dtype)
-    off = offsets.astype(dtype, copy=False)
-    return np.stack([cx - off[..., 0], cy - off[..., 1], cx + off[..., 2], cy + off[..., 3]], axis=-1)
-
-
 def decode_candidates(
     levels: list[DenseBoxLevel],
     score_thresh: float = 0.05,
@@ -141,9 +123,7 @@ def nms(candidates: QuerySet, iou_thresh: float = 0.6) -> QuerySet:
     if not 0 <= iou_thresh <= 1:
         raise ValueError("iou_thresh must be in [0, 1]")
     cands = candidates.ordered()
-    x1, y1, x2, y2 = cands.boxes.T
-    classes = cands.classes
-    areas = (x2 - x1) * (y2 - y1)
+    boxes, classes = cands.boxes, cands.classes
     alive = np.ones(len(cands), dtype=bool)
     kept = []
     for i in range(len(cands)):
@@ -156,14 +136,7 @@ def nms(candidates: QuerySet, iou_thresh: float = 0.6) -> QuerySet:
         if not later.any():
             continue
         idx = np.nonzero(later)[0]
-        iw = np.clip(np.minimum(x2[idx], x2[i]) - np.maximum(x1[idx], x1[i]), 0.0, None)
-        ih = np.clip(np.minimum(y2[idx], y2[i]) - np.maximum(y1[idx], y1[i]), 0.0, None)
-        inter = iw * ih
-        union = areas[idx] + areas[i] - inter
-        ious = np.zeros(len(idx), dtype=np.float64)
-        np.divide(inter, union, out=ious, where=union > 0)
-        ious[inter <= 0] = 0.0
-        alive[idx[ious > iou_thresh]] = False
+        alive[idx[box_iou(boxes[idx], boxes[i]) > iou_thresh]] = False
     return cands.take(np.array(kept, dtype=np.int64))
 
 
@@ -206,22 +179,3 @@ def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField
         if pick.any():
             out[pick] = resample_level_boxes(lv, (qh, qw))[pick]
     return GlobalBoxField(boxes=out)
-
-
-def location_probability_maxlevel(levels: list[DenseBoxLevel], box) -> np.ndarray:
-    """Levelness-free location probability: max over levels of per-level IoU.
-
-    Every level's box grid is resampled to quarter resolution and scored
-    against the query box (x1, y1, x2, y2), given as Python floats as
-    `iou_grid` requires; the per-pixel maximum is returned as (H/4, W/4)
-    float32.
-    """
-    if not levels:
-        raise ValueError("at least one level required")
-    z0 = levels[0].stride
-    h0, w0 = levels[0].shape
-    quarter_hw = (h0 * (z0 // 4), w0 * (z0 // 4))
-    out = np.zeros(quarter_hw, dtype=np.float32)
-    for lv in levels:
-        np.maximum(out, iou_grid(resample_level_boxes(lv, quarter_hw), box), out=out)
-    return out

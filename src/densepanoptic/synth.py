@@ -27,6 +27,7 @@ from .fields import (
     SegmentInfo,
     upsample_nearest,
 )
+from .geometry import boxes_to_offsets, centerness, receptive_centers
 
 BLOCK = 8
 ONE_HOT_MARGIN = 1000.0
@@ -158,16 +159,7 @@ def _best_center_score(mask: np.ndarray, box) -> float:
     ys, xs = np.nonzero(mask[4::8, 4::8])
     if ys.size == 0:
         return 0.0
-    px = 4.0 + 8.0 * xs
-    py = 4.0 + 8.0 * ys
-    l, t = px - box[0], py - box[1]
-    r, b = box[2] - px, box[3] - py
-    lr_min, lr_max = np.minimum(l, r), np.maximum(l, r)
-    tb_min, tb_max = np.minimum(t, b), np.maximum(t, b)
-    den = lr_max * tb_max
-    c = np.zeros(len(px))
-    np.divide(lr_min * tb_min, den, out=c, where=den > 0)
-    return float(np.sqrt(c).max())
+    return float(centerness(boxes_to_offsets(box, receptive_centers(8, xs), receptive_centers(8, ys))).max())
 
 
 def _try_blocks(cfg: SceneConfig, rng: np.random.Generator):

@@ -23,6 +23,42 @@ def iou_ref(a, b) -> float:
     return inter / union
 
 
+def receptive_center_ref(stride: int, ix: int, iy: int) -> tuple[int, int]:
+    """Full-resolution centre of grid cell (ix, iy) on a stride-z map."""
+    return (stride // 2 + ix * stride, stride // 2 + iy * stride)
+
+
+def box_to_offsets_ref(box, x, y) -> tuple:
+    """Side distances (l, t, r, b) from pixel (x, y), which must lie in the box."""
+    x1, y1, x2, y2 = box
+    if not (x1 <= x <= x2 and y1 <= y <= y2):
+        raise ValueError(f"pixel ({x}, {y}) lies outside box {box}")
+    return (x - x1, y - y1, x2 - x, y2 - y)
+
+
+def offsets_to_box_ref(off, x, y) -> tuple:
+    l, t, r, b = off
+    return (x - l, y - t, x + r, y + b)
+
+
+def centerness_ref(off) -> float:
+    """sqrt(min(l,r)/max(l,r) * min(t,b)/max(t,b)); 0 on a degenerate axis."""
+    l, t, r, b = off
+    mx, my = max(l, r), max(t, b)
+    if mx <= 0 or my <= 0:
+        return 0.0
+    return math.sqrt((min(l, r) / mx) * (min(t, b) / my))
+
+
+def assign_levels_ref(off, specs) -> int:
+    """Index of the level whose range (min_size, max_size] holds max(off)."""
+    v = max(off)
+    for i, spec in enumerate(specs):
+        if spec.min_size < v <= spec.max_size:
+            return i
+    raise ValueError(f"max offset {v} selects no level")
+
+
 def nms_ref(candidates, iou_thresh: float):
     """O(n^2) greedy class-wise NMS over (box4, class, score, level) tuples.
 

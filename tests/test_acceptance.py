@@ -41,7 +41,7 @@ from densepanoptic.fields import (
     SemanticField,
     default_level_specs,
 )
-from densepanoptic.geometry import BoundingBox, BoxOffsets, centerness, iou
+from densepanoptic.geometry import box_iou, centerness
 from densepanoptic.losses import (
     centerness_loss,
     focal_classification_loss,
@@ -325,10 +325,10 @@ def test_03_closed_form_spot_checks(capfd):
     """Hand-derivable values for the geometric and loss primitives."""
     checks = []
 
-    got = iou(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
+    got = box_iou((0, 0, 2, 2), (1, 1, 3, 3))
     checks.append(("iou=1/7", got == 1 / 7))
 
-    got = centerness(BoxOffsets(1, 2, 3, 2))
+    got = centerness((1, 2, 3, 2))
     checks.append(("centerness=0.57735", abs(got - 0.57735) < 1e-5))
 
     pq, _, _, _ = panoptic_quality([SegmentMatch((4, 1), (4, 1), 0.8)],

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 from densepanoptic.assignment import (
     GroundTruthScene,
     assign_foreground,
-    assign_levels,
     build_targets,
+    levels_for,
 )
 from densepanoptic.fields import PanopticMap, SegmentInfo, default_level_specs
-from densepanoptic.geometry import BoundingBox, BoxOffsets, box_to_offsets, centerness
+
+from oracles import assign_levels_ref, box_to_offsets_ref, centerness_ref
 
 
 def make_scene(h, w, rects, n_stuff=1, n_things=1, bg_class=1, boxes=None):
@@ -126,28 +127,22 @@ class TestAssignForeground:
 
 class TestAssignLevels:
     def test_frozen_examples(self):
-        specs = default_level_specs()
-        assert assign_levels(BoxOffsets(50, 1, 1, 1), specs) == 0
-        assert assign_levels(BoxOffsets(100, 1, 1, 1), specs) == 1
-        assert assign_levels(BoxOffsets(600, 1, 1, 1), specs) == 4
+        assert levels_for([50, 100, 600], default_level_specs()).tolist() == [0, 1, 4]
 
     def test_boundaries_are_half_open(self):
-        specs = default_level_specs()
-        assert assign_levels(BoxOffsets(64, 0, 0, 0), specs) == 0
-        assert assign_levels(BoxOffsets(64.5, 0, 0, 0), specs) == 1
-        assert assign_levels(BoxOffsets(512, 0, 0, 0), specs) == 3
-        assert assign_levels(BoxOffsets(513, 0, 0, 0), specs) == 4
+        got = levels_for(np.array([64, 64.5, 512, 513], np.float32), default_level_specs())
+        assert got.tolist() == [0, 1, 3, 4]
 
     def test_zero_offsets_select_nothing(self):
         with pytest.raises(ValueError):
-            assign_levels(BoxOffsets(0, 0, 0, 0), default_level_specs())
+            levels_for([5.0, 0.0], default_level_specs())
 
     @given(st.floats(min_value=1e-3, max_value=4096.0, allow_nan=False))
     def test_partition_property(self, v):
         specs = default_level_specs()
         hits = [s.min_size < v <= s.max_size for s in specs]
         assert sum(hits) == 1
-        assert assign_levels(BoxOffsets(v, 0, 0, 0), specs) == hits.index(True)
+        assert levels_for([v], specs).tolist() == [hits.index(True)] == [assign_levels_ref((v, 0, 0, 0), specs)]
 
 
 class TestBuildTargets:
@@ -233,16 +228,14 @@ class TestBuildTargets:
                     k = int(im[cy, cx])
                     expect_fg = False
                     if k > 0:
-                        box = BoundingBox(*map(float, sc.boxes[k - 1]))
-                        off = box_to_offsets(box, float(cx), float(cy))
-                        expect_fg = spec.min_size < off.max() <= spec.max_size
+                        off = box_to_offsets_ref(sc.boxes[k - 1].tolist(), float(cx), float(cy))
+                        expect_fg = spec.min_size < max(off) <= spec.max_size
                     assert lt.foreground[gy, gx] == expect_fg
                     if expect_fg:
                         assert lt.class_ids[gy, gx] == 2
-                        assert np.allclose(
-                            lt.offsets[gy, gx], (off.l, off.t, off.r, off.b))
+                        assert np.allclose(lt.offsets[gy, gx], off)
                         assert lt.centerness[gy, gx] == pytest.approx(
-                            centerness(off), abs=1e-6)
+                            centerness_ref(off), abs=1e-6)
         # global maps: quarter pixels carry 1 + level of their own offsets
         for qy in range(16):
             for qx in range(16):
@@ -251,10 +244,9 @@ class TestBuildTargets:
                 if k == 0:
                     assert glob.levelness[qy, qx] == 0
                 else:
-                    box = BoundingBox(*map(float, sc.boxes[k - 1]))
-                    off = box_to_offsets(box, float(cx), float(cy))
-                    if off.max() > 0:
-                        assert glob.levelness[qy, qx] == 1 + assign_levels(off, specs)
+                    off = box_to_offsets_ref(sc.boxes[k - 1].tolist(), float(cx), float(cy))
+                    if max(off) > 0:
+                        assert glob.levelness[qy, qx] == 1 + assign_levels_ref(off, specs)
                 assert glob.semantics[qy, qx] == sc.panoptic.class_map[cy, cx]
 
     def test_foreground_partitions_across_levels(self):
@@ -263,7 +255,7 @@ class TestBuildTargets:
         specs = default_level_specs()
         levels, _ = build_targets(sc, specs)
         im = sc.panoptic.instance_map
-        box = BoundingBox(*map(float, sc.boxes[0]))
+        box = sc.boxes[0].tolist()
         for li, spec in enumerate(specs):
             z = spec.stride
             for gy in range(256 // z):
@@ -272,8 +264,8 @@ class TestBuildTargets:
                     if im[cy, cx] == 0:
                         assert not levels[li].foreground[gy, gx]
                         continue
-                    off = box_to_offsets(box, float(cx), float(cy))
+                    off = box_to_offsets_ref(box, float(cx), float(cy))
                     claimed = [
-                        s.min_size < off.max() <= s.max_size for s in specs]
+                        s.min_size < max(off) <= s.max_size for s in specs]
                     assert sum(claimed) == 1
                     assert levels[li].foreground[gy, gx] == claimed[li]

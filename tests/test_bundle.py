@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -229,3 +230,75 @@ class TestColorize:
     def test_ppm_writer_shape_checked(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 4), np.uint8))
+
+
+def _edit_manifest(path, fn):
+    mpath = path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    fn(manifest)
+    mpath.write_text(json.dumps(manifest))
+
+
+def _drop_tensor(name):
+    return lambda m: m.__setitem__("tensors", [t for t in m["tensors"] if t["name"] != name])
+
+
+def _set_meta(key, value):
+    return lambda m: m["meta"].__setitem__(key, value)
+
+
+def _set_first(key, field, value):
+    return lambda m: m["meta"][key][0].__setitem__(field, value)
+
+
+_LOADERS = {"scene": load_scene, "predictions": load_predictions, "targets": load_targets,
+            "panoptic": load_panoptic}
+
+
+class TestMetaSchema:
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kinds")
+        sc = generate_scene(SceneConfig(width=128, height=128, instances=2, seed=5))
+        specs = default_level_specs()
+        lt, gt = build_targets(sc, specs)
+        save_scene(root / "scene", sc)
+        save_predictions(root / "predictions", ideal_predictions(sc, specs))
+        save_targets(root / "targets", TargetBundle(
+            level_targets=lt, global_targets=gt, gt_boxes=sc.boxes, gt_classes=sc.instance_classes,
+            gt_instances_quarter=sc.quarter_instance_map(), specs=specs, n_stuff=sc.n_stuff,
+            n_things=sc.n_things, image_hw=(128, 128), mode="full"))
+        save_panoptic(root / "panoptic", sc.panoptic, sc.n_stuff, sc.n_things)
+        return root
+
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    def test_untouched_bundles_load(self, bundles, kind):
+        _LOADERS[kind](bundles / kind)
+
+    @pytest.mark.parametrize("kind, edit, named", [
+        pytest.param("predictions", lambda m: m["meta"].pop("n_stuff"), "'n_stuff'", id="predictions-n_stuff-1"),
+        pytest.param("predictions", _set_first("levels", "stride", "x"), "'levels'", id="predictions-levels-1"),
+        pytest.param("predictions", _set_meta("levels", 5), "'levels'", id="predictions-levels-2"),
+        pytest.param("predictions", _set_first("levels", "max_size", "inf"), "'levels'", id="predictions-levels-3"),
+        pytest.param("predictions", _set_meta("n_things", True), "'n_things'", id="predictions-n_things-1"),
+        pytest.param("predictions", _set_meta("height", 128.0), "'height'", id="predictions-height-1"),
+        pytest.param("predictions", _drop_tensor("level3_offsets"), "'level3_offsets'", id="predictions-level3_offsets-1"),
+        pytest.param("predictions", _drop_tensor("semantic_logits"), "'semantic_logits'", id="predictions-semantic_logits-1"),
+        pytest.param("scene", lambda m: m["meta"].pop("segments"), "'segments'", id="scene-segments-1"),
+        pytest.param("scene", _set_meta("n_stuff", -1), "'n_stuff'", id="scene-n_stuff-1"),
+        pytest.param("scene", _drop_tensor("boxes"), "'boxes'", id="scene-boxes-1"),
+        pytest.param("targets", _set_meta("mode", "boxes"), "'mode'", id="targets-mode-1"),
+        pytest.param("targets", _set_first("levels", "min_size", None), "'levels'", id="targets-levels-1"),
+        pytest.param("targets", _drop_tensor("level0_foreground"), "'level0_foreground'", id="targets-level0_foreground-1"),
+        pytest.param("panoptic", _set_first("segments", "score", "high"), "'segments'", id="panoptic-segments-1"),
+        pytest.param("panoptic", _set_first("segments", "area", False), "'segments'", id="panoptic-segments-2"),
+        pytest.param("panoptic", lambda m: m["meta"].pop("n_things"), "'n_things'", id="panoptic-n_things-1"),
+        pytest.param("panoptic", _drop_tensor("instance_map"), "'instance_map'", id="panoptic-instance_map-1"),
+    ])
+    def test_bad_meta_is_one_value_error_naming_the_key(self, bundles, tmp_path, kind, edit, named):
+        path = tmp_path / kind
+        shutil.copytree(bundles / kind, path)
+        _edit_manifest(path, edit)
+        with pytest.raises(ValueError, match=named) as exc:
+            _LOADERS[kind](path)
+        assert len(str(exc.value).splitlines()) == 1

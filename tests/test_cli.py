@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,60 @@ class TestBenchCommand:
                            "--no-naive")
         assert code == 0
         assert "naive" not in out
+
+
+class TestMetaErrors:
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(lambda m: m["meta"].pop("n_stuff"), "'n_stuff'", id="no-n_stuff"),
+        pytest.param(lambda m: m["meta"]["levels"][0].__setitem__("stride", "x"), "'levels'", id="stride-x"),
+        pytest.param(lambda m: m["meta"].__setitem__("levels", 5), "'levels'", id="levels-5"),
+        pytest.param(lambda m: m.__setitem__("tensors", [t for t in m["tensors"] if t["name"] != "level3_offsets"]),
+                     "'level3_offsets'", id="no-level3_offsets"),
+    ])
+    def test_construct_names_the_bad_key(self, tmp_path, capsys, edit, named):
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path / "scene"),
+                           "--width", "128", "--height", "128", "--instances", "2",
+                           "--preds-out", str(tmp_path / "preds"))
+        assert code == 0, err
+        mpath = tmp_path / "preds" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        edit(manifest)
+        mpath.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "construct", "--preds", str(tmp_path / "preds"),
+                           "--out", str(tmp_path / "pan"))
+        assert code == 1
+        assert err.startswith("error:") and named in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_evaluate_names_missing_segments(self, tmp_path, capsys):
+        run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
+            "--instances", "2")
+        mpath = tmp_path / "scene" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        del manifest["meta"]["segments"]
+        mpath.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "evaluate", "--pred", str(tmp_path / "scene"),
+                           "--gt", str(tmp_path / "scene"))
+        assert code == 1
+        assert err.startswith("error:") and "'segments'" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_evaluate_reads_each_bundle_once(tmp_path, capsys, monkeypatch):
+    from densepanoptic import bundle
+
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
+        "--instances", "2", "--preds-out", str(tmp_path / "preds"))
+    run(capsys, "construct", "--preds", str(tmp_path / "preds"), "--out", str(tmp_path / "pan"))
+    reads = []
+    original = bundle.read_bundle
+
+    def counting(path):
+        reads.append(str(path))
+        return original(path)
+
+    monkeypatch.setattr(bundle, "read_bundle", counting)
+    code, out, err = run(capsys, "evaluate", "--pred", str(tmp_path / "pan"), "--gt", str(tmp_path / "scene"))
+    assert code == 0, err
+    assert "PQ" in out
+    assert reads == [str(tmp_path / "pan"), str(tmp_path / "scene")]

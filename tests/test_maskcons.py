@@ -34,7 +34,7 @@ class TestLocationProbability:
         return GlobalBoxField(boxes=boxes)
 
     def test_identity_and_zero(self):
-        p = location_probability(self._field(), (0, 0, 10, 10))
+        p = location_probability([self._field().boxes], (0, 0, 10, 10))
         assert p[0, 0] == 1.0  # equal boxes
         assert p[0, 2] == 0.0  # disjoint
         assert p[1, 0] == 0.0  # background point box
@@ -43,11 +43,11 @@ class TestLocationProbability:
         # the pixel at grid (1,1) is spatially wherever it is; only its
         # PREDICTED box matters, so a perfect prediction scores 1 even for a
         # pixel whose own location is outside the query box
-        p = location_probability(self._field(), (0, 0, 10, 10))
+        p = location_probability([self._field().boxes], (0, 0, 10, 10))
         assert p[1, 1] == 1.0
 
     def test_partial_overlap_value(self):
-        p = location_probability(self._field(), (0, 0, 10, 10))
+        p = location_probability([self._field().boxes], (0, 0, 10, 10))
         assert p[0, 1] == pytest.approx(1 / 3, abs=1e-6)  # 50 / 150
 
 

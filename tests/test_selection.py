@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densepanoptic.fields import DenseBoxLevel, LevelnessField
-from densepanoptic.geometry import BoundingBox, iou
+from densepanoptic.geometry import BoundingBox, box_iou, decode_boxes
 from densepanoptic.maskcons import location_probability
 from densepanoptic.selection import (
     QuerySet,
     ScoredBox,
     assemble_global_boxes,
-    decode_boxes,
     decode_candidates,
-    location_probability_maxlevel,
     nms,
     quarter_point_boxes,
     resample_level_boxes,
@@ -33,7 +31,7 @@ def sb(x1, y1, x2, y2, cls=1, score=0.9, level=0):
 
 
 def box(r):
-    return BoundingBox(*r[0])
+    return r[0]
 
 
 class TestQuerySet:
@@ -145,7 +143,7 @@ class TestNms:
     def test_suppresses_heavy_overlap(self):
         a = sb(0, 0, 10, 10, score=0.9)
         b = sb(0, 0, 10, 9, score=0.8)  # IoU 0.9
-        assert iou(box(a), box(b)) == pytest.approx(0.9)
+        assert box_iou(box(a), box(b)) == pytest.approx(0.9)
         kept = nms(query_set([a, b]), 0.6)
         assert len(kept) == 1 and kept.scores[0] == 0.9
 
@@ -162,7 +160,7 @@ class TestNms:
     def test_threshold_is_strict(self):
         a = sb(0, 0, 10, 10, score=0.9)
         b = sb(0, 0, 10, 6, score=0.8)  # IoU exactly 0.6
-        assert iou(box(a), box(b)) == pytest.approx(0.6)
+        assert box_iou(box(a), box(b)) == pytest.approx(0.6)
         assert len(nms(query_set([a, b]), 0.6)) == 2
         assert len(nms(query_set([a, b]), 0.59)) == 1
 
@@ -171,8 +169,8 @@ class TestNms:
         a = sb(0, 0, 10, 10, score=0.9)
         b = sb(0, 4, 10, 14, score=0.8)
         c = sb(0, 8, 10, 18, score=0.7)
-        assert iou(box(a), box(b)) > 0.33 and iou(box(b), box(c)) > 0.33
-        assert iou(box(a), box(c)) < 0.33
+        assert box_iou(box(a), box(b)) > 0.33 and box_iou(box(b), box(c)) > 0.33
+        assert box_iou(box(a), box(c)) < 0.33
         kept = nms(query_set([a, b, c]), 0.33)
         assert [k.score for k in kept] == [0.9, 0.7]
 
@@ -241,13 +239,14 @@ class TestNms:
             cands.append(sb(float(x1), float(y1), float(x1 + w), float(y1 + h),
                             cls=int(rng.integers(1, 4)),
                             score=float(rng.uniform(0.05, 1.0))))
-        kept = list(nms(query_set(cands), 0.55))
-        scores = [c.score for c in kept]
+        kept = nms(query_set(cands), 0.55)
+        scores = kept.scores.tolist()
         assert scores == sorted(scores, reverse=True)
+        ious = box_iou(kept.boxes[:, None], kept.boxes[None])
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
-                if kept[i].class_id == kept[j].class_id:
-                    assert iou(kept[i].box, kept[j].box) <= 0.55 + 1e-12
+                if kept.classes[i] == kept.classes[j]:
+                    assert ious[i, j] <= 0.55 + 1e-12
 
 
 class TestAssembly:
@@ -307,17 +306,21 @@ class TestMaxLevelProbability:
         lv1.offsets[...] = (6, 6, 6, 6)
         return [lv0, lv1]
 
+    @staticmethod
+    def maxlevel(levels, q, quarter_hw):
+        return location_probability([resample_level_boxes(lv, quarter_hw) for lv in levels], q)
+
     def test_exact_box_gives_one(self):
         levels = self._levels()
         q = (2, 2, 14, 14)  # level-1 box at its only cell (center 8, 8)
-        p = location_probability_maxlevel(levels, q)
+        p = self.maxlevel(levels, q, (4, 4))
         assert p.shape == (4, 4)
         assert p.max() == 1.0
 
     def test_disjoint_everywhere_gives_zero(self):
         levels = self._levels()
         q = (100, 100, 120, 120)
-        assert (location_probability_maxlevel(levels, q) == 0).all()
+        assert (self.maxlevel(levels, q, (4, 4)) == 0).all()
 
     def test_single_level_matches_assembled_path(self):
         (lv0, _) = self._levels()
@@ -325,8 +328,8 @@ class TestMaxLevelProbability:
         logits[..., 1] = 2.0
         field = assemble_global_boxes([lv0], LevelnessField(logits))
         q = (1, 1, 9, 9)
-        direct = location_probability(field, q)
-        viamax = location_probability_maxlevel([lv0], q)
+        direct = location_probability([field.boxes], q)
+        viamax = self.maxlevel([lv0], q, (4, 4))
         assert np.allclose(direct, viamax)
 
     def test_max_dominates_any_assembly(self):
@@ -336,9 +339,13 @@ class TestMaxLevelProbability:
         lv1 = make_level(stride=16, gh=2, gw=2)
         lv1.offsets[...] = rng.uniform(4, 20, lv1.offsets.shape).astype(np.float32)
         q = (4, 4, 20, 18)
-        pmax = location_probability_maxlevel([lv0, lv1], q)
+        pmax = self.maxlevel([lv0, lv1], q, (8, 8))
         for pick in range(3):  # bg, level 0, level 1
             logits = np.zeros((8, 8, 3), np.float32)
             logits[..., pick] = 4.0
             field = assemble_global_boxes([lv0, lv1], LevelnessField(logits))
-            assert (location_probability(field, q) <= pmax + 1e-7).all()
+            assert (location_probability([field.boxes], q) <= pmax + 1e-7).all()
+
+    def test_empty_field_list_rejected(self):
+        with pytest.raises(ValueError):
+            location_probability([], (0.0, 0.0, 1.0, 1.0))

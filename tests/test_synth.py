@@ -3,7 +3,7 @@ import pytest
 
 from densepanoptic.assignment import build_targets
 from densepanoptic.fields import default_level_specs
-from densepanoptic.geometry import BoundingBox, iou
+from densepanoptic.geometry import box_iou
 from densepanoptic.synth import (
     NoiseConfig,
     SceneConfig,
@@ -14,7 +14,7 @@ from densepanoptic.synth import (
 
 
 def boxes_of(scene):
-    return [BoundingBox(*map(float, b)) for b in scene.boxes]
+    return scene.boxes.astype(np.float64)
 
 
 class TestSceneConfig:
@@ -67,7 +67,7 @@ class TestGenerateScene:
         for i in range(len(bx)):
             for j in range(i + 1, len(bx)):
                 if sc.instance_classes[i] == sc.instance_classes[j]:
-                    assert iou(bx[i], bx[j]) == 0.0
+                    assert box_iou(bx[i], bx[j]) == 0.0
 
     def test_same_class_iou_threshold(self):
         cfg = SceneConfig(width=512, height=512, instances=8, seed=5)
@@ -76,7 +76,7 @@ class TestGenerateScene:
         for i in range(len(bx)):
             for j in range(i + 1, len(bx)):
                 if sc.instance_classes[i] == sc.instance_classes[j]:
-                    assert iou(bx[i], bx[j]) <= cfg.max_same_class_iou
+                    assert box_iou(bx[i], bx[j]) <= cfg.max_same_class_iou
 
     def test_cross_class_disjoint_option(self):
         cfg = SceneConfig(width=384, height=256, instances=5,
@@ -86,7 +86,7 @@ class TestGenerateScene:
         for i in range(len(bx)):
             for j in range(i + 1, len(bx)):
                 if sc.instance_classes[i] != sc.instance_classes[j]:
-                    assert iou(bx[i], bx[j]) == 0.0
+                    assert box_iou(bx[i], bx[j]) == 0.0
 
     def test_all_pairs_disjoint_when_both_caps_zero(self):
         cfg = SceneConfig(width=384, height=256, instances=5,
@@ -95,7 +95,7 @@ class TestGenerateScene:
         bx = boxes_of(sc)
         for i in range(len(bx)):
             for j in range(i + 1, len(bx)):
-                assert iou(bx[i], bx[j]) == 0.0
+                assert box_iou(bx[i], bx[j]) == 0.0
 
     def test_partition_and_tight_boxes(self):
         sc = generate_scene(SceneConfig(width=256, height=256, instances=6, seed=11))

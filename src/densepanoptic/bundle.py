@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import MODES, GroundTruthScene, GlobalTargets, LevelTargets
-from .fields import DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo
+from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, segment_keys,
+                     split_segment_key)
 
 FORMAT = "tensor-bundle-v1"
 MANIFEST = "manifest.json"
@@ -369,13 +370,10 @@ def colorize(class_map: np.ndarray, instance_map: np.ndarray) -> np.ndarray:
     instance_map = np.asarray(instance_map)
     if class_map.shape != instance_map.shape:
         raise ValueError("map shapes differ")
-    keys = class_map.astype(np.uint32) << np.uint32(16)
-    keys |= instance_map.astype(np.uint32)
-    out = np.zeros((*class_map.shape, 3), dtype=np.uint8)
-    for key in np.unique(keys).tolist():
-        color = _palette_color(key >> 16, key & 0xFFFF)
-        out[keys == key] = color
-    return out
+    keys = segment_keys(class_map, instance_map)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    palette = np.array([_palette_color(*split_segment_key(k)) for k in uniq.tolist()], dtype=np.uint8)
+    return palette.reshape(-1, 3)[inverse.reshape(keys.shape)]
 
 
 def write_ppm(path, image: np.ndarray) -> None:

@@ -213,34 +213,75 @@ class PanopticMap:
         return self.class_map.shape
 
     def validate(self) -> None:
-        """Check id/class consistency and that segments mirror the maps."""
+        """Check id/class consistency and that segments mirror the maps.
+
+        Stuff segments (id 0) are optional; each names a distinct class whose
+        instance-0 pixel count is positive and equals its area.
+        """
         ids = self.instance_map
         nz = ids != 0
-        if np.any(self.class_map[nz] == 0):
+        thing_classes = self.class_map[nz]
+        if np.any(thing_classes == 0):
             raise ValueError("instance pixels must carry a nonzero class")
-        table = {}
+        table: dict[int, SegmentInfo] = {}
+        stuff: dict[int, SegmentInfo] = {}
         for s in self.segments:
             if s.segment_id == 0:
-                continue
-            if s.segment_id in table:
+                if s.class_id in stuff:
+                    raise ValueError(f"duplicate stuff segment for class {s.class_id}")
+                stuff[s.class_id] = s
+            elif s.segment_id in table:
                 raise ValueError(f"duplicate segment id {s.segment_id}")
-            table[s.segment_id] = s
+            else:
+                table[s.segment_id] = s
         present: dict[int, tuple[int, int]] = {}
-        if nz.any():
-            keys = ids[nz].astype(np.uint32) << np.uint32(16)
-            keys |= self.class_map[nz].astype(np.uint32)
-            uniq, counts = np.unique(keys, return_counts=True)
-            for key, cnt in zip(uniq.tolist(), counts.tolist()):
-                iid, cls = key >> 16, key & 0xFFFF
-                if iid in present:
-                    raise ValueError(f"instance id {iid} spans multiple classes")
-                present[iid] = (cls, cnt)
+        uniq, counts = np.unique(segment_keys(thing_classes, ids[nz]), return_counts=True)
+        for key, cnt in zip(uniq.tolist(), counts.tolist()):
+            cls, iid = split_segment_key(key)
+            if iid in present:
+                raise ValueError(f"instance id {iid} spans multiple classes")
+            present[iid] = (cls, cnt)
         if set(present) != set(table):
             raise ValueError("segment table does not match instance ids in the map")
         for iid, (cls, cnt) in present.items():
             s = table[iid]
             if s.class_id != cls or s.area != cnt:
                 raise ValueError(f"segment {iid} metadata disagrees with the maps")
+        for cls, s in stuff.items():
+            if cls == 0:
+                raise ValueError("stuff segments must name a nonzero class")
+            cnt = np.count_nonzero(self.class_map == cls) - np.count_nonzero(thing_classes == cls)
+            if cnt == 0:
+                raise ValueError(f"stuff segment of class {cls} has no pixels in the map")
+            if s.area != cnt:
+                raise ValueError(f"stuff segment of class {cls} has area {s.area}, the map {cnt}")
+
+
+def segment_keys(class_map: np.ndarray, instance_map: np.ndarray) -> np.ndarray:
+    """Per-pixel uint32 segment key class << 16 | instance; void (class 0) is key 0."""
+    keys = class_map.astype(np.uint32) << np.uint32(16)
+    keys |= instance_map.astype(np.uint32)
+    keys[class_map == 0] = 0
+    return keys
+
+
+def split_segment_key(key):
+    """(class, instance) of a segment key; works on ints and integer arrays."""
+    return key >> 16, key & 0xFFFF
+
+
+def segment_table(class_map: np.ndarray, instance_map: np.ndarray, instances: list[tuple[int, float]],
+                  n_stuff: int, scale: int = 1) -> list[SegmentInfo]:
+    """Instance k with (class, score) = instances[k - 1], then each stuff class present
+    among instance-0 pixels with id 0 and score 1.0; areas are pixel counts * scale."""
+    inst_areas = np.bincount(instance_map.ravel(), minlength=len(instances) + 1)
+    table = [SegmentInfo(segment_id=k, class_id=cls, area=int(inst_areas[k]) * scale, score=score)
+             for k, (cls, score) in enumerate(instances, start=1)]
+    stuff_areas = np.bincount(class_map[instance_map == 0].ravel(), minlength=n_stuff + 1)
+    for c in range(1, n_stuff + 1):
+        if stuff_areas[c]:
+            table.append(SegmentInfo(segment_id=0, class_id=c, area=int(stuff_areas[c]) * scale, score=1.0))
+    return table
 
 
 @dataclass

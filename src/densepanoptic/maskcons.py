@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fields import GlobalBoxField, PanopticMap, SegmentInfo, SemanticField, upsample_nearest
+from .fields import GlobalBoxField, PanopticMap, SemanticField, segment_table, upsample_nearest
 from .geometry import iou_grid
 from .selection import QuerySet, resample_level_boxes
 
@@ -154,22 +154,10 @@ def fuse_panoptic(
         sem_cls = semantics.argmax_classes()
         fill = np.where(sem_cls <= n_stuff, sem_cls, 0).astype(np.uint16)
         class_map[free] = fill[free]
-    factor2 = upsample * upsample
-    if n_stuff:
-        counts = np.bincount(class_map[class_map <= n_stuff].ravel(), minlength=n_stuff + 1)
-        for c in range(1, n_stuff + 1):
-            if counts[c] and counts[c] * factor2 < stuff_area_min:
-                kill = (class_map == c) & (inst_map == 0)
-                class_map[kill] = 0
-
-    class_full = upsample_nearest(class_map, upsample)
-    inst_full = upsample_nearest(inst_map, upsample)
-    inst_areas = np.bincount(inst_map.ravel(), minlength=len(claims) + 1)
-    final = [SegmentInfo(segment_id=k, class_id=cls, area=int(inst_areas[k]) * factor2, score=score)
-             for k, (cls, score) in enumerate(claims, start=1)]
-    stuff_counts = np.bincount(class_map[inst_map == 0].ravel(), minlength=n_stuff + 1)
-    for c in range(1, n_stuff + 1):
-        if stuff_counts[c]:
-            final.append(SegmentInfo(segment_id=0, class_id=c,
-                                     area=int(stuff_counts[c]) * factor2, score=1.0))
-    return PanopticMap(class_map=class_full, instance_map=inst_full, segments=final)
+    segments = segment_table(class_map, inst_map, claims, n_stuff, scale=upsample * upsample)
+    for s in segments:  # claimed pixels carry thing classes, so a stuff class lies on instance 0 only
+        if s.segment_id == 0 and s.area < stuff_area_min:
+            class_map[class_map == s.class_id] = 0
+    segments = [s for s in segments if s.segment_id or s.area >= stuff_area_min]
+    return PanopticMap(class_map=upsample_nearest(class_map, upsample),
+                       instance_map=upsample_nearest(inst_map, upsample), segments=segments)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import PanopticMap
+from .fields import PanopticMap, segment_keys, split_segment_key
 
 Key = tuple[int, int]
 
@@ -89,17 +89,13 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _segment_keys(pmap: PanopticMap) -> np.ndarray:
-    """Per-pixel uint32 key class<<16 | instance; class 0 stays key 0."""
-    keys = pmap.class_map.astype(np.uint32) << np.uint32(16)
-    keys |= pmap.instance_map.astype(np.uint32)
-    keys[pmap.class_map == 0] = 0
-    return keys
-
-
-def _areas(keys: np.ndarray) -> dict[int, int]:
-    uniq, counts = np.unique(keys, return_counts=True)
-    return {int(k): int(c) for k, c in zip(uniq.tolist(), counts.tolist()) if k != 0}
+def _pair_counts(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Distinct (a, b) pairs of two id maps (ids in [0, 2**32)) and their pixel
+    counts, as Python ints in ascending (a, b) order: one sort of a uint64 key."""
+    joint = a.astype(np.uint64) << np.uint64(32)
+    joint |= b.astype(np.uint64)
+    uniq, counts = np.unique(joint, return_counts=True)
+    return (uniq >> np.uint64(32)).tolist(), (uniq & np.uint64(0xFFFFFFFF)).tolist(), counts.tolist()
 
 
 def match_segments(pred: PanopticMap, gt: PanopticMap) -> tuple[list[SegmentMatch], set[Key], set[Key]]:
@@ -113,49 +109,38 @@ def match_segments(pred: PanopticMap, gt: PanopticMap) -> tuple[list[SegmentMatc
     """
     if pred.shape != gt.shape:
         raise ValueError(f"resolution mismatch: {pred.shape} vs {gt.shape}")
-    gt_keys = _segment_keys(gt)
-    pred_keys = _segment_keys(pred)
-    gt_areas = _areas(gt_keys)
-    pred_areas = _areas(pred_keys)
-
-    joint = gt_keys.astype(np.uint64) << np.uint64(32)
-    joint |= pred_keys.astype(np.uint64)
-    uniq, counts = np.unique(joint, return_counts=True)
+    gt_areas: dict[int, int] = {}
+    pred_areas: dict[int, int] = {}
     inter: dict[tuple[int, int], int] = {}
     void_inter: dict[int, int] = {}
-    for k, c in zip(uniq.tolist(), counts.tolist()):
-        g, p = k >> 32, k & 0xFFFFFFFF
+    for g, p, c in zip(*_pair_counts(segment_keys(gt.class_map, gt.instance_map),
+                                     segment_keys(pred.class_map, pred.instance_map))):
+        if g != 0:
+            gt_areas[g] = gt_areas.get(g, 0) + c
         if p != 0:
+            pred_areas[p] = pred_areas.get(p, 0) + c
             if g != 0:
-                inter[(g, p)] = int(c)
+                inter[(g, p)] = c
             else:
-                void_inter[p] = void_inter.get(p, 0) + int(c)
+                void_inter[p] = c
 
     matches: list[SegmentMatch] = []
     matched_gt: set[int] = set()
     matched_pred: set[int] = set()
     for (g, p), ov in inter.items():
-        if (g >> 16) != (p >> 16):
+        if split_segment_key(g)[0] != split_segment_key(p)[0]:
             continue
-        union = gt_areas[g] + pred_areas[p] - ov - void_inter.get(p, 0)
-        if union <= 0:
-            continue
-        iou = ov / union
+        iou = ov / (gt_areas[g] + pred_areas[p] - ov - void_inter.get(p, 0))
         if iou > 0.5:
             if g in matched_gt or p in matched_pred:
                 raise RuntimeError("non-unique match above IoU 0.5; maps are inconsistent")
-            matches.append(SegmentMatch(gt_key=(g >> 16, g & 0xFFFF), pred_key=(p >> 16, p & 0xFFFF), iou=iou))
+            matches.append(SegmentMatch(gt_key=split_segment_key(g), pred_key=split_segment_key(p), iou=iou))
             matched_gt.add(g)
             matched_pred.add(p)
 
-    fn = {(g >> 16, g & 0xFFFF) for g in gt_areas if g not in matched_gt}
-    fp = set()
-    for p, area in pred_areas.items():
-        if p in matched_pred:
-            continue
-        if void_inter.get(p, 0) / area > 0.5:
-            continue
-        fp.add((p >> 16, p & 0xFFFF))
+    fn = {split_segment_key(g) for g in gt_areas if g not in matched_gt}
+    fp = {split_segment_key(p) for p, area in pred_areas.items()
+          if p not in matched_pred and void_inter.get(p, 0) / area <= 0.5}
     return matches, fp, fn
 
 
@@ -200,28 +185,27 @@ def mean_iou(pred_classes: np.ndarray, gt_classes: np.ndarray) -> tuple[float, d
     """Semantic mean-IoU over classes present in the ground truth.
 
     Pixels with gt class 0 (void) are ignored entirely. Per-class IoU is
-    intersection over union from the confusion matrix restricted to valid
-    pixels.
+    intersection over union from the confusion pairs of valid pixels.
+    Class ids must lie in [0, 2**32).
     """
     pred_classes = np.asarray(pred_classes)
     gt_classes = np.asarray(gt_classes)
     if pred_classes.shape != gt_classes.shape:
         raise ValueError("resolution mismatch")
-    valid = gt_classes != 0
-    g = gt_classes[valid].astype(np.int64)
-    p = pred_classes[valid].astype(np.int64)
-    if g.size == 0:
-        return 0.0, {}
-    n = int(max(g.max(), p.max(initial=0))) + 1
-    gt_count = np.bincount(g, minlength=n)
-    pred_count = np.bincount(p, minlength=n)
-    inter = np.bincount(g[g == p], minlength=n)
-    union = gt_count + pred_count - inter
-    per: dict[int, float] = {}
-    for c in range(1, n):
-        if gt_count[c] == 0:
+    if gt_classes.size and not (min(pred_classes.min(), gt_classes.min()) >= 0
+                                and max(pred_classes.max(), gt_classes.max()) < 2 ** 32):
+        raise ValueError("class ids must lie in [0, 2**32)")
+    gt_count: dict[int, int] = {}
+    pred_count: dict[int, int] = {}
+    inter: dict[int, int] = {}
+    for g, p, c in zip(*_pair_counts(gt_classes, pred_classes)):
+        if g == 0:
             continue
-        per[c] = float(inter[c] / union[c]) if union[c] > 0 else 0.0
+        gt_count[g] = gt_count.get(g, 0) + c
+        pred_count[p] = pred_count.get(p, 0) + c
+        if g == p:
+            inter[g] = c
+    per = {c: inter.get(c, 0) / (n + pred_count.get(c, 0) - inter.get(c, 0)) for c, n in gt_count.items()}
     miou = float(np.mean(list(per.values()))) if per else 0.0
     return miou, per
 

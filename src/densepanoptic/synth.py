@@ -24,7 +24,7 @@ from .fields import (
     DensePrediction,
     LevelSpec,
     PanopticMap,
-    SegmentInfo,
+    segment_table,
     upsample_nearest,
 )
 from .geometry import boxes_to_offsets, centerness, receptive_centers
@@ -230,17 +230,8 @@ def _try_centered(cfg: SceneConfig, rng: np.random.Generator):
 
 
 def _scene_from_maps(cfg, class_map, inst_map, boxes, classes) -> GroundTruthScene:
-    segments = []
-    areas = np.bincount(inst_map.ravel(), minlength=len(boxes) + 1)
-    for k in range(len(boxes)):
-        segments.append(SegmentInfo(segment_id=k + 1, class_id=int(classes[k]),
-                                    area=int(areas[k + 1]), score=1.0))
-    stuff_px = class_map[inst_map == 0]
-    counts = np.bincount(stuff_px.ravel(), minlength=cfg.stuff_classes + 1)
-    for c in range(1, cfg.stuff_classes + 1):
-        if counts[c]:
-            segments.append(SegmentInfo(segment_id=0, class_id=c, area=int(counts[c]), score=1.0))
-    pmap = PanopticMap(class_map=class_map, instance_map=inst_map, segments=segments)
+    pmap = PanopticMap(class_map=class_map, instance_map=inst_map, segments=segment_table(
+        class_map, inst_map, [(c, 1.0) for c in classes.tolist()], cfg.stuff_classes))
     pmap.validate()
     return GroundTruthScene(panoptic=pmap, boxes=np.asarray(boxes, dtype=np.float32).reshape(-1, 4),
                             instance_classes=classes, n_stuff=cfg.stuff_classes,
@@ -265,13 +256,7 @@ def _verify(cfg: SceneConfig, scene: GroundTruthScene) -> bool:
             v = _iou4(scene.boxes[i].tolist(), scene.boxes[j].tolist())
             if (cap == 0 and v > 0) or (cap > 0 and v > cap - 1e-6):
                 return False
-    if cfg.min_stuff_area:
-        stuff_px = scene.panoptic.class_map[inst == 0]
-        counts = np.bincount(stuff_px.ravel(), minlength=cfg.stuff_classes + 1)
-        for c in range(1, cfg.stuff_classes + 1):
-            if 0 < counts[c] < cfg.min_stuff_area:
-                return False
-    return True
+    return all(s.segment_id or s.area >= cfg.min_stuff_area for s in scene.panoptic.segments)
 
 
 def generate_scene(cfg: SceneConfig) -> GroundTruthScene:

@@ -227,6 +227,19 @@ class TestColorize:
         assert not (a[0, 2] == a[1, 0]).all()  # same class, different instance
         assert not (a[0, 0] == a[0, 2]).all()  # different class
 
+    def test_matches_palette_per_pixel(self):
+        from densepanoptic.bundle import _palette_color
+
+        rng = np.random.default_rng(5)
+        cm = rng.integers(0, 8, (24, 40)).astype(np.uint16)
+        im = rng.integers(0, 4, (24, 40)).astype(np.uint16)
+        assert ((cm == 0) & (im != 0)).any()
+        out = colorize(cm, im)
+        ref = np.array([[_palette_color(c, i) for c, i in zip(rc, ri)]
+                        for rc, ri in zip(cm.tolist(), im.tolist())], dtype=np.uint8)
+        assert out.dtype == np.uint8 and out.tobytes() == ref.tobytes()
+        assert (out[cm == 0] == 0).all()
+
     def test_ppm_writer_shape_checked(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 4), np.uint8))

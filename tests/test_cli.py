@@ -238,6 +238,22 @@ class TestMetaErrors:
         assert len(err.strip().splitlines()) == 1
 
 
+def test_evaluate_rejects_tampered_stuff_segments(tmp_path, capsys):
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "256", "--height", "256",
+        "--instances", "4", "--seed", "11", "--min-stuff-area", "4096", "--preds-out", str(tmp_path / "preds"))
+    run(capsys, "construct", "--preds", str(tmp_path / "preds"), "--out", str(tmp_path / "pan"))
+    mpath = tmp_path / "pan" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    segments = manifest["meta"]["segments"]
+    next(s for s in segments if s["id"] == 0 and s["class_id"] == 1)["area"] += 12345
+    segments.append({"id": 0, "class_id": 77, "area": 5, "score": 1.0})
+    mpath.write_text(json.dumps(manifest))
+    code, _, err = run(capsys, "evaluate", "--pred", str(tmp_path / "pan"), "--gt", str(tmp_path / "scene"))
+    assert code == 1
+    assert err.startswith("error:") and "stuff segment of class 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_evaluate_reads_each_bundle_once(tmp_path, capsys, monkeypatch):
     from densepanoptic import bundle
 

@@ -15,7 +15,10 @@ from densepanoptic.fields import (
     SegmentInfo,
     SemanticField,
     default_level_specs,
+    segment_keys,
+    segment_table,
     softmax_field,
+    split_segment_key,
     upsample_nearest,
     validate_level_specs,
 )
@@ -197,6 +200,44 @@ class TestPanopticMap:
         pm = PanopticMap(cm, im, [SegmentInfo(1, 0, 1, 0.5)])
         with pytest.raises(ValueError):
             pm.validate()
+
+    # class 1 stuff on three instance-0 pixels, class 2 stuff absent, one class-4 instance
+    STUFF_CM = np.array([[1, 1, 4], [1, 4, 0]], np.uint16)
+    STUFF_IM = np.array([[0, 0, 1], [0, 1, 0]], np.uint16)
+
+    def test_stuff_segments_checked_against_the_map(self):
+        PanopticMap(self.STUFF_CM, self.STUFF_IM, [SegmentInfo(1, 4, 2, 0.9), SegmentInfo(0, 1, 3, 1.0)]).validate()
+
+    @pytest.mark.parametrize("stuff, message", [
+        pytest.param([SegmentInfo(0, 1, 4, 1.0)], "area 4", id="wrong-area"),
+        pytest.param([SegmentInfo(0, 1, 3, 1.0), SegmentInfo(0, 1, 3, 1.0)], "duplicate stuff", id="duplicate"),
+        pytest.param([SegmentInfo(0, 2, 1, 1.0)], "no pixels", id="absent-class"),
+        pytest.param([SegmentInfo(0, 0, 1, 1.0)], "nonzero class", id="void-class"),
+    ])
+    def test_bad_stuff_segment_rejected(self, stuff, message):
+        pm = PanopticMap(self.STUFF_CM, self.STUFF_IM, [SegmentInfo(1, 4, 2, 0.9)] + stuff)
+        with pytest.raises(ValueError, match=message):
+            pm.validate()
+
+
+class TestSegmentKeys:
+    def test_key_round_trip_and_void(self):
+        cm = np.array([[0, 3, 65535], [0, 1, 2]], np.uint16)
+        im = np.array([[7, 0, 65535], [0, 2, 1]], np.uint16)
+        keys = segment_keys(cm, im)
+        assert keys.dtype == np.uint32
+        assert keys.tolist() == [[0, 3 << 16, 0xFFFFFFFF], [0, (1 << 16) | 2, (2 << 16) | 1]]
+        cls, inst = split_segment_key(keys)
+        assert (cls == cm).all()
+        assert (inst == np.where(cm == 0, 0, im)).all()
+        assert split_segment_key(int(keys[1, 1])) == (1, 2)
+
+    def test_segment_table(self):
+        cm = np.array([[1, 1, 4], [2, 5, 0], [3, 3, 3]], np.uint16)
+        im = np.array([[0, 0, 1], [0, 2, 0], [0, 0, 0]], np.uint16)
+        table = segment_table(cm, im, [(4, 0.9), (5, 0.7), (4, 0.5)], n_stuff=2, scale=16)
+        assert table == [SegmentInfo(1, 4, 16, 0.9), SegmentInfo(2, 5, 16, 0.7), SegmentInfo(3, 4, 0, 0.5),
+                         SegmentInfo(0, 1, 32, 1.0), SegmentInfo(0, 2, 16, 1.0)]
 
 
 class TestUpsample:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densepanoptic.fields import PanopticMap, SegmentInfo
+from densepanoptic.fields import PanopticMap, SegmentInfo, segment_keys, split_segment_key
 from densepanoptic.metrics import (
     ClassStats,
     evaluate_panoptic,
@@ -15,23 +15,21 @@ from densepanoptic.metrics import (
 def pmap(class_map, inst_map):
     cm = np.asarray(class_map, np.uint16)
     im = np.asarray(inst_map, np.uint16)
-    segs = []
-    for key in np.unique(cm.astype(np.int64) << 16 | im.astype(np.int64)):
-        c, i = int(key) >> 16, int(key) & 0xFFFF
-        if c == 0:
-            continue
-        area = int((((cm.astype(np.int64) << 16) | im.astype(np.int64)) == key).sum())
-        segs.append(SegmentInfo(i, c, area, 1.0))
+    keys, areas = np.unique(segment_keys(cm, im), return_counts=True)
+    segs = [SegmentInfo(i, c, area, 1.0)
+            for (c, i), area in zip(map(split_segment_key, keys.tolist()), areas.tolist()) if c != 0]
     return PanopticMap(cm, im, segs)
 
 
-def random_pmap(rng, h, w, n_stuff=2, n_things=2, max_inst=3, p_void=0.1):
+def random_pmap(rng, h, w, n_stuff=2, n_things=2, max_inst=3, p_void=0.1, tied=True):
+    """Random labeling; with tied=False one instance id may appear in several
+    thing classes, each (class, instance) pair being a segment of its own."""
     cm = rng.integers(0, n_stuff + n_things + 1, (h, w)).astype(np.uint16)
     im = np.zeros((h, w), np.uint16)
     thing = cm > n_stuff
     im[thing] = rng.integers(1, max_inst + 1, int(thing.sum()))
-    # make (class, id) consistent: id selects the class among things
-    cm[thing] = (n_stuff + 1 + (im[thing] - 1) % n_things).astype(np.uint16)
+    if tied:  # make (class, id) consistent: id selects the class among things
+        cm[thing] = (n_stuff + 1 + (im[thing] - 1) % n_things).astype(np.uint16)
     cm[rng.random((h, w)) < p_void] = 0
     im[cm == 0] = 0
     im[cm <= n_stuff] = 0
@@ -154,20 +152,22 @@ class TestPanopticQuality:
 
         rng = np.random.default_rng(seed)
         h, w = (int(v) for v in rng.integers(4, 33, 2))
-        gt = random_pmap(rng, h, w)
-        pred = random_pmap(rng, h, w)
-        matches, fp, fn = match_segments(pred, gt)
-        pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, 2, 2)
-        rpq, rpq_th, rpq_st, rper = pq_ref(
-            pred.class_map.tolist(), pred.instance_map.tolist(),
-            gt.class_map.tolist(), gt.instance_map.tolist(), 2)
-        assert pq == pytest.approx(rpq, abs=1e-9)
-        assert pq_th == pytest.approx(rpq_th, abs=1e-9)
-        assert pq_st == pytest.approx(rpq_st, abs=1e-9)
-        assert set(per) == set(rper)
-        for c, stats in per.items():
-            assert [stats.tp, stats.fp, stats.fn] == rper[c][:3]
-            assert stats.iou_sum == pytest.approx(rper[c][3], abs=1e-9)
+        # tied=False: a segment is the pair (class, instance), not the instance id alone
+        for tied in (True, False):
+            gt = random_pmap(rng, h, w, tied=tied)
+            pred = random_pmap(rng, h, w, tied=tied)
+            matches, fp, fn = match_segments(pred, gt)
+            pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, 2, 2)
+            rpq, rpq_th, rpq_st, rper = pq_ref(
+                pred.class_map.tolist(), pred.instance_map.tolist(),
+                gt.class_map.tolist(), gt.instance_map.tolist(), 2)
+            assert pq == pytest.approx(rpq, abs=1e-9)
+            assert pq_th == pytest.approx(rpq_th, abs=1e-9)
+            assert pq_st == pytest.approx(rpq_st, abs=1e-9)
+            assert set(per) == set(rper)
+            for c, stats in per.items():
+                assert [stats.tp, stats.fp, stats.fn] == rper[c][:3]
+                assert stats.iou_sum == pytest.approx(rper[c][3], abs=1e-9)
 
 
 class TestMeanIou:
@@ -205,6 +205,14 @@ class TestMeanIou:
         pred = gt.copy()
         miou, per = mean_iou(pred, gt)
         assert miou == 1.0 and per == {60000: 1.0}
+
+    def test_ids_outside_uint32_rejected(self):
+        ok = np.array([[1, 2 ** 32 - 1]], np.int64)
+        assert mean_iou(ok, ok)[1] == {1: 1.0, 2 ** 32 - 1: 1.0}
+        for bad in (np.array([[1, -1]], np.int64), np.array([[1, 2 ** 32]], np.int64)):
+            for pred, gt in ((bad, ok), (ok, bad)):
+                with pytest.raises(ValueError, match="2\\*\\*32"):
+                    mean_iou(pred, gt)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

@@ -109,11 +109,18 @@ def box_iou(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    return _iou_from_areas(a, b, _area(a), _area(b))
+
+
+def _area(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
+
+
+def _iou_from_areas(a: np.ndarray, b: np.ndarray, area_a, area_b) -> np.ndarray:
+    """box_iou of float64 boxes whose `_area`s are known (nms reuses them)."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter
     out = np.zeros(inter.shape, dtype=np.float64)
     np.divide(inter, union, out=out, where=union > 0)
@@ -148,3 +155,94 @@ def iou_grid(boxes: np.ndarray, box) -> np.ndarray:
     # a zero-width intersection strip must not survive the division
     out[inter <= 0] = 0.0
     return out
+
+
+# relative loss of sigma that covers float32 rounding in iou_grid and
+# semantic probabilities up to 1 + 1e-6; slack in full-resolution pixels
+_WINDOW_SIGMA_LOSS = 1e-5
+_WINDOW_SLACK = 4.0
+
+
+def iou_windows(box_fields: list[np.ndarray], query_boxes, sigma: float) -> list[tuple[slice, slice]]:
+    """Per query box, the (rows, columns) of the quarter grid outside which no
+    pixel can reach `iou_grid(field, box) * p > sigma`, for any p <= 1 + 1e-6
+    and any of the (h, w, 4) `box_fields`. sigma = 0 bounds the pixels of any
+    positive IoU. Windows are clamped to the grid and may be empty.
+
+    Quarter pixel (i, j) samples the full-resolution point (2 + 4j, 2 + 4i).
+    The fields' reach is measured once per call from the fields themselves:
+    rx (ry) is the largest x (y) distance from a pixel's sample point to its
+    own box, and w_max (h_max) the widest (tallest) box. Each query box Q is
+    dilated by min((1 - s)/s * w_Q, w_max) + rx in x, likewise in y, plus
+    slack, with s = sigma * (1 - 1e-5) * (1 - eta_Q) defined below.
+
+    Why this is exact. Let B be a pixel box and iw its overlap with Q in x.
+    IoU > s means inter > s * union, and union >= area_B because Q's area is
+    at least the intersection. With ih <= h_B this gives iw > s * w_B, so B
+    reaches beyond Q in x by at most w_B - iw < (1 - s) * w_B. That is below
+    w_max, and below (1 - s)/s * iw <= (1 - s)/s * w_Q. The sample point lies
+    within rx of B. For sigma = 0, a positive IoU needs iw > 0 and B reaches
+    at most w_B <= w_max beyond Q.
+
+    Why rounding stays inside. iou_grid intersects with Q's float32
+    coordinates, which is the Q used here, but takes Q's area from the float64
+    ones. Where that area is the smaller, by the fraction eta_Q of the float32
+    box area, union >= (1 - eta_Q) * area_B still holds; queries with
+    eta_Q >= 1/2 (boxes far below float32 resolution) take the sigma = 0
+    window. Every other operation of iou_grid and the threshold errs by at
+    most 2**-24 relative. About ten of them lie between a box and the
+    comparison, so together with the float32 sigma and a probability 1e-6
+    above 1 they cost s less than 2e-6 of sigma; 1e-5 is given up. The reach
+    is measured in the fields' float32, so the dilation gets 1e-6 relative
+    slack; the window arithmetic runs in float64 and gets 1e-9 of Q's
+    magnitude plus 4 pixels. A NaN or inf coordinate in a field makes the
+    reach along its axis non-finite, and every window then spans that axis.
+    """
+    if not 0 <= sigma < 1:
+        raise ValueError("sigma must lie in [0, 1)")
+    if not box_fields:
+        raise ValueError("at least one box field required")
+    h, w = box_fields[0].shape[:2]
+    px = receptive_centers(4, np.arange(w)).astype(np.float64)
+    py = receptive_centers(4, np.arange(h)).astype(np.float64)
+    q = np.asarray(query_boxes, dtype=np.float64).reshape(-1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.zeros(4)  # rx, ry, w_max, h_max
+        for field in box_fields:
+            x1, y1, x2, y2 = field[..., 0], field[..., 1], field[..., 2], field[..., 3]
+            reach = np.maximum.reduce([
+                reach,
+                [(x1.max(axis=0, initial=-np.inf) - px).max(initial=0.0),
+                 (y1.max(axis=1, initial=-np.inf) - py).max(initial=0.0),
+                 (x2 - x1).max(initial=0.0), (y2 - y1).max(initial=0.0)],
+                [(px - x2.min(axis=0, initial=np.inf)).max(initial=0.0),
+                 (py - y2.min(axis=1, initial=np.inf)).max(initial=0.0), 0.0, 0.0]])
+        rx, ry, w_max, h_max = reach.tolist()
+
+        q32 = q.astype(np.float32)
+        side = q32[:, 2:] - q32[:, :2]
+        area32 = (side[:, 0] * side[:, 1]).astype(np.float64)
+        area = np.maximum(q[:, 2] - q[:, 0], 0) * np.maximum(q[:, 3] - q[:, 1], 0)
+        eta = 1.0 - np.divide(area.astype(np.float32), area32, out=np.ones(len(q)), where=area32 > 0)
+        q = q32.astype(np.float64)
+        s = sigma * (1.0 - _WINDOW_SIGMA_LOSS) * (1.0 - np.maximum(eta, 0.0))
+        tight = (s > 0) & (eta < 0.5)  # otherwise the sigma = 0 window
+        c = np.divide(1 - s, s, out=np.zeros(len(q)), where=tight)
+        gx = np.where(tight, np.minimum(c * (q[:, 2] - q[:, 0]), w_max), w_max)
+        gy = np.where(tight, np.minimum(c * (q[:, 3] - q[:, 1]), h_max), h_max)
+        mag = np.abs(q).max(axis=1, initial=0.0)
+        dx = (gx + rx) * (1 + 1e-6) + 1e-9 * mag + _WINDOW_SLACK
+        dy = (gy + ry) * (1 + 1e-6) + 1e-9 * mag + _WINDOW_SLACK
+        col0, col1 = _sample_span(q[:, 0] - dx, q[:, 2] + dx, w)
+        row0, row1 = _sample_span(q[:, 1] - dy, q[:, 3] + dy, h)
+    return [(slice(*r), slice(*c)) for r, c in zip(zip(row0, row1), zip(col0, col1))]
+
+
+def _sample_span(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """Index ranges [start, stop) of the sample points 2 + 4i (0 <= i < n)
+    inside [lo, hi], clamped before the integer conversion; a NaN bound keeps
+    the whole axis."""
+    bad = ~(lo <= hi)
+    start = np.where(bad, 0, np.clip(np.ceil((lo - 2) / 4), 0, n)).astype(np.int64)
+    stop = np.where(bad, n, np.clip(np.floor((hi - 2) / 4) + 1, 0, n)).astype(np.int64)
+    return start.tolist(), stop.tolist()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GlobalBoxField
-from .geometry import box_iou, iou_grid
+from .geometry import box_iou, iou_grid, iou_windows
 from .selection import QuerySet
 
 logger = logging.getLogger(__name__)
@@ -227,6 +227,9 @@ def mask_loss(
     unmatched = int((matches < 0).sum())
     if unmatched:
         logger.warning("mask_loss: %d of %d queries matched no gt box", unmatched, len(queries))
+    # outside its window every pixel box has IoU 0 with the query; the
+    # zero-filled full-length buffer keeps both sums' summation order
+    windows = iou_windows([global_boxes.boxes], qboxes, 0.0)
     terms = []
     for i, (box, j) in enumerate(zip(qboxes.tolist(), matches.tolist())):
         if j < 0:
@@ -236,7 +239,9 @@ def mask_loss(
         if n_j == 0:
             continue
         beta = box_iou(qboxes[i], g[j])
-        ious = iou_grid(global_boxes.boxes, box).astype(np.float64)
+        ys, xs = windows[i]
+        ious = np.zeros(global_boxes.shape)
+        ious[ys, xs] = iou_grid(global_boxes.boxes[ys, xs], box)
         e_fn = float((1.0 - ious[inside]).sum())
         e_fp = float(ious[~inside].sum())
         terms.append(beta / n_j * (e_fp + e_fn))

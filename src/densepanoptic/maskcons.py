@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .fields import GlobalBoxField, PanopticMap, SemanticField, segment_table, upsample_nearest
-from .geometry import iou_grid
+from .geometry import iou_grid, iou_windows
 from .selection import QuerySet, resample_level_boxes
 
 
@@ -70,7 +70,9 @@ def construct_masks(
 
     Location probabilities come from the assembled global box field when
     given, otherwise from the per-level maximum over `levels`, whose boxes
-    are resampled to the semantic grid once per call. Queries are
+    are resampled to the semantic grid once per call. Each query is scored
+    only inside its `iou_windows` window, outside which no pixel can pass
+    the threshold; the rest of its mask stays False. Queries are
     independent, so they are distributed over a thread pool; each thread
     writes a disjoint preallocated slice, making the result identical for
     any thread count.
@@ -81,6 +83,11 @@ def construct_masks(
         raise ValueError("threads must be positive")
     if global_boxes is not None and global_boxes.shape != semantics.shape:
         raise ValueError("box field and semantic field shapes differ")
+    if not 0 < sigma < 1:
+        raise ValueError("sigma must lie in (0, 1)")
+    bad = (queries.classes <= n_stuff) | (queries.classes > semantics.n_classes)
+    if bad.any():
+        raise ValueError(f"class {queries.classes[bad][0]} is not a thing class (n_stuff={n_stuff})")
     h, w = semantics.shape
     out = np.zeros((len(queries), h, w), dtype=bool)
 
@@ -88,12 +95,16 @@ def construct_masks(
         box_fields = [global_boxes.boxes]
     else:
         box_fields = [resample_level_boxes(lv, (h, w)) for lv in levels]
+    if not len(queries):
+        return out
+    windows = iou_windows(box_fields, queries.boxes, sigma)
     boxes = queries.boxes.tolist()
-    classes = queries.classes.tolist()
+    channels = (queries.classes - 1).tolist()
 
     def one(i: int) -> None:
-        p = location_probability(box_fields, boxes[i])
-        out[i] = threshold_mask(mask_probability(p, semantics, classes[i], n_stuff), sigma)
+        ys, xs = windows[i]
+        p = location_probability([f[ys, xs] for f in box_fields], boxes[i])
+        out[i, ys, xs] = threshold_mask(p * semantics.probs[ys, xs, channels[i]], sigma)
 
     if threads == 1 or len(queries) <= 1:
         for i in range(len(queries)):
@@ -140,14 +151,20 @@ def fuse_panoptic(
     inst_map = np.zeros((h, w), dtype=np.uint16)
     claimed = np.zeros((h, w), dtype=bool)
     claims: list[tuple[int, float]] = []  # (class id, score) of instance id k at index k - 1
+    # each query claims inside its mask's bounding rectangle only
+    rows, cols = masks.any(axis=2), masks.any(axis=1)
     for i, (cls, score) in enumerate(zip(queries.classes.tolist(), scores.tolist())):
-        take = masks[i] & ~claimed
+        r, c = np.flatnonzero(rows[i]), np.flatnonzero(cols[i])
+        if not r.size:
+            continue
+        ys, xs = slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1)
+        take = masks[i, ys, xs] & ~claimed[ys, xs]
         if not take.any():
             continue
         claims.append((cls, score))
-        class_map[take] = cls
-        inst_map[take] = len(claims)
-        claimed |= take
+        class_map[ys, xs][take] = cls
+        inst_map[ys, xs][take] = len(claims)
+        claimed[ys, xs] |= take
 
     free = ~claimed
     if free.any():

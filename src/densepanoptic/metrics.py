@@ -186,7 +186,8 @@ def mean_iou(pred_classes: np.ndarray, gt_classes: np.ndarray) -> tuple[float, d
 
     Pixels with gt class 0 (void) are ignored entirely. Per-class IoU is
     intersection over union from the confusion pairs of valid pixels.
-    Class ids must lie in [0, 2**32).
+    Class ids must be integers in [0, 2**32); integer arrays skip the
+    integrality check.
     """
     pred_classes = np.asarray(pred_classes)
     gt_classes = np.asarray(gt_classes)
@@ -195,6 +196,9 @@ def mean_iou(pred_classes: np.ndarray, gt_classes: np.ndarray) -> tuple[float, d
     if gt_classes.size and not (min(pred_classes.min(), gt_classes.min()) >= 0
                                 and max(pred_classes.max(), gt_classes.max()) < 2 ** 32):
         raise ValueError("class ids must lie in [0, 2**32)")
+    for ids in (pred_classes, gt_classes):
+        if ids.dtype.kind not in "biu" and not np.array_equal(ids, np.floor(ids)):
+            raise ValueError("class ids must be integers")
     gt_count: dict[int, int] = {}
     pred_count: dict[int, int] = {}
     inter: dict[int, int] = {}

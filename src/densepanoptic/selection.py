@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DenseBoxLevel, GlobalBoxField, LevelnessField
-from .geometry import BoundingBox, box_iou, decode_boxes
+from .geometry import BoundingBox, _area, _iou_from_areas, decode_boxes
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,7 @@ def nms(candidates: QuerySet, iou_thresh: float = 0.6) -> QuerySet:
         raise ValueError("iou_thresh must be in [0, 1]")
     cands = candidates.ordered()
     boxes, classes = cands.boxes, cands.classes
+    areas = _area(boxes)
     alive = np.ones(len(cands), dtype=bool)
     kept = []
     for i in range(len(cands)):
@@ -136,8 +137,20 @@ def nms(candidates: QuerySet, iou_thresh: float = 0.6) -> QuerySet:
         if not later.any():
             continue
         idx = np.nonzero(later)[0]
-        alive[idx[box_iou(boxes[idx], boxes[i]) > iou_thresh]] = False
+        alive[idx[_iou_from_areas(boxes[idx], boxes[i], areas[idx], areas[i]) > iou_thresh]] = False
     return cands.take(np.array(kept, dtype=np.int64))
+
+
+def _quarter_block(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> int:
+    """Quarter pixels per level cell along each axis, stride // 4; the level
+    grid must tile the quarter grid."""
+    z = level.stride
+    if z % 4:
+        raise ValueError("stride must be a multiple of 4")
+    h, w = level.shape
+    if (h * (z // 4), w * (z // 4)) != quarter_hw:
+        raise ValueError("level grid does not tile the quarter resolution")
+    return z // 4
 
 
 def resample_level_boxes(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> np.ndarray:
@@ -146,14 +159,8 @@ def resample_level_boxes(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> n
     Cell (ix, iy) decodes the box at its receptive center; each cell covers a
     (stride//4)^2 block of quarter pixels. Returns (H/4, W/4, 4) float32.
     """
-    z = level.stride
-    if z % 4:
-        raise ValueError("stride must be a multiple of 4")
-    h, w = level.shape
-    if (h * (z // 4), w * (z // 4)) != quarter_hw:
-        raise ValueError("level grid does not tile the quarter resolution")
-    boxes = decode_boxes(level.offsets, z, np.float32)
-    rep = z // 4
+    rep = _quarter_block(level, quarter_hw)
+    boxes = decode_boxes(level.offsets, level.stride, np.float32)
     return np.repeat(np.repeat(boxes, rep, axis=0), rep, axis=1)
 
 
@@ -165,17 +172,20 @@ def quarter_point_boxes(quarter_hw: tuple[int, int]) -> np.ndarray:
 def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField) -> GlobalBoxField:
     """Collapse the box pyramid into one quarter-resolution box field.
 
-    Each pixel takes the box of the level its levelness argmax selects;
+    Each pixel takes the box its levelness argmax selects, decoded from the
+    level cell that covers it (the box `resample_level_boxes` puts there);
     pixels selecting background (0) get a degenerate point box at their own
     sample location.
     """
     if levelness.n_levels != len(levels):
         raise ValueError("levelness channel count must be n_levels + 1")
     qh, qw = levelness.shape
-    sel = levelness.argmax_levels().astype(np.int64)
+    sel = levelness.argmax_levels()
     out = quarter_point_boxes((qh, qw))
     for li, lv in enumerate(levels):
-        pick = sel == li + 1
-        if pick.any():
-            out[pick] = resample_level_boxes(lv, (qh, qw))[pick]
+        iy, ix = np.nonzero(sel == li + 1)
+        if iy.size:
+            rep = _quarter_block(lv, (qh, qw))
+            cy, cx = iy // rep, ix // rep
+            out[iy, ix] = decode_boxes(lv.offsets[cy, cx], lv.stride, np.float32, cx, cy)
     return GlobalBoxField(boxes=out)

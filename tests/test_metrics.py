@@ -214,6 +214,19 @@ class TestMeanIou:
                 with pytest.raises(ValueError, match="2\\*\\*32"):
                     mean_iou(pred, gt)
 
+    def test_fractional_ids_rejected(self):
+        ok = np.array([[1, 2]])
+        for bad in (np.array([[1.5, 2.9]]), np.array([[1.0, 2.0 + 2 ** -40]], np.float64)):
+            for pred, gt in ((bad, ok), (ok, bad)):
+                with pytest.raises(ValueError, match="integers"):
+                    mean_iou(pred, gt)
+
+    def test_integral_float_ids_accepted(self):
+        gt = np.array([[1, 2], [2, 0]])
+        pred = np.array([[1.0, 2.0], [1.0, 3.0]], np.float32)
+        assert mean_iou(pred, gt) == mean_iou(pred.astype(np.int64), gt)
+        assert mean_iou(gt.astype(np.float64), gt) == (1.0, {1: 1.0, 2: 1.0})
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_matches_reference(self, seed):

@@ -344,6 +344,9 @@ def decode_panoptic(tensors: dict, meta: dict, path) -> tuple[PanopticMap, dict]
     pmap = PanopticMap(class_map=tensors["class_map"], instance_map=tensors["instance_map"],
                        segments=_segments_from_meta(meta["segments"]))
     pmap.validate()
+    top, n_classes = int(pmap.class_map.max(initial=0)), meta["n_stuff"] + meta["n_things"]
+    if top > n_classes:
+        raise ValueError(f"{path}: class id {top} exceeds n_stuff + n_things = {n_classes}")
     return pmap, meta
 
 

@@ -4,7 +4,8 @@ Segments are keyed by (class_id, segment_id); stuff segments use segment id
 0. Void (class 0) ground-truth pixels never count against a prediction:
 they are excluded from match unions and from the semantic confusion matrix,
 and predictions mostly covering void are discarded rather than counted as
-false positives.
+false positives. `evaluate_panoptic` reads both metrics from one table of
+pixel counts per (gt segment, pred segment) pair, counted once per frame.
 """
 
 from __future__ import annotations
@@ -89,40 +90,87 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _pair_counts(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-    """Distinct (a, b) pairs of two id maps (ids in [0, 2**32)) and their pixel
-    counts, as Python ints in ascending (a, b) order: one sort of a uint64 key."""
+# (a, b, pixel count) rows of a pair table, as integer arrays in ascending (a, b) order
+Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pair_counts(a: np.ndarray, na: int, b: np.ndarray, nb: int) -> Pairs:
+    """Distinct (a, b) pairs of two equal-shape unsigned id maps, a in [0, na) and
+    b in [0, nb), with their pixel counts; na and nb are at most 2**32.
+
+    When the dense na x nb table has no more cells than the maps have pixels
+    (and fewer than 2**32), the uint32 joint a * nb + b cannot overflow and one
+    bincount counts it run by run: segment maps are mostly long runs of one
+    value, so a 1024x2048 frame has about 78k runs to count, not 2M pixels.
+    Otherwise (sparse or high ids, many classes) one uint64 joint is sorted.
+    """
+    cells = na * nb
+    if cells <= min(a.size, 2 ** 32 - 1):
+        joint = np.multiply(a, np.uint32(nb), dtype=np.uint32).ravel()
+        joint += b.ravel()
+        starts = np.r_[0, np.flatnonzero(joint[1:] != joint[:-1]) + 1]
+        runs = np.diff(starts, append=joint.size)
+        counts = np.bincount(joint[starts], weights=runs, minlength=cells).astype(np.int64)
+        cell = np.flatnonzero(counts)
+        return cell // nb, cell % nb, counts[cell]
     joint = a.astype(np.uint64) << np.uint64(32)
     joint |= b.astype(np.uint64)
     uniq, counts = np.unique(joint, return_counts=True)
-    return (uniq >> np.uint64(32)).tolist(), (uniq & np.uint64(0xFFFFFFFF)).tolist(), counts.tolist()
+    return uniq >> np.uint64(32), uniq & np.uint64(0xFFFFFFFF), counts
 
 
-def match_segments(pred: PanopticMap, gt: PanopticMap) -> tuple[list[SegmentMatch], set[Key], set[Key]]:
+def _segment_labels(pmap: PanopticMap) -> tuple[np.ndarray, int, int]:
+    """Per-pixel label class * n_inst + instance, n_inst = max instance + 1, with
+    n_inst and the label count; labels keep the (class, instance) order and
+    are uint16 whenever they fit, which halves the memory traffic."""
+    n_inst = int(pmap.instance_map.max(initial=0)) + 1
+    n = (int(pmap.class_map.max(initial=0)) + 1) * n_inst
+    dtype = np.uint16 if n < 1 << 16 else np.uint32
+    labels = np.multiply(pmap.class_map, dtype(n_inst), dtype=dtype)
+    labels += pmap.instance_map
+    return labels, n_inst, n
+
+
+def _segment_pairs(pred: PanopticMap, gt: PanopticMap) -> Pairs:
+    """(gt key, pred key, pixel count) rows of every overlapping pair of segments.
+
+    Every class-0 label folds to the void key 0, so several rows may carry
+    key 0 on either side; the other rows ascend in (gt key, pred key) order.
+    """
+    if pred.shape != gt.shape:
+        raise ValueError(f"resolution mismatch: {pred.shape} vs {gt.shape}")
+    g_labels, g_inst, g_n = _segment_labels(gt)
+    p_labels, p_inst, p_n = _segment_labels(pred)
+    g, p, counts = _pair_counts(g_labels, g_n, p_labels, p_n)
+    return segment_keys(*np.divmod(g, g_inst)), segment_keys(*np.divmod(p, p_inst)), counts
+
+
+def match_segments(pred: PanopticMap, gt: PanopticMap,
+                   pairs: Pairs | None = None) -> tuple[list[SegmentMatch], set[Key], set[Key]]:
     """Pair predicted and ground-truth segments of equal class at IoU > 0.5.
 
     IoU unions ignore gt-void pixels. Returns (matches, fp_keys, fn_keys)
     where keys are (class_id, segment_id); predictions with more than half
     their area on gt-void are dropped entirely (neither TP nor FP). The
     strict 0.5 threshold makes matches unique, so no assignment search is
-    needed.
+    needed. `pairs` is the frame's segment pair table when the caller
+    already counted it.
     """
-    if pred.shape != gt.shape:
-        raise ValueError(f"resolution mismatch: {pred.shape} vs {gt.shape}")
+    if pairs is None:
+        pairs = _segment_pairs(pred, gt)
     gt_areas: dict[int, int] = {}
     pred_areas: dict[int, int] = {}
     inter: dict[tuple[int, int], int] = {}
     void_inter: dict[int, int] = {}
-    for g, p, c in zip(*_pair_counts(segment_keys(gt.class_map, gt.instance_map),
-                                     segment_keys(pred.class_map, pred.instance_map))):
+    for g, p, c in zip(*(col.tolist() for col in pairs)):
         if g != 0:
             gt_areas[g] = gt_areas.get(g, 0) + c
         if p != 0:
             pred_areas[p] = pred_areas.get(p, 0) + c
             if g != 0:
-                inter[(g, p)] = c
+                inter[(g, p)] = c  # nonzero keys are never folded, so each pair has one row
             else:
-                void_inter[p] = c
+                void_inter[p] = void_inter.get(p, 0) + c
 
     matches: list[SegmentMatch] = []
     matched_gt: set[int] = set()
@@ -199,25 +247,45 @@ def mean_iou(pred_classes: np.ndarray, gt_classes: np.ndarray) -> tuple[float, d
     for ids in (pred_classes, gt_classes):
         if ids.dtype.kind not in "biu" and not np.array_equal(ids, np.floor(ids)):
             raise ValueError("class ids must be integers")
+    gt_classes = gt_classes.astype(np.uint32)
+    pred_classes = pred_classes.astype(np.uint32)
+    return _class_iou(*_pair_counts(gt_classes, int(gt_classes.max(initial=0)) + 1,
+                                    pred_classes, int(pred_classes.max(initial=0)) + 1))
+
+
+def _class_iou(gt_classes: np.ndarray, pred_classes: np.ndarray,
+               counts: np.ndarray) -> tuple[float, dict[int, float]]:
+    """mIoU and per-class IoU from (gt class, pred class, pixel count) rows in
+    ascending gt class order; a class pair may span several rows."""
     gt_count: dict[int, int] = {}
     pred_count: dict[int, int] = {}
     inter: dict[int, int] = {}
-    for g, p, c in zip(*_pair_counts(gt_classes, pred_classes)):
+    for g, p, c in zip(gt_classes.tolist(), pred_classes.tolist(), counts.tolist()):
         if g == 0:
             continue
         gt_count[g] = gt_count.get(g, 0) + c
         pred_count[p] = pred_count.get(p, 0) + c
         if g == p:
-            inter[g] = c
+            inter[g] = inter.get(g, 0) + c
     per = {c: inter.get(c, 0) / (n + pred_count.get(c, 0) - inter.get(c, 0)) for c, n in gt_count.items()}
     miou = float(np.mean(list(per.values()))) if per else 0.0
     return miou, per
 
 
 def evaluate_panoptic(pred: PanopticMap, gt: PanopticMap, n_stuff: int, n_things: int) -> MetricsReport:
-    """Full evaluation: segment matching, PQ means and semantic mIoU."""
-    matches, fp, fn = match_segments(pred, gt)
+    """Full evaluation: segment matching, PQ means and semantic mIoU.
+
+    The frame's (gt key, pred key) pair table is counted once; matching reads
+    it, and the class table behind mIoU is its grouping by key >> 16. Class
+    ids above n_stuff + n_things raise ValueError.
+    """
+    pairs = _segment_pairs(pred, gt)
+    gt_classes, pred_classes = split_segment_key(pairs[0])[0], split_segment_key(pairs[1])[0]
+    top = int(max(gt_classes.max(initial=0), pred_classes.max(initial=0)))
+    if top > n_stuff + n_things:
+        raise ValueError(f"class id {top} exceeds n_stuff + n_things = {n_stuff + n_things}")
+    matches, fp, fn = match_segments(pred, gt, pairs=pairs)
     pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, n_stuff, n_things)
-    miou, per_iou = mean_iou(pred.class_map, gt.class_map)
+    miou, per_iou = _class_iou(gt_classes, pred_classes, pairs[2])
     return MetricsReport(pq=pq, pq_things=pq_th, pq_stuff=pq_st, miou=miou,
                          per_class=per, per_class_iou=per_iou)

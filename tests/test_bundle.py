@@ -21,7 +21,7 @@ from densepanoptic.bundle import (
     write_bundle,
     write_ppm,
 )
-from densepanoptic.fields import default_level_specs
+from densepanoptic.fields import PanopticMap, SegmentInfo, default_level_specs
 from densepanoptic.synth import NoiseConfig, SceneConfig, generate_scene, ideal_predictions, perturb
 
 
@@ -203,6 +203,17 @@ class TestPanopticArchive:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
             load_panoptic(tmp_path / "pan")
+
+    def test_class_above_meta_counts_rejected(self, tmp_path):
+        cm = np.array([[1, 1, 9], [1, 9, 9]], np.uint16)
+        im = np.array([[0, 0, 1], [0, 1, 1]], np.uint16)
+        pmap = PanopticMap(cm, im, [SegmentInfo(1, 9, 3, 1.0), SegmentInfo(0, 1, 3, 1.0)])
+        save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=1)
+        with pytest.raises(ValueError, match="class id 9 exceeds n_stuff \\+ n_things = 2") as exc:
+            load_panoptic(tmp_path / "pan")
+        assert len(str(exc.value).splitlines()) == 1
+        save_panoptic(tmp_path / "ok", pmap, n_stuff=1, n_things=8)
+        assert load_panoptic(tmp_path / "ok")[0].segments == pmap.segments
 
     def test_view_ppm_written(self, tmp_path):
         sc = generate_scene(SceneConfig(width=256, height=128, instances=3, seed=9))

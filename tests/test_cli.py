@@ -272,3 +272,17 @@ def test_evaluate_reads_each_bundle_once(tmp_path, capsys, monkeypatch):
     assert code == 0, err
     assert "PQ" in out
     assert reads == [str(tmp_path / "pan"), str(tmp_path / "scene")]
+
+
+def test_evaluate_rejects_class_above_meta_counts(tmp_path, capsys):
+    from densepanoptic.bundle import save_panoptic
+    from densepanoptic.fields import PanopticMap, SegmentInfo
+
+    cm = np.array([[1, 1, 9], [1, 9, 9]], np.uint16)
+    im = np.array([[0, 0, 1], [0, 1, 1]], np.uint16)
+    pmap = PanopticMap(cm, im, [SegmentInfo(1, 9, 3, 1.0), SegmentInfo(0, 1, 3, 1.0)])
+    save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=1)
+    code, out, err = run(capsys, "evaluate", "--pred", str(tmp_path / "pan"), "--gt", str(tmp_path / "pan"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "class id 9 exceeds n_stuff + n_things = 2" in err
+    assert len(err.strip().splitlines()) == 1

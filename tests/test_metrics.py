@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from densepanoptic.fields import PanopticMap, SegmentInfo, segment_keys, split_segment_key
 from densepanoptic.metrics import (
     ClassStats,
+    MetricsReport,
     evaluate_panoptic,
     match_segments,
     mean_iou,
@@ -34,6 +35,12 @@ def random_pmap(rng, h, w, n_stuff=2, n_things=2, max_inst=3, p_void=0.1, tied=T
     im[cm == 0] = 0
     im[cm <= n_stuff] = 0
     return pmap(cm, im)
+
+
+def add_stray_ids(rng, m):
+    """Give about half the void pixels instance ids 1..3, which evaluation must fold into void."""
+    stray = (m.class_map == 0) & (rng.random(m.shape) < 0.5)
+    m.instance_map[stray] = rng.integers(1, 4, int(stray.sum()))
 
 
 class TestMatchSegments:
@@ -156,6 +163,8 @@ class TestPanopticQuality:
         for tied in (True, False):
             gt = random_pmap(rng, h, w, tied=tied)
             pred = random_pmap(rng, h, w, tied=tied)
+            add_stray_ids(rng, gt)
+            add_stray_ids(rng, pred)
             matches, fp, fn = match_segments(pred, gt)
             pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, 2, 2)
             rpq, rpq_th, rpq_st, rper = pq_ref(
@@ -242,6 +251,46 @@ class TestMeanIou:
         assert per.keys() == rper.keys()
         for c in per:
             assert per[c] == pytest.approx(rper[c], abs=1e-12)
+
+
+class TestEvaluatePanoptic:
+    def test_class_above_class_count_rejected(self):
+        tail = pmap([[1, 1, 9], [1, 9, 9]], [[0, 0, 1], [0, 1, 1]])
+        tail.validate()
+        plain = pmap([[1, 1, 2], [1, 2, 2]], [[0, 0, 1], [0, 1, 1]])
+        for pred, gt in ((tail, tail), (tail, plain), (plain, tail)):
+            with pytest.raises(ValueError, match="class id 9 exceeds n_stuff \\+ n_things = 2"):
+                evaluate_panoptic(pred, gt, 1, 1)
+        assert evaluate_panoptic(tail, tail, 1, 8).pq == 1.0
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (4, 6)])
+    def test_empty_and_all_void_frames_score_zero(self, shape):
+        void = pmap(np.zeros(shape), np.zeros(shape))
+        for pred in (void, pmap(np.ones(shape), np.zeros(shape))):
+            report = evaluate_panoptic(pred, void, 2, 2)
+            assert (report.pq, report.miou, report.per_class_iou) == (0.0, 0.0, {})
+            assert all(s.tp == s.fn == 0 for s in report.per_class.values())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_shared_table_equals_public_calls_on_both_counting_paths(self, seed):
+        rng = np.random.default_rng(seed)
+        # at least 400 pixels: the dense table of 5 classes x 4 instance ids per side fits the frame
+        h, w = (int(v) for v in rng.integers(20, 41, 2))
+        for tied in (True, False):
+            maps = [random_pmap(rng, h, w, tied=tied) for _ in range(2)]
+            for m in maps:
+                add_stray_ids(rng, m)
+            pred, gt = maps
+            report = evaluate_panoptic(pred, gt, 2, 2)
+            matches, fp, fn = match_segments(pred, gt)
+            pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, 2, 2)
+            miou, per_iou = mean_iou(pred.class_map, gt.class_map)
+            assert report == MetricsReport(pq, pq_th, pq_st, miou, per, per_iou)
+            # the shift changes no segment but makes the dense table outgrow the frame,
+            # so the sorted uint64 joint counts it
+            shifted = [PanopticMap(m.class_map, m.instance_map + np.uint16(60000), m.segments) for m in maps]
+            assert evaluate_panoptic(*shifted, 2, 2) == report
 
 
 class TestClassStats:

@@ -45,6 +45,9 @@ class GroundTruthScene:
         cls = self.instance_classes
         if cls.size and (cls.min() <= self.n_stuff or cls.max() > self.n_stuff + self.n_things):
             raise ValueError("instance classes must be thing ids")
+        top = int(self.panoptic.class_map.max(initial=0))
+        if top > self.n_stuff + self.n_things:
+            raise ValueError(f"class id {top} exceeds n_stuff + n_things = {self.n_stuff + self.n_things}")
         ids = self.panoptic.instance_map
         if ids.max(initial=0) > len(self.boxes):
             raise ValueError("instance map references a missing box")

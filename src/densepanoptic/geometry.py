@@ -13,29 +13,7 @@ a box or an offset tuple.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in continuous pixel coordinates."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x1, self.y1, self.x2, self.y2)):
-            raise ValueError("box coordinates must be finite")
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(
-                "box must satisfy x1 <= x2 and y1 <= y2, got "
-                f"({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
 
 
 def receptive_centers(stride: int, idx) -> np.ndarray:
@@ -109,20 +87,26 @@ def box_iou(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return _iou_from_areas(a, b, _area(a), _area(b))
+    return _iou_from_areas(a, np.moveaxis(b, -1, 0), _area(a), _area(b))
 
 
 def _area(boxes: np.ndarray) -> np.ndarray:
     return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
 
 
-def _iou_from_areas(a: np.ndarray, b: np.ndarray, area_a, area_b) -> np.ndarray:
-    """box_iou of float64 boxes whose `_area`s are known (nms reuses them)."""
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+def _iou_from_areas(a: np.ndarray, b, area_a, area_b) -> np.ndarray:
+    """IoU of boxes a (..., 4) against b, the four coordinates (x1, y1, x2, y2)
+    broadcasting against a[..., 0], given both areas (nms reuses them).
+
+    Python-float coordinates stay weak, so float32 boxes compute in float32.
+    The result has the dtype of the intersection.
+    """
+    bx1, by1, bx2, by2 = b
+    iw = np.minimum(a[..., 2], bx2) - np.maximum(a[..., 0], bx1)
+    ih = np.minimum(a[..., 3], by2) - np.maximum(a[..., 1], by1)
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     union = area_a + area_b - inter
-    out = np.zeros(inter.shape, dtype=np.float64)
+    out = np.zeros(inter.shape, dtype=inter.dtype)
     np.divide(inter, union, out=out, where=union > 0)
     # a zero-width intersection strip must not survive the division
     out[inter <= 0] = 0.0
@@ -141,20 +125,8 @@ def iou_grid(boxes: np.ndarray, box) -> np.ndarray:
     if boxes.shape[-1] != 4:
         raise ValueError(f"expected trailing dimension 4, got {boxes.shape}")
     bx1, by1, bx2, by2 = box
-    x1 = boxes[..., 0]
-    y1 = boxes[..., 1]
-    x2 = boxes[..., 2]
-    y2 = boxes[..., 3]
-    iw = np.minimum(x2, bx2) - np.maximum(x1, bx1)
-    ih = np.minimum(y2, by2) - np.maximum(y1, by1)
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    areas = (x2 - x1) * (y2 - y1)
-    union = areas + max(0.0, bx2 - bx1) * max(0.0, by2 - by1) - inter
-    out = np.zeros(boxes.shape[:-1], dtype=np.float32)
-    np.divide(inter, union, out=out, where=union > 0, casting="unsafe")
-    # a zero-width intersection strip must not survive the division
-    out[inter <= 0] = 0.0
-    return out
+    area = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
+    return _iou_from_areas(boxes, box, _area(boxes), area).astype(np.float32, copy=False)
 
 
 # relative loss of sigma that covers float32 rounding in iou_grid and

@@ -222,7 +222,7 @@ def mask_loss(
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     if len(queries) == 0 or len(g) == 0:
         return 0.0
-    qboxes = queries.box_array()
+    qboxes = queries.boxes
     matches = match_queries(qboxes, g)
     unmatched = int((matches < 0).sum())
     if unmatched:

@@ -33,30 +33,6 @@ def location_probability(box_fields: list[np.ndarray], box) -> np.ndarray:
     return out
 
 
-def mask_probability(
-    p_loc: np.ndarray,
-    semantics: SemanticField,
-    class_id: int,
-    n_stuff: int,
-) -> np.ndarray:
-    """Combine location and semantic evidence for one query, (h, w) float32.
-
-    class_id must be a thing class (> n_stuff) present in the semantic field.
-    """
-    if not n_stuff < class_id <= semantics.n_classes:
-        raise ValueError(f"class {class_id} is not a thing class (n_stuff={n_stuff})")
-    if p_loc.shape != semantics.shape:
-        raise ValueError("location map and semantic field shapes differ")
-    return p_loc * semantics.probs[:, :, class_id - 1]
-
-
-def threshold_mask(probs: np.ndarray, sigma: float = 0.3) -> np.ndarray:
-    """Boolean mask of pixels with probability strictly above sigma."""
-    if not 0 < sigma < 1:
-        raise ValueError("sigma must lie in (0, 1)")
-    return probs > sigma
-
-
 def construct_masks(
     queries: QuerySet,
     semantics: SemanticField,
@@ -104,7 +80,8 @@ def construct_masks(
     def one(i: int) -> None:
         ys, xs = windows[i]
         p = location_probability([f[ys, xs] for f in box_fields], boxes[i])
-        out[i, ys, xs] = threshold_mask(p * semantics.probs[ys, xs, channels[i]], sigma)
+        p *= semantics.probs[ys, xs, channels[i]]
+        out[i, ys, xs] = p > sigma
 
     if threads == 1 or len(queries) <= 1:
         for i in range(len(queries)):
@@ -121,22 +98,19 @@ def fuse_panoptic(
     semantics: SemanticField,
     n_stuff: int,
     stuff_area_min: int = 4096,
-    upsample: int = 4,
 ) -> PanopticMap:
     """Merge instance masks and semantics into one panoptic labeling.
 
     Queries must arrive in descending score order; each claims its still-free
     mask pixels (instance ids follow claim order from 1, empty claims produce
     no segment). Unclaimed pixels take the semantic argmax; those landing on
-    a thing class become void. Stuff classes whose full-resolution area
-    (pixel count * upsample^2) falls below stuff_area_min are voided. The
-    fused maps are upsampled by `upsample`; segment areas count
-    full-resolution pixels and stuff segments carry id 0, score 1.0.
+    a thing class become void. The fused quarter-resolution maps are
+    upsampled 4x to full resolution; segment areas count full-resolution
+    pixels (quarter pixels * 16), stuff classes whose area falls below
+    stuff_area_min are voided, and stuff segments carry id 0, score 1.0.
     """
     if len(masks) != len(queries):
         raise ValueError("one mask per query required")
-    if upsample < 1:
-        raise ValueError("upsample must be positive")
     if stuff_area_min < 0:
         raise ValueError("stuff_area_min must be nonnegative")
     scores = queries.scores
@@ -171,10 +145,10 @@ def fuse_panoptic(
         sem_cls = semantics.argmax_classes()
         fill = np.where(sem_cls <= n_stuff, sem_cls, 0).astype(np.uint16)
         class_map[free] = fill[free]
-    segments = segment_table(class_map, inst_map, claims, n_stuff, scale=upsample * upsample)
+    segments = segment_table(class_map, inst_map, claims, n_stuff, scale=16)
     for s in segments:  # claimed pixels carry thing classes, so a stuff class lies on instance 0 only
         if s.segment_id == 0 and s.area < stuff_area_min:
             class_map[class_map == s.class_id] = 0
     segments = [s for s in segments if s.segment_id or s.area >= stuff_area_min]
-    return PanopticMap(class_map=upsample_nearest(class_map, upsample),
-                       instance_map=upsample_nearest(inst_map, upsample), segments=segments)
+    return PanopticMap(class_map=upsample_nearest(class_map, 4),
+                       instance_map=upsample_nearest(inst_map, 4), segments=segments)

@@ -27,7 +27,6 @@ class ConstructionParams:
     topk_per_level: int = 1000
     assembly: str = "levelness"
     stuff_area_min: int = 4096
-    upsample: int = 4
     threads: int = 1
 
     def __post_init__(self):
@@ -60,8 +59,7 @@ def construct_panoptic(
     else:
         masks = construct_masks(queries, sem, pred.n_stuff, sigma=params.sigma,
                                 levels=pred.levels, threads=params.threads)
-    pmap = fuse_panoptic(masks, queries, sem, pred.n_stuff,
-                         stuff_area_min=params.stuff_area_min, upsample=params.upsample)
+    pmap = fuse_panoptic(masks, queries, sem, pred.n_stuff, stuff_area_min=params.stuff_area_min)
     return pmap, queries
 
 
@@ -77,6 +75,10 @@ def compute_loss_report(
     selection/assembly stages on the predictions to obtain queries and the
     global box field.
     """
+    ours = (pred.n_stuff, pred.n_things, tuple(pred.image_hw))
+    theirs = (targets.n_stuff, targets.n_things, tuple(targets.image_hw))
+    if ours != theirs:
+        raise ValueError(f"predictions have (n_stuff, n_things, image_hw) {ours}, targets {theirs}")
     if len(pred.levels) != len(targets.level_targets):
         raise ValueError("prediction and target level counts differ")
     pred_boxes, tgt_boxes, fg_all = [], [], []

@@ -13,18 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DenseBoxLevel, GlobalBoxField, LevelnessField
-from .geometry import BoundingBox, _area, _iou_from_areas, decode_boxes
+from .geometry import _area, _iou_from_areas, decode_boxes
 
 
 @dataclass(frozen=True)
 class ScoredBox:
-    """One query as a row object: absolute box, global class id, score, level.
+    """One query as a row object: absolute box (x1, y1, x2, y2) of Python
+    floats, global class id, score, level.
 
     Built on demand when a QuerySet is iterated; the pipeline reads the
     QuerySet arrays directly.
     """
 
-    box: BoundingBox
+    box: tuple[float, float, float, float]
     class_id: int
     score: float
     level: int
@@ -63,7 +64,7 @@ class QuerySet:
 
     def __iter__(self):
         rows = zip(self.boxes.tolist(), self.classes.tolist(), self.scores.tolist(), self.levels.tolist())
-        return (ScoredBox(BoundingBox(*b), c, s, l) for b, c, s, l in rows)
+        return (ScoredBox(tuple(b), c, s, l) for b, c, s, l in rows)
 
     def box_array(self) -> np.ndarray:
         """(M, 4) float64 box coordinates in query order."""

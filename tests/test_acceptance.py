@@ -194,7 +194,7 @@ def test_02_vectorized_stages_match_scalar_references(capfd):
         want = nms_ref(cands, thr)
         assert len(got) == len(want)
         for g, t in zip(got, want):
-            assert ((g.box.x1, g.box.y1, g.box.x2, g.box.y2) == t[0]
+            assert (g.box == t[0]
                     and g.class_id == t[1] and g.score == t[2] and g.level == t[3])
     devs["nms"] = 0.0
 

@@ -61,6 +61,11 @@ class TestSceneValidation:
         with pytest.raises(ValueError):
             make_scene(16, 16, [(4, 4, 11, 11, 1)], n_stuff=1, n_things=1)
 
+    def test_class_above_class_counts_rejected(self):
+        # stuff class 3 on a scene with n_stuff + n_things = 2
+        with pytest.raises(ValueError, match=r"class id 3 exceeds n_stuff \+ n_things = 2"):
+            make_scene(16, 16, [(4, 4, 11, 11, 2)], bg_class=3)
+
     def test_quarter_maps_sample_centers(self):
         sc = make_scene(16, 16, [(0, 0, 7, 7, 2)])
         qi = sc.quarter_instance_map()

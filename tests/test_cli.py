@@ -286,3 +286,34 @@ def test_evaluate_rejects_class_above_meta_counts(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "class id 9 exceeds n_stuff + n_things = 2" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_targets_rejects_class_above_meta_counts(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    run(capsys, "synth", "--out", str(scene), "--width", "128", "--height", "128", "--instances", "2")
+    raw = scene / "class_map.bin"
+    cm = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
+    cm[cm == 1] = 9
+    raw.write_bytes(cm.tobytes())
+    mpath = scene / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    next(s for s in manifest["meta"]["segments"] if s["id"] == 0 and s["class_id"] == 1)["class_id"] = 9
+    mpath.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "targets", "--scene", str(scene), "--out", str(tmp_path / "targets"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "class id 9 exceeds n_stuff + n_things = 6" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "targets").exists()
+
+
+def test_loss_rejects_class_counts_differing_from_targets(tmp_path, capsys):
+    size = ("--width", "128", "--height", "128", "--instances", "2")
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), *size)
+    run(capsys, "synth", "--out", str(tmp_path / "other"), *size, "--stuff-classes", "2",
+        "--thing-classes", "4", "--preds-out", str(tmp_path / "preds"))
+    run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
+    code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"),
+                         "--targets", str(tmp_path / "targets"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "(2, 4, (128, 128))" in err and "(3, 3, (128, 128))" in err
+    assert len(err.strip().splitlines()) == 1

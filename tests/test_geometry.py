@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from densepanoptic.geometry import (
-    BoundingBox,
     box_iou,
     boxes_to_offsets,
     centerness,
@@ -16,24 +15,6 @@ from densepanoptic.geometry import (
 )
 
 from oracles import box_to_offsets_ref, centerness_ref, iou_ref, offsets_to_box_ref, receptive_center_ref
-
-
-def B(*coords):
-    return BoundingBox(*coords)
-
-
-class TestBoundingBox:
-    def test_rejects_inverted(self):
-        with pytest.raises(ValueError):
-            B(2, 0, 1, 5)
-        with pytest.raises(ValueError):
-            B(0, 2, 5, 1)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            B(0, 0, math.inf, 1)
-        with pytest.raises(ValueError):
-            B(math.nan, 0, 1, 1)
 
 
 class TestIoU:

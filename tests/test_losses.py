@@ -391,6 +391,37 @@ class TestTotalLoss:
         assert "total" in rep.format()
 
 
+class TestLossReportInputs:
+    @staticmethod
+    def _pair():
+        from densepanoptic.assignment import build_targets
+        from densepanoptic.bundle import TargetBundle
+        from densepanoptic.fields import default_level_specs
+        from densepanoptic.synth import SceneConfig, generate_scene, ideal_predictions
+
+        specs = default_level_specs(5)
+        scene = generate_scene(SceneConfig(width=128, height=128, instances=2, seed=3))
+        level_targets, global_targets = build_targets(scene, specs)
+        targets = TargetBundle(level_targets=level_targets, global_targets=global_targets,
+                               gt_boxes=scene.boxes, gt_classes=scene.instance_classes,
+                               gt_instances_quarter=scene.quarter_instance_map(), specs=specs,
+                               n_stuff=scene.n_stuff, n_things=scene.n_things,
+                               image_hw=(scene.height, scene.width), mode="full")
+        return ideal_predictions(scene, specs), targets
+
+    @pytest.mark.parametrize("change", [
+        {"n_stuff": 4, "n_things": 2}, {"n_things": 4}, {"image_hw": (256, 128)}])
+    def test_mismatched_class_counts_or_size_rejected(self, change):
+        import dataclasses
+
+        from densepanoptic.pipeline import compute_loss_report
+
+        pred, targets = self._pair()
+        assert compute_loss_report(pred, targets).total >= 0.0
+        with pytest.raises(ValueError, match="predictions have"):
+            compute_loss_report(pred, dataclasses.replace(targets, **change))
+
+
 class TestLossReport:
     def test_format_lists_components(self):
         rep = LossReport(box_regression=1, centerness=2, levelness=3,

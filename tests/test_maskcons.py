@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from densepanoptic.fields import GlobalBoxField, SemanticField
-from densepanoptic.maskcons import (
-    construct_masks,
-    fuse_panoptic,
-    location_probability,
-    mask_probability,
-    threshold_mask,
-)
+from densepanoptic.maskcons import construct_masks, fuse_panoptic, location_probability
 from query_rows import query_set, row
 
 
@@ -51,45 +45,6 @@ class TestLocationProbability:
         assert p[0, 1] == pytest.approx(1 / 3, abs=1e-6)  # 50 / 150
 
 
-class TestMaskProbability:
-    def test_product(self):
-        p_loc = np.array([[0.8]], np.float32)
-        sem = SemanticField(np.array([[[0.5, 0.5]]], np.float32))
-        m = mask_probability(p_loc, sem, class_id=2, n_stuff=1)
-        assert m[0, 0] == pytest.approx(0.4)
-
-    def test_semantic_zero_annihilates(self):
-        p_loc = np.array([[1.0]], np.float32)
-        sem = SemanticField(np.array([[[1.0, 0.0]]], np.float32))
-        m = mask_probability(p_loc, sem, class_id=2, n_stuff=1)
-        assert m[0, 0] == 0.0
-
-    def test_both_one(self):
-        p_loc = np.array([[1.0]], np.float32)
-        sem = SemanticField(np.array([[[0.0, 1.0]]], np.float32))
-        m = mask_probability(p_loc, sem, class_id=2, n_stuff=1)
-        assert m[0, 0] == 1.0
-
-    def test_stuff_class_rejected(self):
-        p_loc = np.array([[1.0]], np.float32)
-        sem = SemanticField(np.array([[[0.5, 0.5]]], np.float32))
-        with pytest.raises(ValueError):
-            mask_probability(p_loc, sem, class_id=1, n_stuff=1)
-
-
-class TestThreshold:
-    def test_strictness_at_default_sigma(self):
-        m = np.array([[0.31, 0.29, 0.30]], np.float32)
-        out = threshold_mask(m, 0.3)
-        assert out.tolist() == [[True, False, False]]
-
-    def test_sigma_range_enforced(self):
-        with pytest.raises(ValueError):
-            threshold_mask(np.zeros((1, 1), np.float32), 0.0)
-        with pytest.raises(ValueError):
-            threshold_mask(np.zeros((1, 1), np.float32), 1.0)
-
-
 class TestConstructMasks:
     def _setup(self, h=8, w=8):
         rng = np.random.default_rng(42)
@@ -115,7 +70,7 @@ class TestConstructMasks:
         got = construct_masks(queries, sem, n_stuff=2, sigma=0.3, global_boxes=field)
         want = np.array(construct_masks_ref(
             field.boxes.tolist(), sem.probs.tolist(),
-            [((q.box.x1, q.box.y1, q.box.x2, q.box.y2), q.class_id) for q in queries],
+            [(q.box, q.class_id) for q in queries],
             0.3), dtype=bool)
         assert got.shape == want.shape
         assert (got == want).all()
@@ -138,6 +93,41 @@ class TestConstructMasks:
         out = construct_masks(query_set([]), sem, n_stuff=2, global_boxes=field)
         assert out.shape == (0, 8, 8)
 
+    @staticmethod
+    def _row_mask(pixel_boxes, thing_probs, sigma, cls=2):
+        """Mask of one query (0, 0, 10, 10) of class `cls` over a 1 x n field
+        with n_stuff = 1, semantic channels (1 - p, p)."""
+        p = np.array([thing_probs], np.float32)
+        sem = SemanticField(np.stack([1 - p, p], axis=-1))
+        field = GlobalBoxField(boxes=np.array([pixel_boxes], np.float32))
+        masks = construct_masks(query_set([sb(0, 0, 10, 10, cls=cls)]), sem, n_stuff=1,
+                                sigma=sigma, global_boxes=field)
+        return masks[0, 0].tolist()
+
+    def test_product(self):
+        # IoU 0.8 x p 0.5 = 0.4, while each factor alone clears 0.41
+        assert self._row_mask([(0, 0, 10, 8)], [0.5], 0.39) == [True]
+        assert self._row_mask([(0, 0, 10, 8)], [0.5], 0.41) == [False]
+
+    def test_semantic_zero_annihilates(self):
+        assert self._row_mask([(0, 0, 10, 10)], [0.0], 0.01) == [False]
+
+    def test_both_one(self):
+        assert self._row_mask([(0, 0, 10, 10)], [1.0], 0.99) == [True]
+
+    def test_strictness_at_default_sigma(self):
+        boxes = [(0, 0, 10, 10)] * 3
+        assert self._row_mask(boxes, [0.31, 0.29, 0.30], 0.3) == [True, False, False]
+
+    def test_sigma_range_enforced(self):
+        for sigma in (0.0, 1.0):
+            with pytest.raises(ValueError, match="sigma"):
+                self._row_mask([(0, 0, 10, 10)], [0.5], sigma)
+
+    def test_stuff_class_rejected(self):
+        with pytest.raises(ValueError, match="not a thing class"):
+            self._row_mask([(0, 0, 10, 10)], [0.5], 0.3, cls=1)
+
 
 class TestFusion:
     def test_single_instance_plus_stuff(self):
@@ -145,10 +135,11 @@ class TestFusion:
         masks[0, :2, :2] = True
         sem = uniform_semantics(4, 4, 3, cls=1)  # stuff class 1 everywhere
         queries = query_set([sb(0, 0, 8, 8, cls=2, score=0.9)])
-        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0, upsample=1)
+        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0)
         pm.validate()
-        assert pm.instance_map[0, 0] == 1 and pm.class_map[0, 0] == 2
-        assert pm.instance_map[3, 3] == 0 and pm.class_map[3, 3] == 1
+        inst, cls = pm.instance_map[::4, ::4], pm.class_map[::4, ::4]
+        assert inst[0, 0] == 1 and cls[0, 0] == 2
+        assert inst[3, 3] == 0 and cls[3, 3] == 1
         ids = {(s.segment_id, s.class_id) for s in pm.segments}
         assert ids == {(1, 2), (0, 1)}
 
@@ -161,10 +152,11 @@ class TestFusion:
             sb(0, 0, 3, 4, cls=2, score=0.9),
             sb(1, 0, 4, 4, cls=3, score=0.8),
         ])
-        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0, upsample=1)
-        assert (pm.instance_map[:, 1:3] == 1).all()  # overlap kept by query 1
-        assert (pm.instance_map[:, 3] == 2).all()
-        assert pm.class_map[0, 3] == 3
+        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0)
+        inst = pm.instance_map[::4, ::4]
+        assert (inst[:, 1:3] == 1).all()  # overlap kept by query 1
+        assert (inst[:, 3] == 2).all()
+        assert pm.class_map[::4, ::4][0, 3] == 3
 
     def test_scores_must_be_descending(self):
         masks = np.zeros((2, 4, 4), bool)
@@ -174,8 +166,9 @@ class TestFusion:
             fuse_panoptic(masks, queries, sem, n_stuff=1)
 
     def test_small_stuff_region_voided(self):
-        # 10 stuff pixels of class 2 inside a 246-pixel class-1 field with a
-        # 100-pixel minimum: class 2 is voided, class 1 survives
+        # 10 quarter pixels (160 full-res) of stuff class 2 inside a 246-pixel
+        # class-1 field with a 200-pixel minimum: class 2 is voided, class 1
+        # survives
         probs = np.zeros((16, 16, 3), np.float32)
         probs[..., 0] = 1.0
         probs[0, :5, 0] = 0.0
@@ -184,13 +177,14 @@ class TestFusion:
         probs[1, :5, 1] = 1.0
         sem = SemanticField(probs)
         pm = fuse_panoptic(np.zeros((0, 16, 16), bool), query_set([]), sem,
-                           n_stuff=2, stuff_area_min=100, upsample=1)
-        assert (pm.class_map[:2, :5] == 0).all()  # 10 px < 100 -> void
-        assert (pm.class_map[2:] == 1).all()
+                           n_stuff=2, stuff_area_min=200)
+        cls = pm.class_map[::4, ::4]
+        assert (cls[:2, :5] == 0).all()  # 160 px < 200 -> void
+        assert (cls[2:] == 1).all()
         assert {s.class_id for s in pm.segments} == {1}
 
     def test_stuff_filter_counts_fullres_pixels(self):
-        # class 2 covers 7 quarter pixels = 112 full-res at upsample 4, which
+        # class 2 covers 7 quarter pixels = 112 full-res pixels, which
         # clears a 100-pixel minimum even though 7 < 100 at quarter res
         probs = np.zeros((4, 4, 2), np.float32)
         probs[..., 0] = 1.0
@@ -200,7 +194,7 @@ class TestFusion:
         probs[1, :3, 1] = 1.0
         sem = SemanticField(probs)
         pm = fuse_panoptic(np.zeros((0, 4, 4), bool), query_set([]), sem,
-                           n_stuff=2, stuff_area_min=100, upsample=4)
+                           n_stuff=2, stuff_area_min=100)
         assert pm.shape == (16, 16)
         assert (pm.class_map[0:4, :] == 2).all()
         assert (pm.class_map[4:8, :12] == 2).all()
@@ -214,7 +208,7 @@ class TestFusion:
         probs[..., 2] = 1.0  # thing class 3 everywhere, no queries claim it
         sem = SemanticField(probs)
         pm = fuse_panoptic(np.zeros((0, 4, 4), bool), query_set([]), sem,
-                           n_stuff=1, stuff_area_min=0, upsample=1)
+                           n_stuff=1, stuff_area_min=0)
         assert (pm.class_map == 0).all() and (pm.instance_map == 0).all()
         assert pm.segments == []
 
@@ -229,9 +223,10 @@ class TestFusion:
             sb(0, 0, 1, 1, cls=3, score=0.8),
             sb(3, 3, 4, 4, cls=4, score=0.7),
         ])
-        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0, upsample=1)
-        assert pm.instance_map[0, 0] == 1 and pm.class_map[0, 0] == 2
-        assert pm.instance_map[3, 3] == 2 and pm.class_map[3, 3] == 4
+        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0)
+        inst, cls = pm.instance_map[::4, ::4], pm.class_map[::4, ::4]
+        assert inst[0, 0] == 1 and cls[0, 0] == 2
+        assert inst[3, 3] == 2 and cls[3, 3] == 4
         assert {(s.segment_id, s.class_id) for s in pm.segments} \
             == {(1, 2), (2, 4), (0, 1)}
 
@@ -240,7 +235,7 @@ class TestFusion:
         masks[0, 0, 0] = True
         sem = uniform_semantics(2, 2, 3, cls=1)
         queries = query_set([sb(0, 0, 4, 4, cls=2, score=0.9)])
-        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0, upsample=4)
+        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0)
         assert pm.shape == (8, 8)
         assert (pm.instance_map[:4, :4] == 1).all()
         assert (pm.instance_map[4:, :] == 0).all()
@@ -256,7 +251,7 @@ class TestFusion:
         logits = rng.normal(0, 1, (8, 8, 4)).astype(np.float32)
         e = np.exp(logits)
         sem = SemanticField((e / e.sum(-1, keepdims=True)).astype(np.float32))
-        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0, upsample=1)
+        pm = fuse_panoptic(masks, queries, sem, n_stuff=1, stuff_area_min=0)
         pm.validate()  # checks class/id consistency and segment areas
         # all pixels of an id share one class
         for s in pm.segments:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densepanoptic.fields import DenseBoxLevel, LevelnessField
-from densepanoptic.geometry import BoundingBox, box_iou, decode_boxes
+from densepanoptic.geometry import box_iou, decode_boxes
 from densepanoptic.maskcons import location_probability
 from densepanoptic.selection import (
     QuerySet,
@@ -38,8 +38,8 @@ class TestQuerySet:
     def test_rows_on_iteration(self):
         q = query_set([sb(0, 0, 4, 2, cls=3, score=0.5, level=2)])
         (r,) = q
-        assert r == ScoredBox(BoundingBox(0.0, 0.0, 4.0, 2.0), 3, 0.5, 2)
-        assert type(r.box.x1) is float and type(r.class_id) is int
+        assert r == ScoredBox((0.0, 0.0, 4.0, 2.0), 3, 0.5, 2)
+        assert type(r.box[0]) is float and type(r.class_id) is int
         assert q.box_array() is q.boxes and q.box_array().shape == (1, 4)
 
     @pytest.mark.parametrize("bad", [(0, 0, np.nan, 1), (0, 0, np.inf, 1), (2, 0, 1, 1), (0, 2, 1, 1)])
@@ -93,7 +93,7 @@ class TestDecode:
         lv.centerness[1, 0] = 1.0
         (c,) = decode_candidates([lv])
         # center of cell (1, 0) at stride 16 is (8, 24)
-        assert (c.box.x1, c.box.y1, c.box.x2, c.box.y2) == (7.0, 22.0, 11.0, 28.0)
+        assert c.box == (7.0, 22.0, 11.0, 28.0)
         assert c.level == 0
 
     def test_threshold_filters_everything(self):
@@ -192,11 +192,8 @@ class TestNms:
                             score=float(rng.uniform(0.05, 1.0))))
         cands = query_set(cands).ordered()
         got = nms(cands, 0.5)
-        want = nms_ref(
-            [((c.box.x1, c.box.y1, c.box.x2, c.box.y2), c.class_id, c.score, c.level)
-             for c in cands], 0.5)
-        assert [(c.box.x1, c.box.y1, c.box.x2, c.box.y2, c.class_id, c.score) for c in got] \
-            == [(b[0][0], b[0][1], b[0][2], b[0][3], b[1], b[2]) for b in want]
+        want = nms_ref([(c.box, c.class_id, c.score, c.level) for c in cands], 0.5)
+        assert [(c.box, c.class_id, c.score) for c in got] == [b[:3] for b in want]
 
     def test_large_random_against_reference(self):
         from oracles import nms_ref
@@ -213,7 +210,7 @@ class TestNms:
         want = nms_ref(cands, 0.6)
         assert len(got) == len(want)
         for g, wref in zip(got, want):
-            assert (g.box.x1, g.box.y1, g.box.x2, g.box.y2) == wref[0]
+            assert g.box == wref[0]
 
     def test_order_independence(self):
         rng = np.random.default_rng(5)

@@ -25,8 +25,9 @@ class GroundTruthScene:
     """A labeled scene: panoptic maps plus per-instance boxes and classes.
 
     boxes is (K, 4) float32 with instance k (instance id k+1) in row k;
-    instance_classes is (K,) uint16 global thing-class ids. Every instance
-    box must contain all pixels of its mask.
+    instance_classes is (K,) uint16 global thing-class ids. Boxes must be
+    finite and ordered and hold every pixel of their instance, an instance's
+    pixels must carry its class, and every thing-class pixel needs an owner.
     """
 
     panoptic: PanopticMap
@@ -42,22 +43,30 @@ class GroundTruthScene:
             raise ValueError("boxes and instance_classes must have equal length")
         if self.n_stuff < 0 or self.n_things < 0:
             raise ValueError("class counts must be nonnegative")
+        b = self.boxes
+        if not (np.isfinite(b).all() and (b[:, :2] <= b[:, 2:]).all()):
+            raise ValueError("instance boxes must be finite and satisfy x1 <= x2 and y1 <= y2")
         cls = self.instance_classes
         if cls.size and (cls.min() <= self.n_stuff or cls.max() > self.n_stuff + self.n_things):
             raise ValueError("instance classes must be thing ids")
-        top = int(self.panoptic.class_map.max(initial=0))
+        class_map, ids = self.panoptic.class_map, self.panoptic.instance_map
+        top = int(class_map.max(initial=0))
         if top > self.n_stuff + self.n_things:
             raise ValueError(f"class id {top} exceeds n_stuff + n_things = {self.n_stuff + self.n_things}")
-        ids = self.panoptic.instance_map
-        if ids.max(initial=0) > len(self.boxes):
+        if ids.max(initial=0) > len(b):
             raise ValueError("instance map references a missing box")
-        for k in range(len(self.boxes)):
-            ys, xs = np.nonzero(ids == k + 1)
-            if ys.size == 0:
-                continue
-            x1, y1, x2, y2 = self.boxes[k]
-            if xs.min() < x1 or xs.max() > x2 or ys.min() < y1 or ys.max() > y2:
-                raise ValueError(f"instance {k + 1} has mask pixels outside its box")
+        if ((class_map > self.n_stuff) & (ids == 0)).any():
+            raise ValueError("thing-class pixels must belong to an instance")
+        # one pass over every instance pixel; errors name the lowest offending id
+        ys, xs = np.nonzero(ids)
+        k = ids[ys, xs].astype(np.int64) - 1
+        x1, y1, x2, y2 = b[k].T
+        outside = (xs < x1) | (xs > x2) | (ys < y1) | (ys > y2)
+        if outside.any():
+            raise ValueError(f"instance {k[outside].min() + 1} has mask pixels outside its box")
+        mislabelled = class_map[ys, xs] != cls[k]
+        if mislabelled.any():
+            raise ValueError(f"instance {k[mislabelled].min() + 1} has pixels of a class other than its own")
 
     @property
     def height(self) -> int:
@@ -130,6 +139,22 @@ def assign_foreground(scene: GroundTruthScene, mode: str = "full") -> np.ndarray
     return out
 
 
+def owner_offsets(owners: np.ndarray, boxes: np.ndarray, stride: int):
+    """The stride-z cells whose receptive centre has an owner, and that owner's box offsets.
+
+    owners is a full-resolution map of instance ids (0 = none) and boxes is
+    (K, 4) with instance k+1 in row k. Returns (rows, cols, ids, offsets):
+    the grid indices of the owned cells in row-major order, their owner ids
+    (int64) and the side offsets (l, t, r, b) of each owner's box from the
+    cell's centre. Offsets are negative where a centre lies outside its box.
+    """
+    ids = owners[stride // 2::stride, stride // 2::stride]
+    rows, cols = np.nonzero(ids)
+    ids = ids[rows, cols].astype(np.int64)
+    cx, cy = receptive_centers(stride, cols), receptive_centers(stride, rows)
+    return rows, cols, ids, boxes_to_offsets(boxes[ids - 1], cx, cy)
+
+
 def levels_for(vmax: np.ndarray, specs: list[LevelSpec]) -> np.ndarray:
     """Index of the level whose half-open size range (min, max] holds each value.
 
@@ -170,45 +195,32 @@ def build_targets(
             raise ValueError("scene size must be divisible by every stride")
     fg_map = assign_foreground(scene, mode)
     boxes = scene.boxes.astype(np.float64)
-    classes = scene.instance_classes
 
     level_targets = []
-    for li, spec in enumerate(specs):
-        z = spec.stride
-        gh, gw = h // z, w // z
-        cy = receptive_centers(z, np.arange(gh))
-        cx = receptive_centers(z, np.arange(gw))
-        ids = fg_map[np.ix_(cy, cx)].astype(np.int64)
-        fg = ids > 0
-        offsets = np.zeros((gh, gw, 4), dtype=np.float32)
-        cent = np.zeros((gh, gw), dtype=np.float32)
-        cls = np.zeros((gh, gw), dtype=np.uint16)
-        if fg.any():
-            yy, xx = np.nonzero(fg)
-            off = boxes_to_offsets(boxes[ids[yy, xx] - 1], cx[xx], cy[yy])
-            if off.min(initial=0.0) < 0:
-                raise ValueError("foreground center falls outside its box")
-            vmax = max_offset(off)
-            keep = (vmax > spec.min_size) & (vmax <= spec.max_size)
-            yy, xx, off = yy[keep], xx[keep], off[keep]
-            fg = np.zeros_like(fg)
-            fg[yy, xx] = True
-            if yy.size:
-                offsets[yy, xx] = off.astype(np.float32)
-                cent[yy, xx] = centerness(off).astype(np.float32)
-                cls[yy, xx] = classes[ids[yy, xx] - 1]
+    for spec in specs:
+        shape = (h // spec.stride, w // spec.stride)
+        yy, xx, ids, off = owner_offsets(fg_map, boxes, spec.stride)
+        if off.min(initial=0.0) < 0:
+            raise ValueError("foreground center falls outside its box")
+        vmax = max_offset(off)
+        keep = (vmax > spec.min_size) & (vmax <= spec.max_size)
+        yy, xx, ids, off = yy[keep], xx[keep], ids[keep], off[keep]
+        fg = np.zeros(shape, dtype=bool)
+        fg[yy, xx] = True
+        offsets = np.zeros(shape + (4,), dtype=np.float32)
+        offsets[yy, xx] = off
+        cent = np.zeros(shape, dtype=np.float32)
+        cent[yy, xx] = centerness(off)
+        cls = np.zeros(shape, dtype=np.uint16)
+        cls[yy, xx] = scene.instance_classes[ids - 1]
         level_targets.append(
-            LevelTargets(stride=z, offsets=offsets, class_ids=cls, centerness=cent, foreground=fg)
+            LevelTargets(stride=spec.stride, offsets=offsets, class_ids=cls, centerness=cent, foreground=fg)
         )
 
-    q_ids = fg_map[2::4, 2::4].astype(np.int64)
-    levelness = np.zeros(q_ids.shape, dtype=np.uint16)
-    qfg = q_ids > 0
-    if qfg.any():
-        yy, xx = np.nonzero(qfg)
-        off = boxes_to_offsets(boxes[q_ids[yy, xx] - 1], receptive_centers(4, xx), receptive_centers(4, yy))
-        vmax = max_offset(off)
-        ok = vmax > 0
-        levelness[yy[ok], xx[ok]] = (levels_for(vmax[ok], specs) + 1).astype(np.uint16)
+    yy, xx, _, off = owner_offsets(fg_map, boxes, 4)
+    vmax = max_offset(off)
+    ok = vmax > 0
+    levelness = np.zeros((h // 4, w // 4), dtype=np.uint16)
+    levelness[yy[ok], xx[ok]] = levels_for(vmax[ok], specs) + 1
     semantics = scene.quarter_class_map()
     return level_targets, GlobalTargets(levelness=levelness, semantics=semantics)

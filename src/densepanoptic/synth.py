@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import GroundTruthScene, build_targets
+from .assignment import GroundTruthScene, build_targets, owner_offsets
 from .fields import (
     DenseBoxLevel,
     DensePrediction,
@@ -27,13 +27,15 @@ from .fields import (
     segment_table,
     upsample_nearest,
 )
-from .geometry import boxes_to_offsets, centerness, receptive_centers
+from .geometry import centerness
 
 BLOCK = 8
 ONE_HOT_MARGIN = 1000.0
 SHAPES = ("rectangle", "ellipse")
 _SCENE_ATTEMPTS = 64
 _PLACE_ATTEMPTS = 200
+# every instance needs a stride-8 centre whose centerness clears this score
+MIN_QUERY_SCORE = 0.05
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class SceneConfig:
     min_size: int = 16
     max_size: int = 56
     centered: bool = False
-    min_query_score: float = 0.05
     min_stuff_area: int = 0
     seed: int = 0
 
@@ -82,8 +83,6 @@ class SceneConfig:
             raise ValueError("need 8 <= min_size <= max_size")
         if self.max_size > min(self.width, self.height):
             raise ValueError("max_size exceeds the image")
-        if not 0 <= self.min_query_score < 1:
-            raise ValueError("min_query_score must be in [0, 1)")
         if self.min_stuff_area < 0:
             raise ValueError("min_stuff_area must be nonnegative")
 
@@ -152,14 +151,6 @@ def _tight_box_blocks(mask_b: np.ndarray) -> tuple[int, int, int, int]:
     ys, xs = np.nonzero(mask_b)
     return (int(xs.min()) * BLOCK, int(ys.min()) * BLOCK,
             int(xs.max()) * BLOCK + BLOCK - 1, int(ys.max()) * BLOCK + BLOCK - 1)
-
-
-def _best_center_score(mask: np.ndarray, box) -> float:
-    """Best centerness among stride-8 receptive centers inside the mask."""
-    ys, xs = np.nonzero(mask[4::8, 4::8])
-    if ys.size == 0:
-        return 0.0
-    return float(centerness(boxes_to_offsets(box, receptive_centers(8, xs), receptive_centers(8, ys))).max())
 
 
 def _try_blocks(cfg: SceneConfig, rng: np.random.Generator):
@@ -239,14 +230,16 @@ def _scene_from_maps(cfg, class_map, inst_map, boxes, classes) -> GroundTruthSce
 
 
 def _verify(cfg: SceneConfig, scene: GroundTruthScene) -> bool:
-    """Post-paint checks: visibility, separation, query reachability, stuff area."""
-    inst = scene.panoptic.instance_map
-    for k in range(scene.n_instances):
-        mask = inst == k + 1
-        if not mask.any():
-            return False
-        if _best_center_score(mask, scene.boxes[k]) < cfg.min_query_score + 1e-3:
-            return False
+    """Post-paint checks: query reachability, separation, stuff area.
+
+    An instance is reachable when some stride-8 centre it owns clears
+    MIN_QUERY_SCORE; an instance left without pixels owns no centre.
+    """
+    _, _, ids, off = owner_offsets(scene.panoptic.instance_map, scene.boxes, 8)
+    best = np.zeros(scene.n_instances)
+    np.maximum.at(best, ids - 1, centerness(off))
+    if (best < MIN_QUERY_SCORE + 1e-3).any():
+        return False
     for i in range(scene.n_instances):
         for j in range(i + 1, scene.n_instances):
             same = scene.instance_classes[i] == scene.instance_classes[j]
@@ -277,26 +270,16 @@ def generate_scene(cfg: SceneConfig) -> GroundTruthScene:
         class_map = np.repeat(class_rows[:, None], cfg.width, axis=1).astype(np.uint16)
         if cfg.centered:
             inst_map = np.zeros((cfg.height, cfg.width), dtype=np.uint16)
-            boxes = []
-            for k, (box, cls) in enumerate(painted):
-                x1, y1, x2, y2 = box
+            boxes = [box for box, _ in painted]
+            for k, (x1, y1, x2, y2) in enumerate(boxes):
                 inst_map[y1:y2 + 1, x1:x2 + 1] = k + 1
-                class_map[y1:y2 + 1, x1:x2 + 1] = cls
-                boxes.append(box)
-            boxes = np.asarray(boxes, dtype=np.float32).reshape(-1, 4)
         else:
+            if not np.bincount(painted.ravel(), minlength=cfg.instances + 1)[1:].all():
+                continue  # a later instance hid an earlier one completely
             inst_map = upsample_nearest(painted, BLOCK)
-            boxes = np.zeros((cfg.instances, 4), dtype=np.float32)
-            empty = False
-            for k in range(cfg.instances):
-                vis = painted == k + 1
-                if not vis.any():
-                    empty = True
-                    break
-                boxes[k] = _tight_box_blocks(vis)
-                class_map[upsample_nearest(vis, BLOCK)] = classes[k]
-            if empty:
-                continue
+            boxes = [_tight_box_blocks(painted == k + 1) for k in range(cfg.instances)]
+        owned = inst_map > 0
+        class_map[owned] = classes[inst_map[owned] - 1]
         scene = _scene_from_maps(cfg, class_map, inst_map, boxes, classes)
         if _verify(cfg, scene):
             return scene

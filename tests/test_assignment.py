@@ -7,10 +7,12 @@ from densepanoptic.assignment import (
     assign_foreground,
     build_targets,
     levels_for,
+    owner_offsets,
 )
 from densepanoptic.fields import PanopticMap, SegmentInfo, default_level_specs
+from densepanoptic.synth import SceneConfig, generate_scene
 
-from oracles import assign_levels_ref, box_to_offsets_ref, centerness_ref
+from oracles import assign_levels_ref, box_to_offsets_ref, centerness_ref, receptive_center_ref
 
 
 def make_scene(h, w, rects, n_stuff=1, n_things=1, bg_class=1, boxes=None):
@@ -65,6 +67,37 @@ class TestSceneValidation:
         # stuff class 3 on a scene with n_stuff + n_things = 2
         with pytest.raises(ValueError, match=r"class id 3 exceeds n_stuff \+ n_things = 2"):
             make_scene(16, 16, [(4, 4, 11, 11, 2)], bg_class=3)
+
+    def test_lowest_spilling_instance_named(self):
+        # instances 2 and 3 both spill out of their boxes; instance 3 comes
+        # first in raster order, instance 2 is still the one named
+        rects = [(0, 0, 3, 3, 2), (8, 8, 11, 11, 2), (0, 8, 3, 11, 2)]
+        boxes = [(0, 0, 4, 4), (9, 8, 12, 12), (9, 0, 12, 4)]
+        with pytest.raises(ValueError, match="^instance 2 has mask pixels outside its box$"):
+            make_scene(16, 16, rects, boxes=boxes)
+
+    def test_unowned_thing_pixels_rejected(self):
+        # background pixels carry thing class 2 but no instance owns them
+        with pytest.raises(ValueError, match="thing-class pixels must belong to an instance"):
+            make_scene(16, 16, [(4, 4, 11, 11, 2)], n_stuff=1, n_things=1, bg_class=2)
+
+    def test_instance_class_must_match_its_pixels(self):
+        sc = generate_scene(SceneConfig(width=256, height=256, seed=1))
+        classes = sc.instance_classes.copy()
+        classes[0] = sc.n_stuff + 1 if classes[0] != sc.n_stuff + 1 else sc.n_stuff + 2
+        with pytest.raises(ValueError, match="^instance 1 has pixels of a class other than its own$"):
+            GroundTruthScene(sc.panoptic, sc.boxes, classes, sc.n_stuff, sc.n_things)
+
+    @pytest.mark.parametrize("box", [(np.nan, 4, 12, 12), (4, 4, np.inf, 12), (-np.inf, -np.inf, np.inf, np.inf)])
+    def test_non_finite_box_rejected(self, box):
+        with pytest.raises(ValueError, match="instance boxes must be finite"):
+            make_scene(16, 16, [(4, 4, 11, 11, 2)], boxes=[box])
+
+    def test_inverted_box_rejected(self):
+        # instance 2 owns no pixel, so only the order check sees its box
+        sc = make_scene(16, 16, [(4, 4, 11, 11, 2)])
+        with pytest.raises(ValueError, match=r"x1 <= x2 and y1 <= y2"):
+            GroundTruthScene(sc.panoptic, [(4, 4, 12, 12), (10, 2, 2, 10)], np.array([2, 2], np.uint16), 1, 1)
 
     def test_quarter_maps_sample_centers(self):
         sc = make_scene(16, 16, [(0, 0, 7, 7, 2)])
@@ -128,6 +161,29 @@ class TestAssignForeground:
         sc = make_scene(16, 16, [(2, 2, 5, 5, 2)])
         with pytest.raises(ValueError):
             assign_foreground(sc, "boxes")
+
+
+class TestOwnerOffsets:
+    @pytest.mark.parametrize("empty", [False, True], ids=["random", "empty"])
+    @pytest.mark.parametrize("stride", [4, 8, 16])
+    def test_matches_reference(self, stride, empty):
+        rng = np.random.default_rng(stride)
+        k, h, w = 5, 64, 96
+        owners = np.zeros((h, w), np.uint16) if empty else rng.integers(0, k + 1, (h, w)).astype(np.uint16)
+        # every box covers the frame, so each centre lies inside its owner's box
+        boxes = np.concatenate([rng.uniform(-8, 0, (k, 2)), rng.uniform(w, w + 8, (k, 2))], axis=1)
+        rows, cols, ids, off = owner_offsets(owners, boxes, stride)
+        want = []
+        for gy in range(h // stride):
+            for gx in range(w // stride):
+                cx, cy = receptive_center_ref(stride, gx, gy)
+                owner = int(owners[cy, cx])
+                if owner:
+                    want.append((gy, gx, owner, box_to_offsets_ref(boxes[owner - 1].tolist(), cx, cy)))
+        got = [(r, c, i, tuple(o)) for r, c, i, o in zip(rows.tolist(), cols.tolist(), ids.tolist(), off.tolist())]
+        assert got == want
+        assert len(want) > 0 or empty
+        assert ids.dtype == np.int64 and off.shape == (len(want), 4)
 
 
 class TestAssignLevels:

@@ -317,3 +317,44 @@ def test_loss_rejects_class_counts_differing_from_targets(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "(2, 4, (128, 128))" in err and "(3, 3, (128, 128))" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _relabel_stuff_class_1_as_5(scene):
+    raw = scene / "class_map.bin"
+    cm = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
+    cm[cm == 1] = 5
+    raw.write_bytes(cm.tobytes())
+    mpath = scene / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    next(s for s in manifest["meta"]["segments"] if s["id"] == 0 and s["class_id"] == 1)["class_id"] = 5
+    mpath.write_text(json.dumps(manifest))
+
+
+def _relabel_instance_1(scene):
+    raw = scene / "instance_classes.bin"
+    ic = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
+    ic[0] = 4 if ic[0] != 4 else 5
+    raw.write_bytes(ic.tobytes())
+
+
+def _nan_box_1(scene):
+    raw = scene / "boxes.bin"
+    boxes = np.frombuffer(raw.read_bytes(), dtype="<f4").copy()
+    boxes[0] = np.nan
+    raw.write_bytes(boxes.tobytes())
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(_relabel_stuff_class_1_as_5, "thing-class pixels must belong to an instance", id="unowned-thing"),
+    pytest.param(_relabel_instance_1, "instance 1 has pixels of a class other than its own", id="instance-class"),
+    pytest.param(_nan_box_1, "instance boxes must be finite", id="nan-box"),
+])
+def test_targets_rejects_inconsistent_scene(tmp_path, capsys, tamper, message):
+    scene = tmp_path / "scene"
+    run(capsys, "synth", "--out", str(scene), "--width", "128", "--height", "128", "--instances", "2")
+    tamper(scene)
+    code, out, err = run(capsys, "targets", "--scene", str(scene), "--out", str(tmp_path / "targets"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "targets").exists()

@@ -4,7 +4,10 @@ import pytest
 from densepanoptic.assignment import build_targets
 from densepanoptic.fields import default_level_specs
 from densepanoptic.geometry import box_iou
+
+from oracles import box_to_offsets_ref, centerness_ref, receptive_center_ref
 from densepanoptic.synth import (
+    MIN_QUERY_SCORE,
     NoiseConfig,
     SceneConfig,
     generate_scene,
@@ -109,6 +112,21 @@ class TestGenerateScene:
             # tight visible box: coordinates are the extreme pixel indices
             assert xs.min() == x1 and ys.min() == y1
             assert xs.max() == x2 and ys.max() == y2
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_every_instance_reachable_at_stride_8(self, centered):
+        sc = generate_scene(SceneConfig(width=256, height=256, instances=6, shape="ellipse",
+                                        centered=centered, seed=7))
+        im = sc.panoptic.instance_map
+        best = [0.0] * sc.n_instances
+        for gy in range(256 // 8):
+            for gx in range(256 // 8):
+                cx, cy = receptive_center_ref(8, gx, gy)
+                k = int(im[cy, cx])
+                if k:
+                    off = box_to_offsets_ref(sc.boxes[k - 1].tolist(), cx, cy)
+                    best[k - 1] = max(best[k - 1], centerness_ref(off))
+        assert min(best) >= MIN_QUERY_SCORE + 1e-3
 
     def test_ellipse_masks_are_not_boxes(self):
         sc = generate_scene(SceneConfig(width=256, height=256, instances=4,

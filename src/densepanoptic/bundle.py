@@ -347,6 +347,10 @@ def decode_panoptic(tensors: dict, meta: dict, path) -> tuple[PanopticMap, dict]
     top, n_classes = int(pmap.class_map.max(initial=0)), meta["n_stuff"] + meta["n_things"]
     if top > n_classes:
         raise ValueError(f"{path}: class id {top} exceeds n_stuff + n_things = {n_classes}")
+    orphan = (pmap.class_map > meta["n_stuff"]) & (pmap.instance_map == 0)
+    if orphan.any():
+        raise ValueError(f"{path}: thing class {pmap.class_map[orphan][0]} on instance 0 "
+                         f"(n_stuff = {meta['n_stuff']})")
     return pmap, meta
 
 

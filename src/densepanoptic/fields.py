@@ -104,60 +104,86 @@ class DenseBoxLevel:
         return self.class_probs.shape[2]
 
 
-@dataclass
 class SemanticField:
-    """Per-pixel class distribution, (h, w, N) float32 summing to 1."""
+    """Per-pixel class distribution summing to 1.
 
-    probs: np.ndarray
+    Held as contiguous (N, h, w) float32 `planes`, read-only, so every
+    per-pixel reduction runs over whole planes; the constructor takes
+    (h, w, N) probs and copies nothing when they are a view of such planes,
+    as `softmax_field` returns.
+    """
 
-    def __post_init__(self):
-        self.probs = np.ascontiguousarray(self.probs, dtype=np.float32)
-        if self.probs.ndim != 3:
+    def __init__(self, probs: np.ndarray):
+        probs = np.asarray(probs)
+        if probs.ndim != 3:
             raise ValueError("semantic probs must be (h, w, n_classes)")
-        if self.probs.size:
-            if not (self.probs.min() >= -1e-6 and self.probs.max() <= 1 + 1e-6):
+        self.planes = _readonly_planes(np.moveaxis(probs, 2, 0))
+        if self.planes.size:
+            if not (self.planes.min() >= -1e-6 and self.planes.max() <= 1 + 1e-6):
                 raise ValueError("semantic probs must lie in [0, 1]")
-            sums = self.probs.sum(axis=2, dtype=np.float64)
+            sums = plane_sum(self.planes, dtype=np.float64)
             if not np.abs(sums - 1.0).max() <= 1e-5:
                 raise ValueError("semantic probs must sum to 1 per pixel")
 
     @property
+    def probs(self) -> np.ndarray:
+        """The probabilities as a read-only (h, w, N) view of the planes."""
+        return np.moveaxis(self.planes, 0, 2)
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return self.probs.shape[:2]
+        return self.planes.shape[1:]
 
     @property
     def n_classes(self) -> int:
-        return self.probs.shape[2]
+        return self.planes.shape[0]
 
     def argmax_classes(self) -> np.ndarray:
         """Per-pixel most likely class id (1-based; channel c is class c+1)."""
-        return (np.argmax(self.probs, axis=2) + 1).astype(np.uint16)
+        cls = plane_argmax(self.planes)
+        cls += 1
+        return cls
 
 
-@dataclass
 class LevelnessField:
-    """Per-pixel level-selection logits, (h, w, L+1); channel 0 is background."""
+    """Per-pixel level-selection logits; channel 0 is background.
 
-    logits: np.ndarray
+    Held as contiguous (L+1, h, w) float32 `planes`, read-only; the
+    constructor takes (h, w, L+1) logits.
+    """
 
-    def __post_init__(self):
-        self.logits = np.ascontiguousarray(self.logits, dtype=np.float32)
-        if self.logits.ndim != 3 or self.logits.shape[2] < 2:
+    def __init__(self, logits: np.ndarray):
+        logits = np.asarray(logits)
+        if logits.ndim != 3 or logits.shape[2] < 2:
             raise ValueError("levelness logits must be (h, w, n_levels + 1)")
-        if not np.isfinite(self.logits).all():
+        self.planes = _readonly_planes(np.moveaxis(logits, 2, 0))
+        if not np.isfinite(self.planes).all():
             raise ValueError("levelness logits must be finite")
 
     @property
+    def logits(self) -> np.ndarray:
+        """The logits as a read-only (h, w, L+1) view of the planes."""
+        return np.moveaxis(self.planes, 0, 2)
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return self.logits.shape[:2]
+        return self.planes.shape[1:]
 
     @property
     def n_levels(self) -> int:
-        return self.logits.shape[2] - 1
+        return self.planes.shape[0] - 1
 
     def argmax_levels(self) -> np.ndarray:
         """Per-pixel selected level id (0 = background)."""
-        return np.argmax(self.logits, axis=2).astype(np.uint16)
+        return plane_argmax(self.planes)
+
+
+def _readonly_planes(planes) -> np.ndarray:
+    """Contiguous float32 planes behind a read-only view (the caller's array,
+    when no copy was needed, stays writable)."""
+    view = np.ascontiguousarray(planes, dtype=np.float32).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -355,8 +381,86 @@ def upsample_nearest(grid: np.ndarray, factor: int) -> np.ndarray:
 
 
 def softmax_field(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis, preserving dtype."""
-    logits = np.asarray(logits)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Numerically stable softmax of float logits along the last axis,
+    preserving dtype, as a view of contiguous channel planes.
+
+    One transposed copy of the logits is the only buffer of C channels: the
+    max, subtraction, exponential and division run on it plane by plane, in
+    place. The result is bitwise the per-pixel formula on the (..., C)
+    layout: the max is exact in any order, and `plane_sum` repeats numpy's
+    summation order.
+    """
+    planes = np.moveaxis(np.asarray(logits), -1, 0).copy()
+    planes -= planes.max(axis=0)
+    np.exp(planes, out=planes)
+    planes /= plane_sum(planes)
+    return np.moveaxis(planes, 0, -1)
+
+
+# numpy's pairwise summation (loops_utils.h) sums at most this many elements
+# with eight accumulators before it splits in two
+_PAIRWISE_BLOCK = 128
+
+
+def plane_sum(planes: np.ndarray, dtype=None) -> np.ndarray:
+    """Sum of the planes along axis 0, bitwise equal to `np.sum(x, axis=-1,
+    dtype=dtype)` of the same data laid out as (..., C).
+
+    numpy sums a short contiguous axis pairwise, not sequentially: below 8
+    elements in order; up to 128 in eight accumulators strided by 8, combined
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order;
+    above 128 it splits at n//2 rounded down to a multiple of 8 and recurses.
+    The result is added to the identity 0.0, as numpy's reduction does, which
+    turns a -0.0 sum into 0.0. Each step here is one whole-plane operation.
+    tests/test_fields.py pins this to np.sum at 1-140 channels.
+    """
+    planes = np.asarray(planes)
+    dtype = planes.dtype if dtype is None else np.dtype(dtype)
+    out = _pairwise_planes(planes, 0, len(planes), dtype)
+    if len(planes) >= 8:
+        out += 0.0
+    return out
+
+
+def _pairwise_planes(planes: np.ndarray, lo: int, n: int, dtype) -> np.ndarray:
+    if n < 8:
+        out = np.add(planes[lo], 0.0, dtype=dtype) if n else np.zeros(planes.shape[1:], dtype)
+        for c in range(lo + 1, lo + n):
+            out += planes[c]
+        return out
+    if n <= _PAIRWISE_BLOCK:
+        r = planes[lo:lo + 8].astype(dtype)
+        end = n - n % 8
+        for i in range(lo + 8, lo + end, 8):
+            r += planes[i:i + 8]
+        out = r[0] + r[1]
+        out += r[2] + r[3]
+        right = r[4] + r[5]
+        right += r[6] + r[7]
+        out += right
+        for c in range(lo + end, lo + n):
+            out += planes[c]
+        return out
+    half = n // 2
+    half -= half % 8
+    out = _pairwise_planes(planes, lo, half, dtype)
+    out += _pairwise_planes(planes, lo + half, n - half, dtype)
+    return out
+
+
+def plane_argmax(planes: np.ndarray) -> np.ndarray:
+    """Index of the largest plane at each position, the first on ties, as
+    uint16: `np.argmax(x, axis=-1)` of the same NaN-free data as (..., C).
+
+    Counts, per position, the planes before the first one equal to the
+    maximum, which is where a strict `>` scan would stop.
+    """
+    if not 1 <= len(planes) <= 1 << 16:
+        raise ValueError("plane_argmax needs 1 to 65536 planes")
+    top = planes.max(axis=0)
+    found = planes[0] == top
+    out = np.zeros(top.shape, dtype=np.uint16)
+    for c in range(1, len(planes)):
+        np.add(out, ~found, out=out)
+        found |= planes[c] == top
+    return out

@@ -124,9 +124,15 @@ def iou_grid(boxes: np.ndarray, box) -> np.ndarray:
     boxes = np.asarray(boxes)
     if boxes.shape[-1] != 4:
         raise ValueError(f"expected trailing dimension 4, got {boxes.shape}")
+    return _iou_grid_from_areas(boxes, _area(boxes), box)
+
+
+def _iou_grid_from_areas(boxes: np.ndarray, areas: np.ndarray, box) -> np.ndarray:
+    """`iou_grid` given `_area(boxes)`, so a caller scoring many windows of one
+    field computes its areas once and passes the window's slice."""
     bx1, by1, bx2, by2 = box
     area = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
-    return _iou_from_areas(boxes, box, _area(boxes), area).astype(np.float32, copy=False)
+    return _iou_from_areas(boxes, box, areas, area).astype(np.float32, copy=False)
 
 
 # relative loss of sigma that covers float32 rounding in iou_grid and

@@ -1,7 +1,7 @@
 """Forward-only loss computation over dense predictions and targets.
 
-All reductions run in float64 over row-major flattened arrays so repeated
-evaluation of the same inputs is bitwise deterministic. Logarithm arguments
+All reductions run in float64 in a fixed order so repeated evaluation of
+the same inputs is bitwise deterministic. Logarithm arguments
 are clamped from below at 1e-7 (never from above), so losses at exactly
 correct hard predictions evaluate to exactly 0.0.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GlobalBoxField
-from .geometry import box_iou, iou_grid, iou_windows
+from .fields import GlobalBoxField, plane_sum
+from .geometry import _area, _iou_grid_from_areas, box_iou, iou_windows
 from .selection import QuerySet
 
 logger = logging.getLogger(__name__)
@@ -96,14 +96,19 @@ def centerness_loss(pred: np.ndarray, target: np.ndarray, foreground: np.ndarray
 
 
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row CE of integer targets under softmax(logits), float64."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1, logits.shape[-1])
+    """Per-pixel CE of integer targets under the softmax of logits over the
+    last axis, float64; computed on (C, pixels) planes, bitwise equal to the
+    row-by-row form because `plane_sum` repeats numpy's summation order."""
+    n_ch = logits.shape[-1]
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if t.size and (t.min() < 0 or t.max() >= z.shape[1]):
+    if t.size and (t.min() < 0 or t.max() >= n_ch):
         raise ValueError("target index out of range")
-    m = z.max(axis=1)
-    s = np.log(np.exp(z - m[:, None]).sum(axis=1))
-    return -(z[np.arange(len(t)), t] - m - s)
+    z = np.moveaxis(np.asarray(logits).reshape(-1, n_ch), 1, 0).astype(np.float64, order="C")
+    m = z.max(axis=0)
+    e = z - m
+    np.exp(e, out=e)
+    s = np.log(plane_sum(e))
+    return -(np.take_along_axis(z, t[None], axis=0)[0] - m - s)
 
 
 def levelness_loss(logits: np.ndarray, target: np.ndarray) -> float:
@@ -230,6 +235,7 @@ def mask_loss(
     # outside its window every pixel box has IoU 0 with the query; the
     # zero-filled full-length buffer keeps both sums' summation order
     windows = iou_windows([global_boxes.boxes], qboxes, 0.0)
+    areas = _area(global_boxes.boxes)
     terms = []
     for i, (box, j) in enumerate(zip(qboxes.tolist(), matches.tolist())):
         if j < 0:
@@ -241,7 +247,7 @@ def mask_loss(
         beta = box_iou(qboxes[i], g[j])
         ys, xs = windows[i]
         ious = np.zeros(global_boxes.shape)
-        ious[ys, xs] = iou_grid(global_boxes.boxes[ys, xs], box)
+        ious[ys, xs] = _iou_grid_from_areas(global_boxes.boxes[ys, xs], areas[ys, xs], box)
         e_fn = float((1.0 - ious[inside]).sum())
         e_fp = float(ious[~inside].sum())
         terms.append(beta / n_j * (e_fp + e_fn))

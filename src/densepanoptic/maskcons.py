@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .fields import GlobalBoxField, PanopticMap, SemanticField, segment_table, upsample_nearest
-from .geometry import iou_grid, iou_windows
+from .geometry import _area, _iou_grid_from_areas, iou_windows
 from .selection import QuerySet, resample_level_boxes
 
 
@@ -27,9 +27,14 @@ def location_probability(box_fields: list[np.ndarray], box) -> np.ndarray:
     """
     if not box_fields:
         raise ValueError("at least one box field required")
-    out = iou_grid(box_fields[0], box)
-    for boxes in box_fields[1:]:
-        np.maximum(out, iou_grid(boxes, box), out=out)
+    return _max_iou(box_fields, [_area(f) for f in box_fields], box)
+
+
+def _max_iou(box_fields: list[np.ndarray], areas: list[np.ndarray], box) -> np.ndarray:
+    """`location_probability` given each field's box areas."""
+    out = _iou_grid_from_areas(box_fields[0], areas[0], box)
+    for boxes, area in zip(box_fields[1:], areas[1:]):
+        np.maximum(out, _iou_grid_from_areas(boxes, area, box), out=out)
     return out
 
 
@@ -46,7 +51,8 @@ def construct_masks(
 
     Location probabilities come from the assembled global box field when
     given, otherwise from the per-level maximum over `levels`, whose boxes
-    are resampled to the semantic grid once per call. Each query is scored
+    are resampled to the semantic grid once per call; box areas are also
+    computed once per call and sliced per window. Each query is scored
     only inside its `iou_windows` window, outside which no pixel can pass
     the threshold; the rest of its mask stays False. Queries are
     independent, so they are distributed over a thread pool; each thread
@@ -74,13 +80,14 @@ def construct_masks(
     if not len(queries):
         return out
     windows = iou_windows(box_fields, queries.boxes, sigma)
+    areas = [_area(f) for f in box_fields]
     boxes = queries.boxes.tolist()
     channels = (queries.classes - 1).tolist()
 
     def one(i: int) -> None:
         ys, xs = windows[i]
-        p = location_probability([f[ys, xs] for f in box_fields], boxes[i])
-        p *= semantics.probs[ys, xs, channels[i]]
+        p = _max_iou([f[ys, xs] for f in box_fields], [a[ys, xs] for a in areas], boxes[i])
+        p *= semantics.planes[channels[i], ys, xs]
         out[i, ys, xs] = p > sigma
 
     if threads == 1 or len(queries) <= 1:

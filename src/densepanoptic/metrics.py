@@ -277,13 +277,19 @@ def evaluate_panoptic(pred: PanopticMap, gt: PanopticMap, n_stuff: int, n_things
 
     The frame's (gt key, pred key) pair table is counted once; matching reads
     it, and the class table behind mIoU is its grouping by key >> 16. Class
-    ids above n_stuff + n_things raise ValueError.
+    ids above n_stuff + n_things, and thing classes on instance 0 (which PQ
+    would score as things although no instance owns them), raise ValueError.
     """
     pairs = _segment_pairs(pred, gt)
-    gt_classes, pred_classes = split_segment_key(pairs[0])[0], split_segment_key(pairs[1])[0]
+    (gt_classes, gt_inst), (pred_classes, pred_inst) = (split_segment_key(keys) for keys in pairs[:2])
     top = int(max(gt_classes.max(initial=0), pred_classes.max(initial=0)))
     if top > n_stuff + n_things:
         raise ValueError(f"class id {top} exceeds n_stuff + n_things = {n_stuff + n_things}")
+    for side, classes, inst in (("ground truth", gt_classes, gt_inst),
+                                ("prediction", pred_classes, pred_inst)):
+        orphan = classes[(inst == 0) & (classes > n_stuff)]
+        if orphan.size:
+            raise ValueError(f"{side} has thing class {orphan[0]} on instance 0 (n_stuff = {n_stuff})")
     matches, fp, fn = match_segments(pred, gt, pairs=pairs)
     pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, n_stuff, n_things)
     miou, per_iou = _class_iou(gt_classes, pred_classes, pairs[2])

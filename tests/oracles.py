@@ -1,12 +1,16 @@
 """Independent naive reference implementations used by the equivalence tests.
 
 Everything here is deliberately scalar python loops + math, sharing no code
-with the package internals beyond data containers.
+with the package internals beyond data containers. The exception is the
+row-layout section at the end: the numpy formulas over a trailing channel
+axis that the package's channel-planar code must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def iou_ref(a, b) -> float:
@@ -290,3 +294,21 @@ def miou_ref(pred_class, gt_class):
         ious[c] = inter.get(c, 0) / union if union > 0 else 0.0
     miou = sum(ious.values()) / len(ious) if ious else 0.0
     return miou, ious
+
+
+# ------------------------------------------------------------ row layout
+
+def softmax_rows_ref(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the trailing channel axis of (..., C) logits."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy_rows_ref(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row float64 CE of integer targets under the softmax of (rows, C) logits."""
+    z = np.asarray(logits, dtype=np.float64).reshape(-1, logits.shape[-1])
+    t = np.asarray(targets, dtype=np.int64).reshape(-1)
+    m = z.max(axis=1)
+    s = np.log(np.exp(z - m[:, None]).sum(axis=1))
+    return -(z[np.arange(len(t)), t] - m - s)

@@ -215,6 +215,16 @@ class TestPanopticArchive:
         save_panoptic(tmp_path / "ok", pmap, n_stuff=1, n_things=8)
         assert load_panoptic(tmp_path / "ok")[0].segments == pmap.segments
 
+    def test_thing_class_on_instance_zero_rejected(self, tmp_path):
+        cm = np.array([[1, 2, 2], [1, 1, 2]], np.uint16)
+        pmap = PanopticMap(cm, np.zeros_like(cm), [SegmentInfo(0, 1, 3, 1.0), SegmentInfo(0, 2, 3, 1.0)])
+        save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=1)
+        with pytest.raises(ValueError, match="thing class 2 on instance 0 \\(n_stuff = 1\\)") as exc:
+            load_panoptic(tmp_path / "pan")
+        assert len(str(exc.value).splitlines()) == 1
+        save_panoptic(tmp_path / "ok", pmap, n_stuff=2, n_things=0)
+        assert load_panoptic(tmp_path / "ok")[0].segments == pmap.segments
+
     def test_view_ppm_written(self, tmp_path):
         sc = generate_scene(SceneConfig(width=256, height=128, instances=3, seed=9))
         save_panoptic(tmp_path / "pan", sc.panoptic, sc.n_stuff, sc.n_things,

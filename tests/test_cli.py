@@ -288,6 +288,19 @@ def test_evaluate_rejects_class_above_meta_counts(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_evaluate_rejects_thing_class_on_instance_zero(tmp_path, capsys):
+    from densepanoptic.bundle import save_panoptic
+    from densepanoptic.fields import PanopticMap, SegmentInfo
+
+    cm = np.array([[1, 2, 2], [1, 1, 2]], np.uint16)
+    pmap = PanopticMap(cm, np.zeros_like(cm), [SegmentInfo(0, 1, 3, 1.0), SegmentInfo(0, 2, 3, 1.0)])
+    save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=1)
+    code, out, err = run(capsys, "evaluate", "--pred", str(tmp_path / "pan"), "--gt", str(tmp_path / "pan"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "thing class 2 on instance 0 (n_stuff = 1)" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_targets_rejects_class_above_meta_counts(tmp_path, capsys):
     scene = tmp_path / "scene"
     run(capsys, "synth", "--out", str(scene), "--width", "128", "--height", "128", "--instances", "2")

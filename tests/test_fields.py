@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from densepanoptic.fields import (
     DenseBoxLevel,
@@ -15,6 +15,8 @@ from densepanoptic.fields import (
     SegmentInfo,
     SemanticField,
     default_level_specs,
+    plane_argmax,
+    plane_sum,
     segment_keys,
     segment_table,
     softmax_field,
@@ -22,6 +24,8 @@ from densepanoptic.fields import (
     upsample_nearest,
     validate_level_specs,
 )
+from densepanoptic.losses import _cross_entropy
+from oracles import cross_entropy_rows_ref, softmax_rows_ref
 
 
 class TestLevelSpec:
@@ -290,3 +294,77 @@ class TestSoftmax:
         logits = rng.normal(0, 5, (4, 5, 6)).astype(np.float32)
         f = SemanticField(softmax_field(logits))  # constructor checks sums
         assert f.probs.shape == (4, 5, 6)
+
+
+def _planes(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+class TestPlaneReductions:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 30), st.floats(0.0, 0.3))
+    def test_plane_sum_is_numpy_sum_at_every_channel_count(self, seed, spread, zeros):
+        """Pins numpy's pairwise summation order: a numpy release that changes
+        it fails here rather than silently moving construction and loss bits."""
+        rng = np.random.default_rng(seed)
+        for n_ch in range(1, 141):
+            x = rng.normal(0, 1, (3, 5, n_ch)) * 10.0 ** rng.integers(-spread, spread + 1, (3, 5, n_ch))
+            x[rng.random(x.shape) < zeros] = -0.0
+            for dtype in (np.float32, np.float64):
+                xd = x.astype(dtype)
+                assert plane_sum(_planes(xd)).tobytes() == xd.sum(axis=-1).tobytes(), (n_ch, dtype)
+            x32 = x.astype(np.float32)  # the semantic sum check accumulates float32 in float64
+            want = x32.sum(axis=-1, dtype=np.float64)
+            assert plane_sum(_planes(x32), dtype=np.float64).tobytes() == want.tobytes(), n_ch
+
+    def test_naive_plane_sum_would_differ(self):
+        """The order matters: at 19 channels a sequential plane sum is off."""
+        x = np.random.default_rng(3).normal(0, 1, (64, 64, 19)).astype(np.float32)
+        sequential = _planes(x).sum(axis=0)
+        assert sequential.tobytes() != x.sum(axis=-1).tobytes()
+        assert plane_sum(_planes(x)).tobytes() == x.sum(axis=-1).tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20))
+    def test_plane_argmax_takes_the_first_maximum(self, seed, n_ch):
+        rng = np.random.default_rng(seed)
+        # few distinct values, signed zeros among them: ties are everywhere
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 2.0], np.float32), (6, 7, n_ch))
+        got = plane_argmax(_planes(x))
+        assert got.dtype == np.uint16
+        assert (got == np.argmax(x, axis=-1)).all()
+
+    @pytest.mark.parametrize("n_ch", [3, 6, 19, 133])
+    def test_semantic_field_is_the_row_softmax(self, n_ch):
+        rng = np.random.default_rng(n_ch)
+        logits = rng.normal(0, 4, (4, 6, n_ch)).astype(np.float32)
+        pred = DensePrediction(
+            levels=[DenseBoxLevel(stride=8, offsets=np.zeros((2, 3, 4), np.float32),
+                                  class_probs=np.zeros((2, 3, n_ch - 1), np.float32),
+                                  centerness=np.zeros((2, 3), np.float32))],
+            semantic_logits=logits, levelness_logits=np.zeros((4, 6, 2), np.float32),
+            specs=default_level_specs(1), n_stuff=1, n_things=n_ch - 1, image_hw=(16, 24))
+        sem = pred.semantic_field()
+        want = softmax_rows_ref(logits)
+        assert sem.probs.shape == want.shape
+        assert np.ascontiguousarray(sem.probs).tobytes() == want.tobytes()
+        assert softmax_field(logits).tobytes() == want.tobytes()
+        assert (sem.argmax_classes() == np.argmax(want, axis=-1) + 1).all()
+
+    @pytest.mark.parametrize("n_ch", [6, 19])
+    def test_cross_entropy_is_the_row_form(self, n_ch):
+        rng = np.random.default_rng(n_ch)
+        logits = rng.normal(0, 4, (16, 24, n_ch)).astype(np.float32)
+        targets = rng.integers(0, n_ch, (16, 24))
+        got = _cross_entropy(logits, targets)
+        assert got.tobytes() == cross_entropy_rows_ref(logits, targets).tobytes()
+
+    def test_field_views_are_read_only(self):
+        sem = SemanticField(np.full((2, 3, 4), 0.25, np.float32))
+        lev = LevelnessField(np.zeros((2, 3, 2), np.float32))
+        for view in (sem.probs, sem.planes, lev.logits, lev.planes):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0, 0] = 1.0
+        planes = np.full((4, 2, 3), 0.25, np.float32)
+        sem = SemanticField(np.moveaxis(planes, 0, 2))  # a view of planes is taken as is
+        assert np.shares_memory(sem.planes, planes) and (sem.shape, sem.n_classes) == ((2, 3), 4)
+        planes[0, 0, 0] = 0.5  # the caller's array stays writable

@@ -263,6 +263,18 @@ class TestEvaluatePanoptic:
                 evaluate_panoptic(pred, gt, 1, 1)
         assert evaluate_panoptic(tail, tail, 1, 8).pq == 1.0
 
+    def test_thing_class_on_instance_zero_rejected(self):
+        # class 2 is the one thing class of n_stuff = 1, n_things = 1; no instance owns it here
+        orphan = pmap([[1, 2, 2], [1, 1, 2]], [[0, 0, 0], [0, 0, 0]])
+        orphan.validate()
+        owned = pmap([[1, 2, 2], [1, 1, 2]], [[0, 1, 1], [0, 0, 1]])
+        for pred, gt, side in ((orphan, orphan, "ground truth"), (orphan, owned, "prediction"),
+                               (owned, orphan, "ground truth")):
+            with pytest.raises(ValueError, match=f"{side} has thing class 2 on instance 0 \\(n_stuff = 1\\)"):
+                evaluate_panoptic(pred, gt, 1, 1)
+        assert evaluate_panoptic(owned, owned, 1, 1).pq_things == 1.0
+        assert evaluate_panoptic(orphan, orphan, 2, 0).pq_stuff == 1.0
+
     @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (4, 6)])
     def test_empty_and_all_void_frames_score_zero(self, shape):
         void = pmap(np.zeros(shape), np.zeros(shape))

@@ -8,9 +8,10 @@ The ref is extracted with ``git archive`` into a temporary directory. Both
 checkouts then run ``perfbench/run.py --trace 0`` for every workload of the
 working tree's ``BENCHMARK.json`` at seeds 1-3, one run at a time, each for a
 short time (a run always covers every pool slot once). One line per run
-compares the input and output sha256 of the two checkouts. The exit status is
-1 if any digest differs, any run failed an image, or any run printed no
-result line; otherwise 0.
+compares the input and output sha256 of the two checkouts. A first line
+gives the ``src/densepanoptic/*.py`` line count of the ref and of the working
+tree. The exit status is 1 if any digest differs, any run failed an image, or
+any run printed no result line; otherwise 0.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ def compare(ref_run: dict | None, tree_run: dict | None) -> tuple[bool, str]:
     return not problems, "; ".join(problems) or "ok"
 
 
+def src_lines(root: Path) -> int:
+    """Lines of the package's modules, src/densepanoptic/*.py under `root`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "densepanoptic").glob("*.py"))
+
+
 def run_perfbench(root: Path, workload: str, seed: int) -> str:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(SECONDS), "--trace", "0"],
@@ -87,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"error: git archive {argv[0]}: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
+        print(f"src/densepanoptic/*.py lines: ref {src_lines(Path(tmp))}, tree {src_lines(ROOT)}", flush=True)
         for workload in workloads:
             for seed in SEEDS:
                 ref_run = parse_run(run_perfbench(Path(tmp), workload, seed))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LevelSpec, PanopticMap, validate_level_specs
+from .fields import LevelSpec, PanopticMap, check_labels, validate_level_specs
 from .geometry import boxes_to_offsets, centerness, max_offset, receptive_centers
 
 MODES = ("full", "weak")
@@ -25,9 +25,10 @@ class GroundTruthScene:
     """A labeled scene: panoptic maps plus per-instance boxes and classes.
 
     boxes is (K, 4) float32 with instance k (instance id k+1) in row k;
-    instance_classes is (K,) uint16 global thing-class ids. Boxes must be
-    finite and ordered and hold every pixel of their instance, an instance's
-    pixels must carry its class, and every thing-class pixel needs an owner.
+    instance_classes is (K,) uint16 global thing-class ids. The panoptic map
+    must pass `validate` and `check_labels`, boxes must be finite and ordered
+    and hold every pixel of their instance, and an instance's pixels must
+    carry its class.
     """
 
     panoptic: PanopticMap
@@ -49,24 +50,20 @@ class GroundTruthScene:
         cls = self.instance_classes
         if cls.size and (cls.min() <= self.n_stuff or cls.max() > self.n_stuff + self.n_things):
             raise ValueError("instance classes must be thing ids")
-        class_map, ids = self.panoptic.class_map, self.panoptic.instance_map
-        top = int(class_map.max(initial=0))
-        if top > self.n_stuff + self.n_things:
-            raise ValueError(f"class id {top} exceeds n_stuff + n_things = {self.n_stuff + self.n_things}")
-        if ids.max(initial=0) > len(b):
+        row_classes, row_ids, _ = self.panoptic.validate()
+        check_labels(row_classes, row_ids, self.n_stuff, self.n_things, "scene")
+        if row_ids.max(initial=0) > len(b):
             raise ValueError("instance map references a missing box")
-        if ((class_map > self.n_stuff) & (ids == 0)).any():
-            raise ValueError("thing-class pixels must belong to an instance")
         # one pass over every instance pixel; errors name the lowest offending id
-        ys, xs = np.nonzero(ids)
-        k = ids[ys, xs].astype(np.int64) - 1
+        ys, xs = np.nonzero(self.panoptic.instance_map)
+        k = self.panoptic.instance_map[ys, xs].astype(np.int64) - 1
         x1, y1, x2, y2 = b[k].T
         outside = (xs < x1) | (xs > x2) | (ys < y1) | (ys > y2)
         if outside.any():
             raise ValueError(f"instance {k[outside].min() + 1} has mask pixels outside its box")
-        mislabelled = class_map[ys, xs] != cls[k]
-        if mislabelled.any():
-            raise ValueError(f"instance {k[mislabelled].min() + 1} has pixels of a class other than its own")
+        mislabelled = row_ids[(row_ids != 0) & (row_classes != np.r_[0, cls][row_ids])]
+        if mislabelled.size:
+            raise ValueError(f"instance {mislabelled.min()} has pixels of a class other than its own")
 
     @property
     def height(self) -> int:

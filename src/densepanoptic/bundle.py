@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import MODES, GroundTruthScene, GlobalTargets, LevelTargets
-from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, segment_keys,
-                     split_segment_key)
+from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, check_labels,
+                     segment_keys, split_segment_key)
 
 FORMAT = "tensor-bundle-v1"
 MANIFEST = "manifest.json"
@@ -200,7 +200,6 @@ def decode_scene(tensors: dict, meta: dict, path) -> GroundTruthScene:
     _check_kind(tensors, meta, "scene", path)
     pmap = PanopticMap(class_map=tensors["class_map"], instance_map=tensors["instance_map"],
                        segments=_segments_from_meta(meta["segments"]))
-    pmap.validate()
     return GroundTruthScene(panoptic=pmap, boxes=tensors["boxes"],
                             instance_classes=tensors["instance_classes"],
                             n_stuff=meta["n_stuff"], n_things=meta["n_things"])
@@ -227,6 +226,22 @@ def save_predictions(path, pred: DensePrediction) -> None:
     })
 
 
+def _check_values(path, tensors: dict, rules) -> None:
+    """Raise one ValueError naming the first tensor that fails its check; rules are
+    (tensor name, check, what the tensor must be) triples. The loaders check
+    these values, not the containers, so data built in memory skips them."""
+    for name, ok, expect in rules:
+        if not ok(tensors[name]):
+            raise ValueError(f"{path}: tensor {name!r} must be {expect}")
+
+
+def _box_areas_finite(off: np.ndarray) -> bool:
+    """Whether each (l, t, r, b) offset decodes to a finite box area (l + r) * (t + b)
+    in its own dtype, so that no IoU of the box overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite((off[..., 0] + off[..., 2]) * (off[..., 1] + off[..., 3])).all())
+
+
 def load_predictions(path) -> DensePrediction:
     tensors, meta = read_bundle(path)
     _check_kind(tensors, meta, "predictions", path)
@@ -238,6 +253,9 @@ def load_predictions(path) -> DensePrediction:
                       centerness=tensors[f"level{i}_centerness"])
         for i, spec in enumerate(specs)
     ]
+    # after DenseBoxLevel has checked each offsets tensor's shape and finiteness
+    _check_values(path, tensors, [(f"level{i}_offsets", _box_areas_finite,
+                                   "offsets with a finite box area (l + r) * (t + b)") for i in range(len(levels))])
     return DensePrediction(levels=levels,
                            semantic_logits=tensors["semantic_logits"],
                            levelness_logits=tensors["levelness_logits"],
@@ -292,6 +310,15 @@ def load_targets(path) -> TargetBundle:
     tensors, meta = read_bundle(path)
     _check_kind(tensors, meta, "targets", path)
     specs = _specs_from_meta(meta["levels"])
+    _check_values(path, tensors, [
+        ("gt_boxes", lambda b: (b.ndim == 2 and b.shape[1] == 4 and np.isfinite(b).all()
+                                and (b[:, :2] <= b[:, 2:]).all()), "(K, 4) finite boxes with x1 <= x2 and y1 <= y2"),
+        ("gt_instances_quarter", lambda ids: ids.max(initial=0) <= len(tensors["gt_boxes"]),
+         "instance ids at most the box count"),
+        *((f"level{i}_offsets", lambda off: np.isfinite(off).all() and off.min(initial=0.0) >= 0, "finite and >= 0")
+          for i in range(len(specs))),
+        *((f"level{i}_centerness", lambda c: c.min(initial=0.0) >= 0 and c.max(initial=0.0) <= 1, "in [0, 1]")
+          for i in range(len(specs)))])
     level_targets = [
         LevelTargets(stride=spec.stride,
                      offsets=tensors[f"level{i}_offsets"],
@@ -343,14 +370,7 @@ def decode_panoptic(tensors: dict, meta: dict, path) -> tuple[PanopticMap, dict]
     _check_kind(tensors, meta, "panoptic", path)
     pmap = PanopticMap(class_map=tensors["class_map"], instance_map=tensors["instance_map"],
                        segments=_segments_from_meta(meta["segments"]))
-    pmap.validate()
-    top, n_classes = int(pmap.class_map.max(initial=0)), meta["n_stuff"] + meta["n_things"]
-    if top > n_classes:
-        raise ValueError(f"{path}: class id {top} exceeds n_stuff + n_things = {n_classes}")
-    orphan = (pmap.class_map > meta["n_stuff"]) & (pmap.instance_map == 0)
-    if orphan.any():
-        raise ValueError(f"{path}: thing class {pmap.class_map[orphan][0]} on instance 0 "
-                         f"(n_stuff = {meta['n_stuff']})")
+    check_labels(*pmap.validate()[:2], meta["n_stuff"], meta["n_things"], path)
     return pmap, meta
 
 

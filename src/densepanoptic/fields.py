@@ -3,6 +3,9 @@
 Class-id convention used throughout the package: 0 is void, 1..n_stuff are
 stuff classes, n_stuff+1..n_stuff+n_things are thing classes. Levelness ids:
 0 is background, 1..L name the pyramid levels from finest to coarsest.
+
+Panoptic labelings (class map plus instance map) are counted (`pair_counts`,
+`label_counts`) and checked (`check_labels`) here only.
 """
 
 from __future__ import annotations
@@ -238,16 +241,15 @@ class PanopticMap:
     def shape(self) -> tuple[int, int]:
         return self.class_map.shape
 
-    def validate(self) -> None:
+    def validate(self) -> Pairs:
         """Check id/class consistency and that segments mirror the maps.
 
         Stuff segments (id 0) are optional; each names a distinct class whose
-        instance-0 pixel count is positive and equals its area.
+        instance-0 pixel count is positive and equals its area. Returns the
+        map's `label_counts` rows, for callers that check them further.
         """
-        ids = self.instance_map
-        nz = ids != 0
-        thing_classes = self.class_map[nz]
-        if np.any(thing_classes == 0):
+        classes, ids, counts = label_counts(self.class_map, self.instance_map)
+        if np.any((ids != 0) & (classes == 0)):
             raise ValueError("instance pixels must carry a nonzero class")
         table: dict[int, SegmentInfo] = {}
         stuff: dict[int, SegmentInfo] = {}
@@ -261,26 +263,27 @@ class PanopticMap:
             else:
                 table[s.segment_id] = s
         present: dict[int, tuple[int, int]] = {}
-        uniq, counts = np.unique(segment_keys(thing_classes, ids[nz]), return_counts=True)
-        for key, cnt in zip(uniq.tolist(), counts.tolist()):
-            cls, iid = split_segment_key(key)
-            if iid in present:
+        stuff_areas: dict[int, int] = {}
+        for cls, iid, cnt in zip(classes.tolist(), ids.tolist(), counts.tolist()):
+            if iid == 0:
+                stuff_areas[cls] = cnt
+            elif iid in present:
                 raise ValueError(f"instance id {iid} spans multiple classes")
-            present[iid] = (cls, cnt)
+            else:
+                present[iid] = (cls, cnt)
         if set(present) != set(table):
             raise ValueError("segment table does not match instance ids in the map")
         for iid, (cls, cnt) in present.items():
-            s = table[iid]
-            if s.class_id != cls or s.area != cnt:
+            if (table[iid].class_id, table[iid].area) != (cls, cnt):
                 raise ValueError(f"segment {iid} metadata disagrees with the maps")
         for cls, s in stuff.items():
             if cls == 0:
                 raise ValueError("stuff segments must name a nonzero class")
-            cnt = np.count_nonzero(self.class_map == cls) - np.count_nonzero(thing_classes == cls)
-            if cnt == 0:
+            if cls not in stuff_areas:
                 raise ValueError(f"stuff segment of class {cls} has no pixels in the map")
-            if s.area != cnt:
-                raise ValueError(f"stuff segment of class {cls} has area {s.area}, the map {cnt}")
+            if s.area != stuff_areas[cls]:
+                raise ValueError(f"stuff segment of class {cls} has area {s.area}, the map {stuff_areas[cls]}")
+        return classes, ids, counts
 
 
 def segment_keys(class_map: np.ndarray, instance_map: np.ndarray) -> np.ndarray:
@@ -300,14 +303,66 @@ def segment_table(class_map: np.ndarray, instance_map: np.ndarray, instances: li
                   n_stuff: int, scale: int = 1) -> list[SegmentInfo]:
     """Instance k with (class, score) = instances[k - 1], then each stuff class present
     among instance-0 pixels with id 0 and score 1.0; areas are pixel counts * scale."""
-    inst_areas = np.bincount(instance_map.ravel(), minlength=len(instances) + 1)
-    table = [SegmentInfo(segment_id=k, class_id=cls, area=int(inst_areas[k]) * scale, score=score)
-             for k, (cls, score) in enumerate(instances, start=1)]
-    stuff_areas = np.bincount(class_map[instance_map == 0].ravel(), minlength=n_stuff + 1)
-    for c in range(1, n_stuff + 1):
-        if stuff_areas[c]:
-            table.append(SegmentInfo(segment_id=0, class_id=c, area=int(stuff_areas[c]) * scale, score=1.0))
-    return table
+    areas = [0] * (len(instances) + 1)
+    stuff = []
+    for cls, iid, cnt in zip(*(col.tolist() for col in label_counts(class_map, instance_map))):
+        if iid == 0 and 1 <= cls <= n_stuff:
+            stuff.append(SegmentInfo(segment_id=0, class_id=cls, area=cnt * scale, score=1.0))
+        elif 0 < iid < len(areas):
+            areas[iid] += cnt
+    return [SegmentInfo(segment_id=k, class_id=cls, area=areas[k] * scale, score=score)
+            for k, (cls, score) in enumerate(instances, start=1)] + stuff
+
+
+# (a, b, pixel count) rows of a pair table, as integer arrays in ascending (a, b) order
+Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def pair_counts(a: np.ndarray, na: int, b: np.ndarray, nb: int) -> Pairs:
+    """Distinct (a, b) pairs of two equal-shape unsigned id maps, a in [0, na) and
+    b in [0, nb), with their pixel counts; na and nb are at most 2**32.
+
+    When the dense na x nb table has no more cells than the maps have pixels
+    (and fewer than 2**32), one bincount counts the pairs run by run, where a
+    run ends wherever either map changes value: segment maps are mostly long
+    runs, so a 1024x2048 frame has about 78k runs to count, not 2M pixels, and
+    only the runs' joint ids a * nb + b are formed. Otherwise (sparse or high
+    ids, many classes) one uint64 joint is sorted.
+    """
+    cells = na * nb
+    if cells <= min(a.size, 2 ** 32 - 1):
+        a, b = a.ravel(), b.ravel()
+        change = a[1:] != a[:-1]
+        change |= b[1:] != b[:-1]
+        starts = np.r_[0, np.flatnonzero(change) + 1]
+        runs = np.diff(starts, append=a.size)
+        joint = a[starts].astype(np.int64) * nb + b[starts]
+        counts = np.bincount(joint, weights=runs, minlength=cells).astype(np.int64)
+        cell = np.flatnonzero(counts)
+        return cell // nb, cell % nb, counts[cell]
+    joint = a.astype(np.uint64) << np.uint64(32)
+    joint |= b.astype(np.uint64)
+    uniq, counts = np.unique(joint, return_counts=True)
+    return uniq >> np.uint64(32), uniq & np.uint64(0xFFFFFFFF), counts
+
+
+def label_counts(class_map: np.ndarray, instance_map: np.ndarray) -> Pairs:
+    """(class, instance, pixel count) rows of a labeling of unsigned id maps,
+    one per distinct pair, in ascending (class, instance) order."""
+    return pair_counts(class_map, int(class_map.max(initial=0)) + 1,
+                       instance_map, int(instance_map.max(initial=0)) + 1)
+
+
+def check_labels(classes: np.ndarray, instances: np.ndarray, n_stuff: int, n_things: int, where) -> None:
+    """Raise ValueError if a class id exceeds n_stuff + n_things or a thing class lies
+    on instance 0 (PQ would score a thing that no instance owns). classes and
+    instances are pixel maps or the rows of a pair table; `where` names them."""
+    if classes.max(initial=0) > n_stuff + n_things:
+        raise ValueError(f"{where}: class id {classes.max()} exceeds n_stuff + n_things = {n_stuff + n_things}")
+    orphan = classes[(instances == 0) & (classes > n_stuff)]
+    if orphan.size:
+        raise ValueError(f"{where} has thing class {orphan[0]} on instance 0 (n_stuff = {n_stuff}); "
+                         "thing-class pixels must belong to an instance")
 
 
 @dataclass

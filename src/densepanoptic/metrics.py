@@ -6,6 +6,8 @@ they are excluded from match unions and from the semantic confusion matrix,
 and predictions mostly covering void are discarded rather than counted as
 false positives. `evaluate_panoptic` reads both metrics from one table of
 pixel counts per (gt segment, pred segment) pair, counted once per frame.
+The counting (`pair_counts`) and the rules a labeling must obey
+(`check_labels`) live in fields.py.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import PanopticMap, segment_keys, split_segment_key
+from .fields import Pairs, PanopticMap, check_labels, pair_counts, segment_keys, split_segment_key
 
 Key = tuple[int, int]
 
@@ -90,35 +92,6 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-# (a, b, pixel count) rows of a pair table, as integer arrays in ascending (a, b) order
-Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _pair_counts(a: np.ndarray, na: int, b: np.ndarray, nb: int) -> Pairs:
-    """Distinct (a, b) pairs of two equal-shape unsigned id maps, a in [0, na) and
-    b in [0, nb), with their pixel counts; na and nb are at most 2**32.
-
-    When the dense na x nb table has no more cells than the maps have pixels
-    (and fewer than 2**32), the uint32 joint a * nb + b cannot overflow and one
-    bincount counts it run by run: segment maps are mostly long runs of one
-    value, so a 1024x2048 frame has about 78k runs to count, not 2M pixels.
-    Otherwise (sparse or high ids, many classes) one uint64 joint is sorted.
-    """
-    cells = na * nb
-    if cells <= min(a.size, 2 ** 32 - 1):
-        joint = np.multiply(a, np.uint32(nb), dtype=np.uint32).ravel()
-        joint += b.ravel()
-        starts = np.r_[0, np.flatnonzero(joint[1:] != joint[:-1]) + 1]
-        runs = np.diff(starts, append=joint.size)
-        counts = np.bincount(joint[starts], weights=runs, minlength=cells).astype(np.int64)
-        cell = np.flatnonzero(counts)
-        return cell // nb, cell % nb, counts[cell]
-    joint = a.astype(np.uint64) << np.uint64(32)
-    joint |= b.astype(np.uint64)
-    uniq, counts = np.unique(joint, return_counts=True)
-    return uniq >> np.uint64(32), uniq & np.uint64(0xFFFFFFFF), counts
-
-
 def _segment_labels(pmap: PanopticMap) -> tuple[np.ndarray, int, int]:
     """Per-pixel label class * n_inst + instance, n_inst = max instance + 1, with
     n_inst and the label count; labels keep the (class, instance) order and
@@ -141,7 +114,7 @@ def _segment_pairs(pred: PanopticMap, gt: PanopticMap) -> Pairs:
         raise ValueError(f"resolution mismatch: {pred.shape} vs {gt.shape}")
     g_labels, g_inst, g_n = _segment_labels(gt)
     p_labels, p_inst, p_n = _segment_labels(pred)
-    g, p, counts = _pair_counts(g_labels, g_n, p_labels, p_n)
+    g, p, counts = pair_counts(g_labels, g_n, p_labels, p_n)
     return segment_keys(*np.divmod(g, g_inst)), segment_keys(*np.divmod(p, p_inst)), counts
 
 
@@ -249,8 +222,8 @@ def mean_iou(pred_classes: np.ndarray, gt_classes: np.ndarray) -> tuple[float, d
             raise ValueError("class ids must be integers")
     gt_classes = gt_classes.astype(np.uint32)
     pred_classes = pred_classes.astype(np.uint32)
-    return _class_iou(*_pair_counts(gt_classes, int(gt_classes.max(initial=0)) + 1,
-                                    pred_classes, int(pred_classes.max(initial=0)) + 1))
+    return _class_iou(*pair_counts(gt_classes, int(gt_classes.max(initial=0)) + 1,
+                                   pred_classes, int(pred_classes.max(initial=0)) + 1))
 
 
 def _class_iou(gt_classes: np.ndarray, pred_classes: np.ndarray,
@@ -276,20 +249,13 @@ def evaluate_panoptic(pred: PanopticMap, gt: PanopticMap, n_stuff: int, n_things
     """Full evaluation: segment matching, PQ means and semantic mIoU.
 
     The frame's (gt key, pred key) pair table is counted once; matching reads
-    it, and the class table behind mIoU is its grouping by key >> 16. Class
-    ids above n_stuff + n_things, and thing classes on instance 0 (which PQ
-    would score as things although no instance owns them), raise ValueError.
+    it, and the class table behind mIoU is its grouping by key >> 16. Each
+    side's labels must pass `check_labels`.
     """
     pairs = _segment_pairs(pred, gt)
     (gt_classes, gt_inst), (pred_classes, pred_inst) = (split_segment_key(keys) for keys in pairs[:2])
-    top = int(max(gt_classes.max(initial=0), pred_classes.max(initial=0)))
-    if top > n_stuff + n_things:
-        raise ValueError(f"class id {top} exceeds n_stuff + n_things = {n_stuff + n_things}")
-    for side, classes, inst in (("ground truth", gt_classes, gt_inst),
-                                ("prediction", pred_classes, pred_inst)):
-        orphan = classes[(inst == 0) & (classes > n_stuff)]
-        if orphan.size:
-            raise ValueError(f"{side} has thing class {orphan[0]} on instance 0 (n_stuff = {n_stuff})")
+    check_labels(gt_classes, gt_inst, n_stuff, n_things, "ground truth")
+    check_labels(pred_classes, pred_inst, n_stuff, n_things, "prediction")
     matches, fp, fn = match_segments(pred, gt, pairs=pairs)
     pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, n_stuff, n_things)
     miou, per_iou = _class_iou(gt_classes, pred_classes, pairs[2])

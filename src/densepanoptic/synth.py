@@ -27,7 +27,7 @@ from .fields import (
     segment_table,
     upsample_nearest,
 )
-from .geometry import centerness
+from .geometry import box_iou, centerness
 
 BLOCK = 8
 ONE_HOT_MARGIN = 1000.0
@@ -105,20 +105,23 @@ class NoiseConfig:
             raise ValueError("flip probabilities must be at most 1")
 
 
-def _boxes_overlap(a, b) -> bool:
-    """Closed pixel boxes sharing at least one pixel."""
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+def _boxes_overlap(a, b) -> np.ndarray:
+    """Whether closed pixel boxes (..., 4) share at least one pixel, elementwise."""
+    return ((a[..., 0] <= b[..., 2]) & (b[..., 0] <= a[..., 2])
+            & (a[..., 1] <= b[..., 3]) & (b[..., 1] <= a[..., 3]))
 
 
-def _iou4(a, b) -> float:
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    ua = (a[2] - a[0]) * (a[3] - a[1])
-    ub = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (ua + ub - inter)
+def _cap_violations(cfg: SceneConfig, a, ca, b, cb) -> np.ndarray:
+    """Where boxes a (..., 4) of classes ca and b of classes cb, broadcast together,
+    break the overlap cap of their class pair: a cap of 0 forbids any shared pixel,
+    a positive cap an IoU above cap - 1e-6 (which keeps float32 IoU within the cap)."""
+    same = ca == cb
+    iou = box_iou(a, b)
+    out = np.zeros(iou.shape, dtype=bool)
+    for cap, pairs in ((cfg.max_same_class_iou, same), (cfg.max_cross_class_iou, ~same)):
+        if cap is not None:
+            out |= pairs & (_boxes_overlap(a, b) if cap == 0 else iou > cap - 1e-6)
+    return out
 
 
 def _stuff_bands(rng: np.random.Generator, hb: int, n_stuff: int) -> np.ndarray:
@@ -159,7 +162,7 @@ def _try_blocks(cfg: SceneConfig, rng: np.random.Generator):
     stuff_rows = _stuff_bands(rng, hb, cfg.stuff_classes)
     inst_b = np.zeros((hb, wb), dtype=np.uint16)
     classes = np.zeros(cfg.instances, dtype=np.uint16)
-    amodal = []
+    amodal_boxes = np.zeros((cfg.instances, 4))
     lo_b, hi_b = max(2, cfg.min_size // BLOCK), cfg.max_size // BLOCK
     for k in range(cfg.instances):
         placed = False
@@ -169,22 +172,12 @@ def _try_blocks(cfg: SceneConfig, rng: np.random.Generator):
             x0 = int(rng.integers(0, wb - bw + 1))
             y0 = int(rng.integers(0, hb - bh + 1))
             cls = int(cfg.stuff_classes + 1 + rng.integers(cfg.thing_classes))
-            box = (x0 * BLOCK, y0 * BLOCK, (x0 + bw) * BLOCK - 1, (y0 + bh) * BLOCK - 1)
-            ok = True
-            for other_box, other_cls in amodal:
-                cap = cfg.max_same_class_iou if other_cls == cls else cfg.max_cross_class_iou
-                if cap is None:
-                    continue
-                v = _iou4(box, other_box)
-                # the margin keeps float32 IoU strictly at or below the cap
-                if (cap == 0 and _boxes_overlap(box, other_box)) or (cap > 0 and v > cap - 1e-6):
-                    ok = False
-                    break
-            if ok:
+            box = np.array((x0 * BLOCK, y0 * BLOCK, (x0 + bw) * BLOCK - 1, (y0 + bh) * BLOCK - 1))
+            if not _cap_violations(cfg, box, cls, amodal_boxes[:k], classes[:k]).any():
                 mask_b = _block_shape_mask(cfg.shape, bw, bh)
                 inst_b[y0:y0 + bh, x0:x0 + bw][mask_b] = k + 1
                 classes[k] = cls
-                amodal.append((box, cls))
+                amodal_boxes[k] = box
                 placed = True
                 break
         if not placed:
@@ -208,7 +201,7 @@ def _try_centered(cfg: SceneConfig, rng: np.random.Generator):
             iy = int(rng.integers(1, hb - 1))
             cx, cy = 4 + 8 * ix, 4 + 8 * iy
             box = (cx - sx // 2, cy - sy // 2, cx + sx // 2, cy + sy // 2)
-            if any(_boxes_overlap(box, b) for b, _ in boxes):
+            if _boxes_overlap(np.array(box), np.array([b for b, _ in boxes]).reshape(-1, 4)).any():
                 continue
             cls = int(cfg.stuff_classes + 1 + rng.integers(cfg.thing_classes))
             boxes.append((box, cls))
@@ -223,7 +216,6 @@ def _try_centered(cfg: SceneConfig, rng: np.random.Generator):
 def _scene_from_maps(cfg, class_map, inst_map, boxes, classes) -> GroundTruthScene:
     pmap = PanopticMap(class_map=class_map, instance_map=inst_map, segments=segment_table(
         class_map, inst_map, [(c, 1.0) for c in classes.tolist()], cfg.stuff_classes))
-    pmap.validate()
     return GroundTruthScene(panoptic=pmap, boxes=np.asarray(boxes, dtype=np.float32).reshape(-1, 4),
                             instance_classes=classes, n_stuff=cfg.stuff_classes,
                             n_things=cfg.thing_classes)
@@ -240,15 +232,9 @@ def _verify(cfg: SceneConfig, scene: GroundTruthScene) -> bool:
     np.maximum.at(best, ids - 1, centerness(off))
     if (best < MIN_QUERY_SCORE + 1e-3).any():
         return False
-    for i in range(scene.n_instances):
-        for j in range(i + 1, scene.n_instances):
-            same = scene.instance_classes[i] == scene.instance_classes[j]
-            cap = cfg.max_same_class_iou if same else cfg.max_cross_class_iou
-            if cap is None:
-                continue
-            v = _iou4(scene.boxes[i].tolist(), scene.boxes[j].tolist())
-            if (cap == 0 and v > 0) or (cap > 0 and v > cap - 1e-6):
-                return False
+    cls = scene.instance_classes
+    if np.triu(_cap_violations(cfg, scene.boxes[:, None], cls[:, None], scene.boxes[None], cls[None]), 1).any():
+        return False
     return all(s.segment_id or s.area >= cfg.min_stuff_area for s in scene.panoptic.segments)
 
 

@@ -9,6 +9,7 @@ axis that the package's channel-planar code must reproduce bit for bit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -220,6 +221,15 @@ def _segments_of(class_map, inst_map):
             key = (c, int(inst_map[y][x]))
             segs.setdefault(key, set()).add((y, x))
     return segs
+
+
+def label_counts_ref(class_map, inst_map) -> Counter:
+    """(class, instance) -> pixel count of a labeling, counted pixel by pixel."""
+    counts = Counter()
+    for class_row, inst_row in zip(class_map, inst_map):
+        for c, i in zip(class_row, inst_row):
+            counts[(int(c), int(i))] += 1
+    return counts
 
 
 def pq_ref(pred_class, pred_inst, gt_class, gt_inst, n_stuff: int):

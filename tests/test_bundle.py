@@ -156,6 +156,21 @@ class TestPredictionBundle:
         assert back.image_hw == pred.image_hw
         assert [s.max_size for s in back.specs] == [s.max_size for s in pred.specs]
 
+    @pytest.mark.parametrize("value, ok", [pytest.param(3e38, False, id="overflowing"),
+                                           pytest.param(1e18, True, id="large")])
+    def test_offsets_need_a_finite_box_area(self, tmp_path, value, ok):
+        # 3e38 is a finite float32, but (l + r) * (t + b) of its box overflows
+        sc = generate_scene(SceneConfig(width=128, height=128, instances=2, seed=5))
+        pred = ideal_predictions(sc, default_level_specs())
+        pred.levels[0].offsets[1, 2] = (1.0, 2.0, value, 3.0)
+        save_predictions(tmp_path / "preds", pred)
+        if ok:
+            assert load_predictions(tmp_path / "preds").levels[0].offsets[1, 2, 2] == np.float32(value)
+            return
+        with pytest.raises(ValueError, match="tensor 'level0_offsets' must be offsets with a finite box area") as exc:
+            load_predictions(tmp_path / "preds")
+        assert len(str(exc.value).splitlines()) == 1
+
 
 class TestTargetBundle:
     def test_round_trip(self, tmp_path):

@@ -371,3 +371,62 @@ def test_targets_rejects_inconsistent_scene(tmp_path, capsys, tamper, message):
     assert err.startswith("error:") and message in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "targets").exists()
+
+
+def _write_value(path, index, value):
+    """Set element `index` of the float32 tensor file `path` to `value`."""
+    arr = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+    arr[index] = value
+    path.write_bytes(arr.tobytes())
+
+
+@pytest.mark.parametrize("tensor, value", [
+    pytest.param("gt_boxes", np.nan, id="nan-gt-box"),
+    pytest.param("level0_offsets", np.nan, id="nan-offset"),
+    pytest.param("level0_centerness", np.inf, id="inf-centerness"),
+    pytest.param("level0_centerness", 5.0, id="centerness-above-1"),
+])
+def test_loss_rejects_bad_target_values(tmp_path, capsys, tensor, value):
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
+        "--instances", "2", "--preds-out", str(tmp_path / "preds"))
+    run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
+    # a foreground cell, where the tampered value reaches a loss
+    fg = np.flatnonzero(np.frombuffer((tmp_path / "targets" / "level0_foreground.bin").read_bytes(), np.uint8))
+    index = {"gt_boxes": 0, "level0_offsets": 4 * fg[0], "level0_centerness": fg[0]}[tensor]
+    _write_value(tmp_path / "targets" / f"{tensor}.bin", index, value)
+    code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"tensor '{tensor}' must be" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_loss_rejects_instance_ids_past_the_boxes(tmp_path, capsys):
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
+        "--instances", "2", "--preds-out", str(tmp_path / "preds"))
+    run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
+    raw = tmp_path / "targets" / "gt_instances_quarter.bin"
+    ids = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
+    ids[0] = 3
+    raw.write_bytes(ids.tobytes())
+    code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
+    assert code == 1 and out == ""
+    assert "tensor 'gt_instances_quarter' must be instance ids at most the box count" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value, code", [pytest.param(3e38, 1, id="overflowing"), pytest.param(1e18, 0, id="large")])
+def test_construct_checks_the_decoded_box_area(tmp_path, capsys, value, code):
+    import warnings
+
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
+        "--instances", "2", "--preds-out", str(tmp_path / "preds"))
+    # the right offset of the most central level-0 cell, which becomes a query
+    cent = np.frombuffer((tmp_path / "preds" / "level0_centerness.bin").read_bytes(), "<f4")
+    _write_value(tmp_path / "preds" / "level0_offsets.bin", 4 * int(np.argmax(cent)) + 2, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would fail the command
+        got, out, err = run(capsys, "construct", "--preds", str(tmp_path / "preds"), "--out", str(tmp_path / "pan"))
+    assert got == code, err
+    if code:
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "tensor 'level0_offsets' must be offsets with a finite box area (l + r) * (t + b)" in err

@@ -44,3 +44,14 @@ def test_compare_flags_digests_failures_and_missing_runs():
 
 def test_usage_without_a_ref():
     assert compare_digests.main([]) == 2
+
+
+def test_src_lines_counts_newlines_of_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "densepanoptic"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n\n\n")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert compare_digests.src_lines(tmp_path) == 5
+    assert compare_digests.src_lines(compare_digests.ROOT) > 0

@@ -14,7 +14,9 @@ from densepanoptic.fields import (
     PanopticMap,
     SegmentInfo,
     SemanticField,
+    check_labels,
     default_level_specs,
+    label_counts,
     plane_argmax,
     plane_sum,
     segment_keys,
@@ -25,7 +27,7 @@ from densepanoptic.fields import (
     validate_level_specs,
 )
 from densepanoptic.losses import _cross_entropy
-from oracles import cross_entropy_rows_ref, softmax_rows_ref
+from oracles import cross_entropy_rows_ref, label_counts_ref, softmax_rows_ref
 
 
 class TestLevelSpec:
@@ -242,6 +244,83 @@ class TestSegmentKeys:
         table = segment_table(cm, im, [(4, 0.9), (5, 0.7), (4, 0.5)], n_stuff=2, scale=16)
         assert table == [SegmentInfo(1, 4, 16, 0.9), SegmentInfo(2, 5, 16, 0.7), SegmentInfo(3, 4, 0, 0.5),
                          SegmentInfo(0, 1, 32, 1.0), SegmentInfo(0, 2, 16, 1.0)]
+
+
+def _assert_census(cm, im):
+    classes, ids, counts = label_counts(cm, im)
+    rows = list(zip(classes.tolist(), ids.tolist()))
+    assert rows == sorted(set(rows))
+    assert dict(zip(rows, counts.tolist())) == label_counts_ref(cm.tolist(), im.tolist())
+
+
+class TestLabelCounts:
+    """label_counts, and segment_table built on it, against a pixel-by-pixel Counter."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 999]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_maps_on_both_paths(self, seed, top):
+        # ids up to 3 on at least 16 pixels take the run-length bincount; a
+        # pixel of id 999 in both maps on under 400 pixels forces the sort
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(4, 20, 2))
+        cm = rng.integers(0, top + 1, (h, w)).astype(np.uint16)
+        im = np.where(rng.random((h, w)) < 0.5, 0, rng.integers(0, top + 1, (h, w))).astype(np.uint16)
+        cm[0, 0] = im[0, 0] = top
+        _assert_census(cm, im)
+
+    def test_top_ids_take_the_sort_path(self):
+        cm = np.array([[65535, 65535, 0], [1, 65535, 65535]], np.uint16)
+        im = np.array([[65535, 65535, 0], [0, 0, 65535]], np.uint16)
+        _assert_census(cm, im)
+        assert [c.tolist() for c in label_counts(cm, im)] == [[0, 1, 65535, 65535], [0, 0, 0, 65535],
+                                                              [1, 1, 1, 3]]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)])
+    def test_empty_maps_have_no_rows(self, shape):
+        cm = np.zeros(shape, np.uint16)
+        assert [c.size for c in label_counts(cm, cm)] == [0, 0, 0]
+        assert segment_table(cm, cm, [(3, 0.5)], n_stuff=2) == [SegmentInfo(1, 3, 0, 0.5)]
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_segment_table_matches_the_counter(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(1, 24, 2))
+        n_stuff, n_inst = int(rng.integers(0, 5)), int(rng.integers(0, 6))
+        cm = rng.integers(0, n_stuff + 4, (h, w)).astype(np.uint16)
+        # ids up to n_inst + 2: pixels of ids past the instance list count nowhere
+        im = np.where(rng.random((h, w)) < 0.6, 0, rng.integers(0, n_inst + 3, (h, w))).astype(np.uint16)
+        instances = [(int(rng.integers(1, 9)), float(rng.random())) for _ in range(n_inst)]
+        scale = int(rng.integers(1, 17))
+        ref = label_counts_ref(cm.tolist(), im.tolist())
+        inst_area = {k: sum(n for (_, i), n in ref.items() if i == k) for k in range(1, n_inst + 1)}
+        expect = [SegmentInfo(k, c, inst_area[k] * scale, s) for k, (c, s) in enumerate(instances, start=1)]
+        expect += [SegmentInfo(0, c, n * scale, 1.0) for (c, i), n in sorted(ref.items())
+                   if i == 0 and 1 <= c <= n_stuff]
+        assert segment_table(cm, im, instances, n_stuff, scale=scale) == expect
+
+
+class TestCheckLabels:
+    # class 9 exceeds n_stuff + n_things = 2 unless n_things grows; class 2 lies on instance 0
+    CM = np.array([[1, 2, 2], [1, 1, 2]], np.uint16)
+
+    @pytest.mark.parametrize("maps, n_things, message", [
+        pytest.param((CM, np.zeros_like(CM)), 1, r"^x has thing class 2 on instance 0 \(n_stuff = 1\); "
+                     "thing-class pixels must belong to an instance$", id="orphan"),
+        pytest.param((np.where(CM == 2, 9, CM), (CM == 2).astype(np.uint16)), 1,
+                     r"^x: class id 9 exceeds n_stuff \+ n_things = 2$", id="range"),
+    ])
+    def test_pixel_maps_and_rows_agree(self, maps, n_things, message):
+        for classes, instances in (maps, label_counts(*maps)[:2]):
+            with pytest.raises(ValueError, match=message):
+                check_labels(classes, instances, 1, n_things, "x")
+
+    def test_legal_labelings_pass(self):
+        im = (self.CM == 2).astype(np.uint16)
+        check_labels(self.CM, im, 1, 1, "x")
+        check_labels(self.CM, np.zeros_like(self.CM), 2, 0, "x")
+        check_labels(np.where(self.CM == 2, 9, self.CM), im, 1, 8, "x")
+        check_labels(*label_counts(np.zeros((0, 3), np.uint16), np.zeros((0, 3), np.uint16))[:2], 0, 0, "x")
 
 
 class TestUpsample:

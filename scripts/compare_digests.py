@@ -64,9 +64,9 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "densepanoptic").glob("*.py"))
 
 
-def run_perfbench(root: Path, workload: str, seed: int) -> str:
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float = SECONDS) -> str:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(SECONDS), "--trace", "0"],
+                           "--seconds", str(seconds), "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode:
         sys.stderr.write(proc.stderr)

@@ -310,7 +310,14 @@ def load_targets(path) -> TargetBundle:
     tensors, meta = read_bundle(path)
     _check_kind(tensors, meta, "targets", path)
     specs = _specs_from_meta(meta["levels"])
+    n_stuff, n_classes = meta["n_stuff"], meta["n_stuff"] + meta["n_things"]
     _check_values(path, tensors, [
+        ("semantics", lambda c: c.min(initial=1) >= 1 and c.max(initial=1) <= n_classes,
+         f"class ids in [1, {n_classes}]"),
+        ("levelness", lambda v: v.min(initial=0) >= 0 and v.max(initial=0) <= len(specs),
+         f"level ids in [0, {len(specs)}]"),
+        *((f"level{i}_class", lambda c: ((c == 0) | ((c > n_stuff) & (c <= n_classes))).all(),
+           f"0 or a thing class in [{n_stuff + 1}, {n_classes}]") for i in range(len(specs))),
         ("gt_boxes", lambda b: (b.ndim == 2 and b.shape[1] == 4 and np.isfinite(b).all()
                                 and (b[:, :2] <= b[:, 2:]).all()), "(K, 4) finite boxes with x1 <= x2 and y1 <= y2"),
         ("gt_instances_quarter", lambda ids: ids.max(initial=0) <= len(tensors["gt_boxes"]),

@@ -175,6 +175,15 @@ def iou_windows(box_fields: list[np.ndarray], query_boxes, sigma: float) -> list
     slack; the window arithmetic runs in float64 and gets 1e-9 of Q's
     magnitude plus 4 pixels. A NaN or inf coordinate in a field makes the
     reach along its axis non-finite, and every window then spans that axis.
+
+    Extents. Each window is then cut to the first and last column that can
+    still meet Q: a positive IoU needs iw > 0, that is x1 < Qx2 and x2 > Qx1
+    with Q's float32 coordinates (iou_grid compares them with the float32
+    field exactly), and likewise for y. So a column whose smallest x1 over
+    its rows and over every field is not below Qx2, or whose largest x2 is
+    not above Qx1, holds no pixel of positive IoU; the same holds for rows.
+    The tests are negated, so a column with a NaN keeps its place. An axis
+    whose reach is not finite keeps the whole-axis window.
     """
     if not 0 <= sigma < 1:
         raise ValueError("sigma must lie in [0, 1)")
@@ -186,6 +195,8 @@ def iou_windows(box_fields: list[np.ndarray], query_boxes, sigma: float) -> list
     q = np.asarray(query_boxes, dtype=np.float64).reshape(-1, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         reach = np.zeros(4)  # rx, ry, w_max, h_max
+        # per column (row), the smallest x1 (y1) and the largest x2 (y2)
+        lo_x, hi_x, lo_y, hi_y = np.inf, -np.inf, np.inf, -np.inf
         for field in box_fields:
             x1, y1, x2, y2 = field[..., 0], field[..., 1], field[..., 2], field[..., 3]
             reach = np.maximum.reduce([
@@ -195,6 +206,10 @@ def iou_windows(box_fields: list[np.ndarray], query_boxes, sigma: float) -> list
                  (x2 - x1).max(initial=0.0), (y2 - y1).max(initial=0.0)],
                 [(px - x2.min(axis=0, initial=np.inf)).max(initial=0.0),
                  (py - y2.min(axis=1, initial=np.inf)).max(initial=0.0), 0.0, 0.0]])
+            lo_x = np.minimum(lo_x, x1.min(axis=0, initial=np.inf))
+            hi_x = np.maximum(hi_x, x2.max(axis=0, initial=-np.inf))
+            lo_y = np.minimum(lo_y, y1.min(axis=1, initial=np.inf))
+            hi_y = np.maximum(hi_y, y2.max(axis=1, initial=-np.inf))
         rx, ry, w_max, h_max = reach.tolist()
 
         q32 = q.astype(np.float32)
@@ -213,14 +228,31 @@ def iou_windows(box_fields: list[np.ndarray], query_boxes, sigma: float) -> list
         dy = (gy + ry) * (1 + 1e-6) + 1e-9 * mag + _WINDOW_SLACK
         col0, col1 = _sample_span(q[:, 0] - dx, q[:, 2] + dx, w)
         row0, row1 = _sample_span(q[:, 1] - dy, q[:, 3] + dy, h)
-    return [(slice(*r), slice(*c)) for r, c in zip(zip(row0, row1), zip(col0, col1))]
+        if np.isfinite(rx + w_max):
+            col0, col1 = _extent_span(col0, col1, lo_x, hi_x, q[:, 0], q[:, 2])
+        if np.isfinite(ry + h_max):
+            row0, row1 = _extent_span(row0, row1, lo_y, hi_y, q[:, 1], q[:, 3])
+    return [(slice(*r), slice(*c)) for r, c in zip(zip(row0.tolist(), row1.tolist()),
+                                                   zip(col0.tolist(), col1.tolist()))]
 
 
-def _sample_span(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+def _sample_span(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index ranges [start, stop) of the sample points 2 + 4i (0 <= i < n)
     inside [lo, hi], clamped before the integer conversion; a NaN bound keeps
     the whole axis."""
     bad = ~(lo <= hi)
     start = np.where(bad, 0, np.clip(np.ceil((lo - 2) / 4), 0, n)).astype(np.int64)
     stop = np.where(bad, n, np.clip(np.floor((hi - 2) / 4) + 1, 0, n)).astype(np.int64)
-    return start.tolist(), stop.tolist()
+    return start, stop
+
+
+def _extent_span(start: np.ndarray, stop: np.ndarray, lo, hi, q1: np.ndarray,
+                 q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[start, stop) per query cut to the first and last index i whose extent
+    [lo[i], hi[i]] can overlap (q1, q2): not lo[i] >= q2 and not hi[i] <= q1."""
+    meet = ~(lo >= q2[:, None]) & ~(hi <= q1[:, None])
+    n = meet.shape[1]
+    none = np.ones((len(meet), 1), dtype=bool)  # found where no index meets: start n, stop 0
+    start = np.maximum(start, np.hstack([meet, none]).argmax(axis=1))
+    stop = np.minimum(stop, n - np.hstack([meet[:, ::-1], none]).argmax(axis=1))
+    return start, np.maximum(start, stop)

@@ -95,10 +95,20 @@ def centerness_loss(pred: np.ndarray, target: np.ndarray, foreground: np.ndarray
     return float(np.mean(binary_cross_entropy(p, t)))
 
 
+# every float64 x < -745.14 has exp(x) < 2**-1075, which rounds to +0.0
+_EXP_ZERO = -746.0
+
+
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-pixel CE of integer targets under the softmax of logits over the
     last axis, float64; computed on (C, pixels) planes, bitwise equal to the
-    row-by-row form because `plane_sum` repeats numpy's summation order."""
+    row-by-row form because `plane_sum` repeats numpy's summation order.
+
+    Lanes whose shifted logit lies below `_EXP_ZERO` skip `exp` and are
+    written as +0.0, the value `exp` rounds them to, so every lane holds the
+    bits of the full computation (one-hot logits with a margin of 1000 make
+    most lanes such). The test is negated, so NaN lanes still take `exp`.
+    """
     n_ch = logits.shape[-1]
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
     if t.size and (t.min() < 0 or t.max() >= n_ch):
@@ -106,7 +116,9 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     z = np.moveaxis(np.asarray(logits).reshape(-1, n_ch), 1, 0).astype(np.float64, order="C")
     m = z.max(axis=0)
     e = z - m
-    np.exp(e, out=e)
+    zero = e < _EXP_ZERO
+    np.exp(e, out=e, where=~zero)
+    np.copyto(e, 0.0, where=zero)
     s = np.log(plane_sum(e))
     return -(np.take_along_axis(z, t[None], axis=0)[0] - m - s)
 
@@ -233,9 +245,11 @@ def mask_loss(
     if unmatched:
         logger.warning("mask_loss: %d of %d queries matched no gt box", unmatched, len(queries))
     # outside its window every pixel box has IoU 0 with the query; the
-    # zero-filled full-length buffer keeps both sums' summation order
+    # zero-filled full-length buffer keeps both sums' summation order, and
+    # each query zeroes its window again after its sums
     windows = iou_windows([global_boxes.boxes], qboxes, 0.0)
     areas = _area(global_boxes.boxes)
+    ious = np.zeros(global_boxes.shape)
     terms = []
     for i, (box, j) in enumerate(zip(qboxes.tolist(), matches.tolist())):
         if j < 0:
@@ -246,10 +260,10 @@ def mask_loss(
             continue
         beta = box_iou(qboxes[i], g[j])
         ys, xs = windows[i]
-        ious = np.zeros(global_boxes.shape)
         ious[ys, xs] = _iou_grid_from_areas(global_boxes.boxes[ys, xs], areas[ys, xs], box)
         e_fn = float((1.0 - ious[inside]).sum())
         e_fp = float(ious[~inside].sum())
+        ious[ys, xs] = 0.0
         terms.append(beta / n_j * (e_fp + e_fn))
     if not terms:
         return 0.0

@@ -414,6 +414,27 @@ def test_loss_rejects_instance_ids_past_the_boxes(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("tensor, value, expect", [
+    pytest.param("level0_class", 9, "0 or a thing class in [4, 6]", id="class-above-things"),
+    pytest.param("level0_class", 2, "0 or a thing class in [4, 6]", id="class-stuff"),
+    pytest.param("semantics", 9, "class ids in [1, 6]", id="semantics-above-classes"),
+    pytest.param("semantics", 0, "class ids in [1, 6]", id="semantics-void"),
+    pytest.param("levelness", 6, "level ids in [0, 5]", id="levelness-above-levels"),
+])
+def test_loss_rejects_out_of_range_target_labels(tmp_path, capsys, tensor, value, expect):
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
+        "--instances", "2", "--preds-out", str(tmp_path / "preds"))
+    run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
+    raw = tmp_path / "targets" / f"{tensor}.bin"
+    labels = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
+    labels[-1] = value
+    raw.write_bytes(labels.tobytes())
+    code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"tensor '{tensor}' must be {expect}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("value, code", [pytest.param(3e38, 1, id="overflowing"), pytest.param(1e18, 0, id="large")])
 def test_construct_checks_the_decoded_box_area(tmp_path, capsys, value, code):
     import warnings

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densepanoptic import losses
 from densepanoptic.fields import GlobalBoxField
 from densepanoptic.losses import (
+    _EXP_ZERO,
     LossReport,
+    _cross_entropy,
     bootstrap_count,
     binary_cross_entropy,
     centerness_loss,
@@ -19,6 +22,8 @@ from densepanoptic.losses import (
     semantic_loss,
     total_loss,
 )
+from densepanoptic.synth import ONE_HOT_MARGIN
+from oracles import cross_entropy_rows_ref
 from query_rows import query_set, row
 
 
@@ -141,6 +146,58 @@ class TestLevelnessLoss:
         got = levelness_loss(logits, target)
         want = levelness_loss_ref(logits.reshape(-1, c).tolist(), target.reshape(-1).tolist())
         assert got == pytest.approx(want, abs=1e-9)
+
+
+class TestExpCutoff:
+    """`_cross_entropy` writes +0.0 for lanes below `_EXP_ZERO` instead of taking exp."""
+
+    def test_exp_is_positive_zero_below_the_cutoff(self):
+        below = np.concatenate([
+            [np.nextafter(_EXP_ZERO, -np.inf), -1e4, -1e308, -np.finfo(np.float64).max, -np.inf],
+            np.linspace(np.nextafter(_EXP_ZERO, -np.inf), -2000.0, 100_003),
+            -np.geomspace(1e3, 1e300, 1001)])
+        assert (below < _EXP_ZERO).all()
+        assert not np.exp(below).view(np.uint64).any()  # +0.0 is the all-zero bit pattern
+        assert np.exp(-745.1) > 0  # the smallest subnormal: the cutoff sits just past it
+
+    @pytest.mark.parametrize("n_ch", [6, 19])
+    def test_margin_one_hot_logits_are_the_row_form(self, n_ch):
+        rng = np.random.default_rng(n_ch)
+        hot = rng.integers(0, n_ch, (16, 24))
+        logits = np.zeros((16, 24, n_ch), np.float32)
+        np.put_along_axis(logits, hot[..., None], ONE_HOT_MARGIN, axis=2)
+        targets = np.where(rng.random((16, 24)) < 0.8, hot, rng.integers(0, n_ch, (16, 24)))
+        got = _cross_entropy(logits, targets)
+        assert got.tobytes() == cross_entropy_rows_ref(logits, targets).tobytes()
+
+    @pytest.mark.parametrize("n_ch", [6, 19])
+    def test_differences_at_the_cutoff_are_the_row_form(self, n_ch):
+        # each lane lies this far below its pixel's maximum of 0.0
+        near = np.array([-745.1, -745.13, -745.14, -745.2, np.nextafter(_EXP_ZERO, 0), _EXP_ZERO,
+                         np.nextafter(_EXP_ZERO, -np.inf), -746.1, -1e4, 0.0, -1.0, -700.0])
+        rng = np.random.default_rng(n_ch)
+        logits = rng.choice(near, (32, n_ch))
+        logits[np.arange(32), rng.integers(0, n_ch, 32)] = 0.0
+        targets = rng.integers(0, n_ch, 32)
+        got = _cross_entropy(logits, targets)
+        assert got.tobytes() == cross_entropy_rows_ref(logits, targets).tobytes()
+
+    def test_nan_and_inf_logits_as_without_the_cutoff(self, monkeypatch):
+        logits = np.full((7, 4), -1000.0)
+        logits[:, 0] = 0.0
+        logits[0, 1] = np.nan
+        logits[1, 0] = np.inf
+        logits[2, 2] = -np.inf
+        logits[3] = -np.inf
+        logits[4] = np.inf
+        logits[5, :2] = (np.inf, -np.inf)
+        targets = np.array([0, 1, 2, 3, 0, 1, 2])
+        with np.errstate(invalid="ignore"):
+            got = _cross_entropy(logits, targets)
+            monkeypatch.setattr(losses, "_EXP_ZERO", -np.inf)  # no lane skips exp
+            want = _cross_entropy(logits, targets)
+        assert np.isnan(got[:6]).any() and np.isfinite(got[6])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFocalLoss:

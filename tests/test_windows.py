@@ -223,6 +223,49 @@ def test_mask_loss_matches_full_frame(seed, hq, wq, kinds, cut):
     assert mask_loss(field, queries, gt, gt_instances) == full_mask_loss(field, queries, gt, gt_instances)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hq=st.integers(1, 12), wq=st.integers(1, 12),
+       sigma=st.sampled_from([0.0, 0.3]), levels=st.booleans(),
+       kinds=st.lists(st.sampled_from(["shifted", "far", "point", "wide", "huge"]), max_size=3, unique=True))
+def test_windows_hold_every_pixel_that_can_pass(seed, hq, wq, sigma, levels, kinds):
+    """Outside its window no pixel of any field has a positive IoU with the
+    query (sigma = 0) or reaches IoU * p > sigma for the largest p."""
+    rng = np.random.default_rng(seed)
+    h, w = 4 * hq, 4 * wq
+    if levels:
+        fields = [resample_level_boxes(lv, (h, w)) for lv in hand_levels(rng, h, w, "huge" in kinds)]
+    else:
+        fields = [hand_field(rng, h, w, ["near"] * 4 + kinds)]
+    # sigma = 0 cuts boxes to a sliver of a pixel box instead of nothing
+    queries = queries_for(rng, fields, semantics(rng, h, w), max(sigma, 0.01), int(rng.integers(1, 12)),
+                          "huge" in kinds)
+    p_max = np.float32(1 + 1e-6)
+    for (ys, xs), box in zip(iou_windows(fields, queries.boxes, sigma), queries.boxes.tolist()):
+        for field in fields:
+            iou = iou_grid(field, box)
+            passing = iou > 0 if sigma == 0 else iou * p_max > sigma
+            passing[ys, xs] = False
+            assert not passing.any()
+
+
+def test_a_box_beyond_every_pixel_box_gets_an_empty_window():
+    """A small query right of every pixel box: the dilation by the widest box
+    (far left) reaches into the grid, the column extents leave nothing."""
+    h, w = 8, 32
+    field = hand_field(np.random.default_rng(7), h, w, ["near"])
+    field[0, 0] = (-100.0, 0.0, 60.0, 8.0)
+    box = (4.0 * w + 70, 10.0, 4.0 * w + 71, 11.0)
+    assert field[..., 2].max() <= box[0]
+    px, py = sample_points(h, w)
+    rx = max((field[..., 0] - px).max(), (px - field[..., 2]).max())
+    w_max = (field[..., 2] - field[..., 0]).max()
+    assert box[0] - w_max - rx < receptive_centers(4, w - 1)  # the last column's sample is within the dilation
+    (ys, xs), = iou_windows([field], np.array([box]), 0.0)
+    assert xs.start == xs.stop and ys.stop > ys.start
+    assert not iou_grid(field, box).any()
+
+
 def test_windows_cover_the_grid_when_the_reach_is_not_finite():
     field = np.zeros((3, 5, 4), np.float32)
     field[1, 2] = (np.nan, np.inf, 1, 1)

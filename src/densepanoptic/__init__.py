@@ -9,11 +9,10 @@ whole pipeline end to end.
 
 __version__ = "0.1.0"
 
-from . import assignment, bench, bundle, fields, geometry, losses, maskcons, metrics, pipeline, selection, synth
+from . import assignment, bundle, fields, geometry, losses, maskcons, metrics, pipeline, selection, synth
 
 __all__ = [
     "assignment",
-    "bench",
     "bundle",
     "fields",
     "geometry",

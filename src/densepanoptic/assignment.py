@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import LevelSpec, PanopticMap, check_labels, validate_level_specs
-from .geometry import boxes_to_offsets, centerness, max_offset, receptive_centers
+from .geometry import boxes_to_offsets, boxes_valid, centerness, max_offset, receptive_centers
 
 MODES = ("full", "weak")
 
@@ -45,7 +45,7 @@ class GroundTruthScene:
         if self.n_stuff < 0 or self.n_things < 0:
             raise ValueError("class counts must be nonnegative")
         b = self.boxes
-        if not (np.isfinite(b).all() and (b[:, :2] <= b[:, 2:]).all()):
+        if not boxes_valid(b):
             raise ValueError("instance boxes must be finite and satisfy x1 <= x2 and y1 <= y2")
         cls = self.instance_classes
         if cls.size and (cls.min() <= self.n_stuff or cls.max() > self.n_stuff + self.n_things):

@@ -30,6 +30,7 @@ import numpy as np
 from .assignment import MODES, GroundTruthScene, GlobalTargets, LevelTargets
 from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, check_labels,
                      segment_keys, split_segment_key)
+from .geometry import boxes_valid
 
 FORMAT = "tensor-bundle-v1"
 MANIFEST = "manifest.json"
@@ -318,8 +319,10 @@ def load_targets(path) -> TargetBundle:
          f"level ids in [0, {len(specs)}]"),
         *((f"level{i}_class", lambda c: ((c == 0) | ((c > n_stuff) & (c <= n_classes))).all(),
            f"0 or a thing class in [{n_stuff + 1}, {n_classes}]") for i in range(len(specs))),
-        ("gt_boxes", lambda b: (b.ndim == 2 and b.shape[1] == 4 and np.isfinite(b).all()
-                                and (b[:, :2] <= b[:, 2:]).all()), "(K, 4) finite boxes with x1 <= x2 and y1 <= y2"),
+        ("gt_boxes", lambda b: b.ndim == 2 and b.shape[1] == 4 and boxes_valid(b),
+         "(K, 4) finite boxes with x1 <= x2 and y1 <= y2"),
+        ("gt_classes", lambda c: c.shape == (len(tensors["gt_boxes"]),) and ((c > n_stuff) & (c <= n_classes)).all(),
+         f"one thing class in [{n_stuff + 1}, {n_classes}] per gt_boxes row"),
         ("gt_instances_quarter", lambda ids: ids.max(initial=0) <= len(tensors["gt_boxes"]),
          "instance ids at most the box count"),
         *((f"level{i}_offsets", lambda off: np.isfinite(off).all() and off.min(initial=0.0) >= 0, "finite and >= 0")

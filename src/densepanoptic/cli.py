@@ -1,4 +1,4 @@
-"""Command-line interface: synth | targets | construct | evaluate | loss | bench.
+"""Command-line interface: synth | targets | construct | evaluate | loss.
 
 Every subcommand exits 0 on success and nonzero with a single-line
 diagnostic on stderr when validation or processing fails.
@@ -11,7 +11,6 @@ import sys
 
 from . import bundle
 from .assignment import build_targets
-from .bench import run_benchmark
 from .fields import default_level_specs
 from .metrics import evaluate_panoptic
 from .pipeline import ConstructionParams, compute_loss_report, construct_panoptic
@@ -184,38 +183,17 @@ def cmd_loss(args) -> int:
     return 0
 
 
-def _add_bench(sub):
-    p = sub.add_parser("bench", help="time the construction stages")
-    p.add_argument("--width", type=int, default=512, help="quarter-grid width")
-    p.add_argument("--height", type=int, default=256, help="quarter-grid height")
-    p.add_argument("--queries", type=int, default=50)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-naive", action="store_true", help="skip the slow scalar oracle")
-    p.set_defaults(func=cmd_bench)
-
-
-def cmd_bench(args) -> int:
-    report = run_benchmark(height=args.height, width=args.width, n_queries=args.queries,
-                           threads=args.threads, repeat=args.repeat, seed=args.seed,
-                           include_naive=not args.no_naive)
-    print(report.format())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densepanoptic",
         description="panoptic segmentation from dense detections: synthesis, "
-                    "targets, construction, evaluation, losses, benchmarks")
+                    "targets, construction, evaluation, losses")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_synth(sub)
     _add_targets(sub)
     _add_construct(sub)
     _add_evaluate(sub)
     _add_loss(sub)
-    _add_bench(sub)
     return parser
 
 

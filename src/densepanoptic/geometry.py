@@ -79,6 +79,11 @@ def centerness(off) -> np.ndarray:
     return np.sqrt(out)
 
 
+def boxes_valid(boxes: np.ndarray) -> bool:
+    """Whether every box (..., 4) is finite with x1 <= x2 and y1 <= y2."""
+    return bool(np.isfinite(boxes).all() and (boxes[..., :2] <= boxes[..., 2:]).all())
+
+
 def box_iou(a, b) -> np.ndarray:
     """IoU of boxes (..., 4) broadcast against boxes (..., 4), float64.
 

@@ -73,7 +73,10 @@ def compute_loss_report(
 
     Box losses reduce over all pyramid levels jointly; the mask loss runs the
     selection/assembly stages on the predictions to obtain queries and the
-    global box field.
+    global box field. Of `params` only `score_thresh`, `topk_per_level` and
+    `nms_iou` are read, by query selection; the box field is always the
+    levelness-assembled one, so `assembly`, `sigma`, `stuff_area_min` and
+    `threads` have no effect here.
     """
     ours = (pred.n_stuff, pred.n_things, tuple(pred.image_hw))
     theirs = (targets.n_stuff, targets.n_things, tuple(targets.image_hw))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DenseBoxLevel, GlobalBoxField, LevelnessField
-from .geometry import _area, _iou_from_areas, decode_boxes
+from .fields import DenseBoxLevel, GlobalBoxField, LevelnessField, upsample_nearest
+from .geometry import _area, _iou_from_areas, boxes_valid, decode_boxes
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class QuerySet:
         columns = (self.classes, self.scores, self.levels)
         if self.boxes.shape != (n, 4) or any(a.shape != (n,) for a in columns):
             raise ValueError("a QuerySet needs (M, 4) boxes and M classes, scores and levels")
-        b = self.boxes
-        if not (np.isfinite(b).all() and (b[:, :2] <= b[:, 2:]).all()):
+        if not boxes_valid(self.boxes):
             raise ValueError("query boxes must be finite and satisfy x1 <= x2 and y1 <= y2")
 
     def __len__(self) -> int:
@@ -161,8 +160,7 @@ def resample_level_boxes(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> n
     (stride//4)^2 block of quarter pixels. Returns (H/4, W/4, 4) float32.
     """
     rep = _quarter_block(level, quarter_hw)
-    boxes = decode_boxes(level.offsets, level.stride, np.float32)
-    return np.repeat(np.repeat(boxes, rep, axis=0), rep, axis=1)
+    return upsample_nearest(decode_boxes(level.offsets, level.stride, np.float32), rep)
 
 
 def quarter_point_boxes(quarter_hw: tuple[int, int]) -> np.ndarray:

@@ -32,7 +32,6 @@ from oracles import (
 from query_rows import query_set
 
 from densepanoptic.assignment import build_targets
-from densepanoptic.bench import run_benchmark
 from densepanoptic.bundle import TargetBundle
 from densepanoptic.fields import (
     GlobalBoxField,
@@ -40,8 +39,9 @@ from densepanoptic.fields import (
     SegmentInfo,
     SemanticField,
     default_level_specs,
+    softmax_field,
 )
-from densepanoptic.geometry import box_iou, centerness
+from densepanoptic.geometry import box_iou, centerness, offsets_to_boxes, receptive_centers
 from densepanoptic.losses import (
     centerness_loss,
     focal_classification_loss,
@@ -454,13 +454,66 @@ def test_06_deterministic_across_threads_and_runs(capfd):
     assert ok, detail
 
 
+def make_bench_inputs(height: int, width: int, n_queries: int, seed: int = 0):
+    """Random but realistic quarter-resolution inputs for the mask stage.
+
+    Returns (GlobalBoxField, SemanticField, QuerySet) with n_queries thing
+    queries over 2 stuff + 4 thing classes; roughly a fifth of the pixels
+    are background.
+    """
+    if height < 4 or width < 4 or n_queries < 1:
+        raise ValueError("bench inputs need a real grid and at least one query")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n_stuff, n_things = 2, 4
+    cx = np.broadcast_to(receptive_centers(4, np.arange(width)), (height, width))
+    cy = np.broadcast_to(receptive_centers(4, np.arange(height))[:, None], (height, width))
+    jitter = rng.normal(0, 30.0, (height, width, 2))
+    half_w = rng.uniform(20.0, 150.0, (height, width))
+    half_h = rng.uniform(20.0, 150.0, (height, width))
+    boxes = offsets_to_boxes(np.stack([half_w, half_h, half_w, half_h], axis=2),
+                             cx + jitter[:, :, 0], cy + jitter[:, :, 1]).astype(np.float32)
+    ys, xs = np.nonzero(rng.random((height, width)) < 0.2)
+    boxes[ys, xs] = offsets_to_boxes(np.zeros((ys.size, 4)), cx[ys, xs], cy[ys, xs])
+    gb = GlobalBoxField(boxes=boxes)
+    sem = SemanticField(softmax_field(rng.normal(0, 2.0, (height, width, n_stuff + n_things)).astype(np.float32)))
+    qboxes = np.empty((n_queries, 4))
+    classes = np.empty(n_queries, dtype=np.int64)
+    scores = np.empty(n_queries)
+    for i in range(n_queries):
+        qx = rng.uniform(0, 4 * width)
+        qy = rng.uniform(0, 4 * height)
+        hw = rng.uniform(30.0, 180.0)
+        hh = rng.uniform(30.0, 180.0)
+        qboxes[i] = (qx - hw, qy - hh, qx + hw, qy + hh)
+        classes[i] = n_stuff + 1 + rng.integers(n_things)
+        scores[i] = rng.uniform(0.1, 1.0)
+    return gb, sem, QuerySet(qboxes, classes, scores, np.zeros(n_queries, dtype=np.int64)).ordered()
+
+
+def _seconds(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _median_mask_seconds(gb, sem, queries, threads: int) -> float:
+    """Median wall time of 3 `construct_masks` calls (2 stuff classes)."""
+    return float(np.median([
+        _seconds(lambda: construct_masks(queries, sem, 2, global_boxes=gb, threads=threads))
+        for _ in range(3)]))
+
+
 def test_07_mask_construction_speedups(capfd):
     """Vectorized mask construction is at least 5x faster than the scalar
     oracle. Runs on every machine; the thread half is test_07_thread_speedup."""
-    rep = run_benchmark(height=256, width=512, n_queries=50, threads=4,
-                        repeat=3, seed=0)
-    ok = rep.speedup_vs_naive >= 5.0
-    detail = f"vectorized vs naive {rep.speedup_vs_naive:.0f}x (need >= 5x)"
+    gb, sem, queries = make_bench_inputs(256, 512, 50, seed=0)
+    vectorized = _median_mask_seconds(gb, sem, queries, threads=1)
+    boxes, probs = gb.boxes.tolist(), sem.probs.tolist()
+    rows = list(zip(queries.boxes.tolist(), queries.classes.tolist()))
+    naive = _seconds(lambda: construct_masks_ref(boxes, probs, rows, sigma=0.3))
+    speedup = naive / vectorized
+    ok = speedup >= 5.0
+    detail = f"vectorized vs naive {speedup:.0f}x (need >= 5x)"
     _announce(capfd, "construction speedup", ok, detail)
     assert ok, detail
 
@@ -470,10 +523,11 @@ def test_07_mask_construction_speedups(capfd):
 def test_07_thread_speedup(capfd):
     """Mask construction with 4 worker threads is at least 2x faster than
     with 1 (needs >= 4 usable CPUs)."""
-    rep = run_benchmark(height=256, width=512, n_queries=50, threads=4,
-                        repeat=3, seed=0, include_naive=False)
-    ok = rep.thread_speedup >= 2.0
-    detail = (f"4 threads vs 1 {rep.thread_speedup:.2f}x (need >= 2x); "
+    gb, sem, queries = make_bench_inputs(256, 512, 50, seed=0)
+    speedup = (_median_mask_seconds(gb, sem, queries, threads=1)
+               / _median_mask_seconds(gb, sem, queries, threads=4))
+    ok = speedup >= 2.0
+    detail = (f"4 threads vs 1 {speedup:.2f}x (need >= 2x); "
               f"{_usable_cpus()} usable cpu(s)")
     _announce(capfd, "construction thread speedup", ok, detail)
     assert ok, detail

@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from densepanoptic import cli
 from densepanoptic.bundle import load_panoptic, load_scene
-from densepanoptic.cli import main
+from densepanoptic.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -183,22 +185,6 @@ class TestPipelineCommands:
                            "--out", str(tmp_path / "pan"))
         assert code == 1
         assert err.strip().startswith("error:")
-
-
-class TestBenchCommand:
-    def test_tiny_bench_runs(self, capsys):
-        code, out, err = run(capsys, "bench", "--width", "64", "--height", "32",
-                             "--queries", "4", "--threads", "2", "--repeat", "1")
-        assert code == 0, err
-        assert "construct" in out
-        assert "speedup" in out
-
-    def test_no_naive_skips_oracle(self, capsys):
-        code, out, _ = run(capsys, "bench", "--width", "64", "--height", "32",
-                           "--queries", "4", "--threads", "2", "--repeat", "1",
-                           "--no-naive")
-        assert code == 0
-        assert "naive" not in out
 
 
 class TestMetaErrors:
@@ -433,6 +419,36 @@ def test_loss_rejects_out_of_range_target_labels(tmp_path, capsys, tensor, value
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"tensor '{tensor}' must be {expect}" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("classes", [
+    pytest.param(lambda c: np.full(7, 999, c.dtype), id="seven-for-the-boxes"),
+    pytest.param(lambda c: np.concatenate([c, c[:1]]), id="one-extra"),
+    pytest.param(lambda c: np.full_like(c, 3), id="stuff-class"),
+    pytest.param(lambda c: np.full_like(c, 7), id="above-things"),
+])
+def test_loss_rejects_bad_gt_classes(tmp_path, capsys, classes):
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
+        "--instances", "3", "--preds-out", str(tmp_path / "preds"))
+    run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
+    raw = tmp_path / "targets" / "gt_classes.bin"
+    new = classes(np.frombuffer(raw.read_bytes(), dtype="<u2"))
+    raw.write_bytes(new.tobytes())
+    mpath = tmp_path / "targets" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    next(e for e in manifest["tensors"] if e["name"] == "gt_classes")["shape"] = [len(new)]
+    mpath.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "tensor 'gt_classes' must be one thing class in [4, 6] per gt_boxes row" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_docstring_names_every_subcommand():
+    """The module docstring's `a | b | ...` list is the registered CLI surface."""
+    listed = cli.__doc__.splitlines()[0].split(":", 1)[1].rstrip(".").split("|")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [name.strip() for name in listed] == list(sub.choices)
 
 
 @pytest.mark.parametrize("value, code", [pytest.param(3e38, 1, id="overflowing"), pytest.param(1e18, 0, id="large")])

@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         for k in range(args.pairs):
             sides = [Path(tmp), ROOT] if k % 2 == 0 else [ROOT, Path(tmp)]
-            out = {side: run_perfbench(side, args.workload, args.seed, args.seconds) for side in sides}
+            out = {side: run_perfbench(side, args.workload, args.seed, args.seconds).stdout for side in sides}
             ref_out, tree_out = out[Path(tmp)], out[ROOT]
             ok, why = compare(parse_run(ref_out), parse_run(tree_out))
             values = parse_metrics(ref_out), parse_metrics(tree_out)

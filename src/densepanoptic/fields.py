@@ -421,7 +421,8 @@ class DensePrediction:
 def upsample_nearest(grid: np.ndarray, factor: int) -> np.ndarray:
     """Nearest-neighbor upsampling by an integer factor along the first two axes.
 
-    Works for (h, w) and (h, w, c) arrays; factor 1 returns an identical copy.
+    Works for (h, w) and (h, w, c) arrays; the result is always a new,
+    writable array, an identical copy at factor 1.
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError("factor must be a positive integer")
@@ -430,9 +431,13 @@ def upsample_nearest(grid: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError("expected a (h, w) or (h, w, c) array")
     # widen the rows first, then copy each widened row `factor` times:
     # about twice as fast as repeating along both axes
-    cols = np.repeat(grid, factor, axis=1)
+    cols = np.repeat(grid, factor, axis=1)  # always a new array
+    if factor == 1:
+        return cols
     h, rest = cols.shape[0], cols.shape[1:]
-    return np.broadcast_to(cols[:, None], (h, factor, *rest)).reshape(h * factor, *rest)
+    out = np.empty((h, factor, *rest), dtype=cols.dtype)
+    out[...] = cols[:, None]
+    return out.reshape(h * factor, *rest)
 
 
 def softmax_field(logits: np.ndarray) -> np.ndarray:

@@ -247,7 +247,7 @@ def mask_loss(
     # outside its window every pixel box has IoU 0 with the query; the
     # zero-filled full-length buffer keeps both sums' summation order, and
     # each query zeroes its window again after its sums
-    windows = iou_windows([global_boxes.boxes], qboxes, 0.0)
+    windows = iou_windows([global_boxes.boxes], qboxes)
     areas = _area(global_boxes.boxes)
     ious = np.zeros(global_boxes.shape)
     terms = []

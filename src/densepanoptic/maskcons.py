@@ -18,20 +18,14 @@ from .geometry import _area, _iou_grid_from_areas, iou_windows
 from .selection import QuerySet, resample_level_boxes
 
 
-def location_probability(box_fields: list[np.ndarray], box) -> np.ndarray:
-    """Per-pixel maximum IoU of predicted boxes against a query box, (h, w) float32.
-
-    `box_fields` holds one or more (h, w, 4) box fields: the assembled global
-    field, or every pyramid level resampled to quarter resolution. `box` is
-    (x1, y1, x2, y2) as Python floats. Degenerate point boxes score 0.
-    """
-    if not box_fields:
-        raise ValueError("at least one box field required")
-    return _max_iou(box_fields, [_area(f) for f in box_fields], box)
-
-
 def _max_iou(box_fields: list[np.ndarray], areas: list[np.ndarray], box) -> np.ndarray:
-    """`location_probability` given each field's box areas."""
+    """Per-pixel maximum IoU of the boxes of every (h, w, 4) field against one
+    query box, (h, w) float32, given each field's box areas.
+
+    `box_fields` holds the assembled global field, or every pyramid level
+    resampled to quarter resolution. `box` is (x1, y1, x2, y2) as Python
+    floats. Degenerate point boxes score 0.
+    """
     out = _iou_grid_from_areas(box_fields[0], areas[0], box)
     for boxes, area in zip(box_fields[1:], areas[1:]):
         np.maximum(out, _iou_grid_from_areas(boxes, area, box), out=out)
@@ -53,8 +47,8 @@ def construct_masks(
     given, otherwise from the per-level maximum over `levels`, whose boxes
     are resampled to the semantic grid once per call; box areas are also
     computed once per call and sliced per window. Each query is scored
-    only inside its `iou_windows` window, outside which no pixel can pass
-    the threshold; the rest of its mask stays False. Queries are
+    only inside its `iou_windows` window, outside which no pixel has a
+    positive IoU with it; the rest of its mask stays False. Queries are
     independent, so they are distributed over a thread pool; each thread
     writes a disjoint preallocated slice, making the result identical for
     any thread count.
@@ -79,7 +73,7 @@ def construct_masks(
         box_fields = [resample_level_boxes(lv, (h, w)) for lv in levels]
     if not len(queries):
         return out
-    windows = iou_windows(box_fields, queries.boxes, sigma)
+    windows = iou_windows(box_fields, queries.boxes)
     areas = [_area(f) for f in box_fields]
     boxes = queries.boxes.tolist()
     channels = (queries.classes - 1).tolist()

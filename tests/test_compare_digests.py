@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_digests.py"
@@ -55,3 +56,36 @@ def test_src_lines_counts_newlines_of_the_package_modules(tmp_path):
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     assert compare_digests.src_lines(tmp_path) == 5
     assert compare_digests.src_lines(compare_digests.ROOT) > 0
+
+
+def test_traced_runs_must_exit_0_and_match_the_untraced_digests():
+    untraced = compare_digests.parse_run(transcript())
+
+    def proc(stdout, code=0):
+        return subprocess.CompletedProcess(["run.py"], code, stdout, "")
+
+    assert compare_digests.check_traced(untraced, proc(transcript())) == (True, "ok")
+    assert compare_digests.check_traced(untraced, proc(transcript(failed=1))) == (False, "traced failed 1 of 11")
+    assert compare_digests.check_traced(untraced, proc(transcript(output="f" * 64))) == (
+        False, "output sha256 differs")
+    assert compare_digests.check_traced(untraced, proc("Traceback (most recent call last):\n", 1)) == (
+        False, "traced run exited 1; no result line from the traced run")
+    assert compare_digests.check_traced(None, proc(transcript())) == (
+        False, "no result line from the untraced run")
+
+
+def test_run_perfbench_passes_the_trace_flag(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs["cwd"]))
+        return subprocess.CompletedProcess(cmd, 0, transcript(), "")
+
+    monkeypatch.setattr(compare_digests.subprocess, "run", fake_run)
+    for trace in (0, 1):
+        proc = compare_digests.run_perfbench(tmp_path, "infer_city", 2, trace=trace)
+        assert proc.stdout == transcript()
+        cmd, cwd = calls[-1]
+        assert cwd == tmp_path and cmd[1] == "perfbench/run.py"
+        assert cmd[2:] == ["--workload", "infer_city", "--seed", "2", "--seconds", str(compare_digests.SECONDS),
+                           "--trace", str(trace)]

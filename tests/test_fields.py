@@ -351,6 +351,16 @@ class TestUpsample:
         with pytest.raises(ValueError):
             upsample_nearest(np.zeros((2, 2)), 0)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 5), (3, 4, 2), (1, 1, 3)])
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_returns_a_writable_copy(self, shape, factor):
+        g = np.arange(np.prod(shape)).reshape(shape)
+        up = upsample_nearest(g, factor)
+        assert up.flags.writeable and not np.shares_memory(up, g)
+        assert np.array_equal(up, g.repeat(factor, axis=0).repeat(factor, axis=1))
+        up[0, 0] = -1
+        assert (g >= 0).all() and (up[1:, 1:] >= 0).all()
+
 
 class TestSoftmax:
     def test_symmetry(self):

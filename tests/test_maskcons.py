@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from densepanoptic.fields import GlobalBoxField, SemanticField
-from densepanoptic.maskcons import construct_masks, fuse_panoptic, location_probability
+from densepanoptic.geometry import _area
+from densepanoptic.maskcons import _max_iou, construct_masks, fuse_panoptic
 from query_rows import query_set, row
 
 
@@ -14,6 +15,10 @@ def uniform_semantics(h, w, n_classes, cls):
     probs = np.zeros((h, w, n_classes), np.float32)
     probs[..., cls - 1] = 1.0
     return SemanticField(probs)
+
+
+def location_probability(box_fields, box):
+    return _max_iou(box_fields, [_area(f) for f in box_fields], box)
 
 
 class TestLocationProbability:

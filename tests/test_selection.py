@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densepanoptic.fields import DenseBoxLevel, LevelnessField
-from densepanoptic.geometry import box_iou, decode_boxes
-from densepanoptic.maskcons import location_probability
+from densepanoptic.fields import DenseBoxLevel, LevelnessField, SemanticField
+from densepanoptic.geometry import _area, box_iou, decode_boxes
+from densepanoptic.maskcons import _max_iou, construct_masks
 from densepanoptic.selection import (
     QuerySet,
     ScoredBox,
@@ -24,6 +24,10 @@ def make_level(stride=8, gh=2, gw=2, t=1):
         class_probs=np.zeros((gh, gw, t), np.float32),
         centerness=np.zeros((gh, gw), np.float32),
     )
+
+
+def location_probability(box_fields, box):
+    return _max_iou(box_fields, [_area(f) for f in box_fields], box)
 
 
 def sb(x1, y1, x2, y2, cls=1, score=0.9, level=0):
@@ -344,5 +348,6 @@ class TestMaxLevelProbability:
             assert (location_probability([field.boxes], q) <= pmax + 1e-7).all()
 
     def test_empty_field_list_rejected(self):
-        with pytest.raises(ValueError):
-            location_probability([], (0.0, 0.0, 1.0, 1.0))
+        sem = SemanticField(np.full((4, 4, 2), 0.5, np.float32))
+        with pytest.raises(ValueError, match="box field"):
+            construct_masks(query_set([sb(0, 0, 1, 1, cls=2)]), sem, 1, levels=[])

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densepanoptic.fields import DenseBoxLevel, GlobalBoxField, SemanticField, default_level_specs
-from densepanoptic.geometry import box_iou, iou_grid, iou_windows, receptive_centers
+from densepanoptic.geometry import _area, _iou_grid_from_areas, box_iou, iou_windows, receptive_centers
 from densepanoptic.losses import mask_loss, match_queries
-from densepanoptic.maskcons import construct_masks, location_probability
+from densepanoptic.maskcons import _max_iou, construct_masks
 from densepanoptic.pipeline import ConstructionParams, select_queries
 from densepanoptic.selection import QuerySet, assemble_global_boxes, resample_level_boxes
 from densepanoptic.synth import NoiseConfig, SceneConfig, generate_scene, ideal_predictions, perturb
@@ -24,12 +24,17 @@ N_STUFF, N_CLASSES = 1, 3
 STRIDES = (8, 16)
 
 
+def iou_grid(boxes: np.ndarray, box) -> np.ndarray:
+    """IoU of every box of one whole field against `box`."""
+    return _iou_grid_from_areas(boxes, _area(boxes), box)
+
+
 def full_masks(box_fields, sem: SemanticField, queries: QuerySet, sigma: float) -> np.ndarray:
     """The full-frame rule: every pixel of every query is scored."""
     h, w = sem.shape
     out = np.zeros((len(queries), h, w), dtype=bool)
     for i, (box, c) in enumerate(zip(queries.boxes.tolist(), queries.classes.tolist())):
-        out[i] = location_probability(box_fields, box) * sem.probs[..., c - 1] > sigma
+        out[i] = _max_iou(box_fields, [_area(f) for f in box_fields], box) * sem.probs[..., c - 1] > sigma
     return out
 
 
@@ -223,58 +228,67 @@ def test_mask_loss_matches_full_frame(seed, hq, wq, kinds, cut):
     assert mask_loss(field, queries, gt, gt_instances) == full_mask_loss(field, queries, gt, gt_instances)
 
 
+def assert_windows_hold_positive_iou(fields: list[np.ndarray], query_boxes: np.ndarray) -> None:
+    """No pixel of any field outside a query's window has a positive IoU with it."""
+    for (ys, xs), box in zip(iou_windows(fields, query_boxes), query_boxes.tolist()):
+        for field in fields:
+            outside = iou_grid(field, box) > 0
+            outside[ys, xs] = False
+            assert not outside.any()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), hq=st.integers(1, 12), wq=st.integers(1, 12),
-       sigma=st.sampled_from([0.0, 0.3]), levels=st.booleans(),
+       cut=st.sampled_from([0.3, 0.01]), levels=st.booleans(),
        kinds=st.lists(st.sampled_from(["shifted", "far", "point", "wide", "huge"]), max_size=3, unique=True))
-def test_windows_hold_every_pixel_that_can_pass(seed, hq, wq, sigma, levels, kinds):
+def test_windows_hold_every_pixel_that_can_pass(seed, hq, wq, cut, levels, kinds):
     """Outside its window no pixel of any field has a positive IoU with the
-    query (sigma = 0) or reaches IoU * p > sigma for the largest p."""
+    query, so none can pass any threshold."""
     rng = np.random.default_rng(seed)
     h, w = 4 * hq, 4 * wq
     if levels:
         fields = [resample_level_boxes(lv, (h, w)) for lv in hand_levels(rng, h, w, "huge" in kinds)]
     else:
         fields = [hand_field(rng, h, w, ["near"] * 4 + kinds)]
-    # sigma = 0 cuts boxes to a sliver of a pixel box instead of nothing
-    queries = queries_for(rng, fields, semantics(rng, h, w), max(sigma, 0.01), int(rng.integers(1, 12)),
-                          "huge" in kinds)
-    p_max = np.float32(1 + 1e-6)
-    for (ys, xs), box in zip(iou_windows(fields, queries.boxes, sigma), queries.boxes.tolist()):
-        for field in fields:
-            iou = iou_grid(field, box)
-            passing = iou > 0 if sigma == 0 else iou * p_max > sigma
-            passing[ys, xs] = False
-            assert not passing.any()
+    # cut = 0.01 leaves queries overlapping a pixel box by a sliver only
+    queries = queries_for(rng, fields, semantics(rng, h, w), cut, int(rng.integers(1, 12)), "huge" in kinds)
+    assert_windows_hold_positive_iou(fields, queries.boxes)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hq=st.integers(1, 12), wq=st.integers(1, 12),
+       n_fields=st.integers(1, 2), frac=st.sampled_from([0.02, 0.2, 0.6]))
+def test_windows_hold_every_positive_iou_pixel_of_non_finite_fields(seed, hq, wq, n_fields, frac):
+    """NaN and +-inf coordinates poison the column and row extents of the
+    fields they sit in; every pixel of positive IoU still lies in its window."""
+    rng = np.random.default_rng(seed)
+    h, w = 4 * hq, 4 * wq
+    fields = [hand_field(rng, h, w, ["near"] * 4 + ["wide", "point"]) for _ in range(n_fields)]
+    queries = queries_for(rng, fields, semantics(rng, h, w), 0.01, int(rng.integers(1, 12)), False)
+    for field in fields:
+        hit = rng.random(field.shape) < frac
+        field[hit] = rng.choice(np.array([np.nan, np.inf, -np.inf], np.float32), size=int(hit.sum()))
+    assert_windows_hold_positive_iou(fields, queries.boxes)
 
 
 def test_a_box_beyond_every_pixel_box_gets_an_empty_window():
-    """A small query right of every pixel box: the dilation by the widest box
-    (far left) reaches into the grid, the column extents leave nothing."""
+    """A small query right of every pixel box, one of which reaches from far
+    left across many columns: no column can meet it."""
     h, w = 8, 32
     field = hand_field(np.random.default_rng(7), h, w, ["near"])
     field[0, 0] = (-100.0, 0.0, 60.0, 8.0)
     box = (4.0 * w + 70, 10.0, 4.0 * w + 71, 11.0)
     assert field[..., 2].max() <= box[0]
-    px, py = sample_points(h, w)
-    rx = max((field[..., 0] - px).max(), (px - field[..., 2]).max())
-    w_max = (field[..., 2] - field[..., 0]).max()
-    assert box[0] - w_max - rx < receptive_centers(4, w - 1)  # the last column's sample is within the dilation
-    (ys, xs), = iou_windows([field], np.array([box]), 0.0)
+    (ys, xs), = iou_windows([field], np.array([box]))
     assert xs.start == xs.stop and ys.stop > ys.start
     assert not iou_grid(field, box).any()
 
 
-def test_windows_cover_the_grid_when_the_reach_is_not_finite():
-    field = np.zeros((3, 5, 4), np.float32)
-    field[1, 2] = (np.nan, np.inf, 1, 1)
-    windows = iou_windows([field], np.array([[0.0, 0.0, 1.0, 1.0], [50.0, 50.0, 50.0, 50.0]]), 0.3)
-    assert windows == [(slice(0, 3), slice(0, 5))] * 2
+def test_windows_need_a_box_field():
     with pytest.raises(ValueError):
-        iou_windows([field], np.zeros((1, 4)), 1.0)
-    with pytest.raises(ValueError):
-        iou_windows([], np.zeros((1, 4)), 0.3)
+        iou_windows([], np.zeros((1, 4)))
 
 
 def test_noisy_city_frame_matches_full_frame():
@@ -297,5 +311,5 @@ def test_noisy_city_frame_matches_full_frame():
     inst = scene.quarter_instance_map()
     assert mask_loss(gb, queries, scene.boxes, inst) == full_mask_loss(gb, queries, scene.boxes, inst)
     area = sum((ys.stop - ys.start) * (xs.stop - xs.start)
-               for ys, xs in iou_windows([gb.boxes], queries.boxes, 0.3))
+               for ys, xs in iou_windows([gb.boxes], queries.boxes))
     assert area < 0.2 * len(queries) * sem.shape[0] * sem.shape[1]

@@ -10,9 +10,11 @@ on the ref and once on the working tree, with the same seed and run length;
 the first pair starts with the ref and later pairs alternate which side runs
 first. One line per pair gives every end-to-end metric of ``BENCHMARK.json``
 on both sides. The summary gives, per metric, each side's median and
-quartiles, the pairs each side won (ties count for neither) and whether
-the gain rule holds: the tree wins at least nine tenths of the pairs and its
-median is better than the ref's by more than the ref's interquartile range.
+quartiles, the pairs each side won (ties count for neither), whether the
+gain rule holds (the tree wins at least nine tenths of the pairs and its
+median is better than the ref's by more than the ref's interquartile range)
+and whether the tree is worse: its median is worse than the ref's by more
+than the metric's ``bound``, a fraction of the ref's median.
 The exit status is 1 if any run printed no result, failed an image or
 computed other digests than its pair; otherwise 0.
 """
@@ -53,9 +55,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
-    """Per end-to-end metric of `metrics` (BENCHMARK.json entries with `name`
-    and `better`), the ref's and tree's quartiles over the (ref, tree) metric
-    dicts of `pairs`, the pairs each side won and whether the gain rule holds."""
+    """Per end-to-end metric of `metrics` (BENCHMARK.json entries with `name`,
+    `better` and `bound`), the ref's and tree's quartiles over the (ref, tree)
+    metric dicts of `pairs`, the pairs each side won, whether the gain rule
+    holds and whether the tree's median is worse by more than the bound."""
     rows = []
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -67,18 +70,19 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         gap = (rq[1] - tq[1]) if lower else (tq[1] - rq[1])
         rows.append({"name": name, "better": spec["better"], "ref": rq, "tree": tq, "ref_wins": ref_wins,
                      "tree_wins": tree_wins, "pairs": len(pairs),
-                     "gain": tree_wins >= math.ceil(0.9 * len(pairs)) and gap > rq[2] - rq[0]})
+                     "gain": tree_wins >= math.ceil(0.9 * len(pairs)) and gap > rq[2] - rq[0],
+                     "worse": -gap > spec["bound"] * abs(rq[1])})
     return rows
 
 
 def format_rows(rows: list[dict]) -> list[str]:
     out = [f"{'metric':<16s} {'better':<6s} {'ref median [q1, q3]':>28s} {'tree median [q1, q3]':>28s} "
-           f"{'wins ref/tree/pairs':>19s}  gain"]
+           f"{'wins ref/tree/pairs':>19s}  gain  worse"]
     for row in rows:
         ref, tree = (f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (row["ref"], row["tree"]))
         wins = f"{row['ref_wins']}/{row['tree_wins']}/{row['pairs']}"
         out.append(f"{row['name']:<16s} {row['better']:<6s} {ref:>28s} {tree:>28s} "
-                   f"{wins:>19s}  {'yes' if row['gain'] else 'no'}")
+                   f"{wins:>19s}  {'yes' if row['gain'] else 'no':<4s}  {'yes' if row['worse'] else 'no'}")
     return out
 
 

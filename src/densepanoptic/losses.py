@@ -280,8 +280,8 @@ def total_loss(
     semantic_weight: float = 1.0,
 ) -> LossReport:
     """Weighted sum of all terms; only semantics is scaled (by semantic_weight)."""
-    if semantic_weight < 0:
-        raise ValueError("semantic_weight must be nonnegative")
+    if not 0 <= semantic_weight < math.inf:
+        raise ValueError(f"semantic_weight must be a finite number >= 0, got {semantic_weight}")
     total = (box_regression + centerness + levelness + box_classification
              + semantic_weight * semantics + mask)
     return LossReport(

@@ -3,6 +3,7 @@ and the forward loss report over a prediction/target pair."""
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,14 @@ def construct_panoptic(
     return pmap, queries
 
 
+def _mask_term(pred: DensePrediction, targets: TargetBundle, params: ConstructionParams) -> float:
+    """The mask loss: query selection and levelness assembly on the
+    predictions, then `mask_loss` against the ground-truth instances."""
+    queries = select_queries(pred, params)
+    gb = assemble_global_boxes(pred.levels, pred.levelness_field())
+    return L.mask_loss(gb, queries, targets.gt_boxes, targets.gt_instances_quarter)
+
+
 def compute_loss_report(
     pred: DensePrediction,
     targets: TargetBundle,
@@ -77,6 +86,13 @@ def compute_loss_report(
     `nms_iou` are read, by query selection; the box field is always the
     levelness-assembled one, so `assembly`, `sigma`, `stuff_area_min` and
     `threads` have no effect here.
+
+    The mask term runs on one extra thread, started after the input checks
+    and joined before return, while the five dense terms run on the calling
+    thread. Both halves only read their inputs, so every term and the total
+    are bitwise those of running the six in order, and so are the errors:
+    a failing dense term is raised even if the mask term fails too, and a
+    failing mask term is raised once the dense terms have succeeded.
     """
     ours = (pred.n_stuff, pred.n_things, tuple(pred.image_hw))
     theirs = (targets.n_stuff, targets.n_things, tuple(targets.image_hw))
@@ -84,27 +100,28 @@ def compute_loss_report(
         raise ValueError(f"predictions have (n_stuff, n_things, image_hw) {ours}, targets {theirs}")
     if len(pred.levels) != len(targets.level_targets):
         raise ValueError("prediction and target level counts differ")
-    pred_boxes, tgt_boxes, fg_all = [], [], []
-    pred_cent, tgt_cent = [], []
-    pred_probs, tgt_cls = [], []
-    for lv, t in zip(pred.levels, targets.level_targets):
-        if lv.stride != t.stride or lv.shape != t.centerness.shape:
-            raise ValueError("prediction and target grids disagree")
-        pred_boxes.append(decode_boxes(lv.offsets, lv.stride, np.float64).reshape(-1, 4))
-        tgt_boxes.append(decode_boxes(t.offsets, lv.stride, np.float64).reshape(-1, 4))
-        fg_all.append(t.foreground.reshape(-1))
-        pred_cent.append(lv.centerness.reshape(-1))
-        tgt_cent.append(t.centerness.reshape(-1))
-        pred_probs.append(lv.class_probs.reshape(-1, lv.n_thing_classes))
-        tgt_cls.append(t.class_ids.reshape(-1))
-    fg = np.concatenate(fg_all)
-    box_reg = L.iou_loss(np.concatenate(pred_boxes), np.concatenate(tgt_boxes), fg)
-    cent = L.centerness_loss(np.concatenate(pred_cent), np.concatenate(tgt_cent), fg)
-    lev = L.levelness_loss(pred.levelness_logits, targets.global_targets.levelness)
-    focal = L.focal_classification_loss(np.concatenate(pred_probs), np.concatenate(tgt_cls),
-                                        fg, n_stuff=pred.n_stuff)
-    sem = L.semantic_loss(pred.semantic_logits, targets.global_targets.semantics)
-    queries = select_queries(pred, params)
-    gb = assemble_global_boxes(pred.levels, pred.levelness_field())
-    mask = L.mask_loss(gb, queries, targets.gt_boxes, targets.gt_instances_quarter)
+    pairs = list(zip(pred.levels, targets.level_targets))
+    if any(lv.stride != t.stride or lv.shape != t.centerness.shape for lv, t in pairs):
+        raise ValueError("prediction and target grids disagree")
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        mask_term = pool.submit(_mask_term, pred, targets, params)
+        pred_boxes, tgt_boxes, fg_all = [], [], []
+        pred_cent, tgt_cent = [], []
+        pred_probs, tgt_cls = [], []
+        for lv, t in pairs:
+            pred_boxes.append(decode_boxes(lv.offsets, lv.stride, np.float64).reshape(-1, 4))
+            tgt_boxes.append(decode_boxes(t.offsets, lv.stride, np.float64).reshape(-1, 4))
+            fg_all.append(t.foreground.reshape(-1))
+            pred_cent.append(lv.centerness.reshape(-1))
+            tgt_cent.append(t.centerness.reshape(-1))
+            pred_probs.append(lv.class_probs.reshape(-1, lv.n_thing_classes))
+            tgt_cls.append(t.class_ids.reshape(-1))
+        fg = np.concatenate(fg_all)
+        box_reg = L.iou_loss(np.concatenate(pred_boxes), np.concatenate(tgt_boxes), fg)
+        cent = L.centerness_loss(np.concatenate(pred_cent), np.concatenate(tgt_cent), fg)
+        lev = L.levelness_loss(pred.levelness_logits, targets.global_targets.levelness)
+        focal = L.focal_classification_loss(np.concatenate(pred_probs), np.concatenate(tgt_cls),
+                                            fg, n_stuff=pred.n_stuff)
+        sem = L.semantic_loss(pred.semantic_logits, targets.global_targets.semantics)
+        mask = mask_term.result()
     return L.total_loss(box_reg, cent, lev, focal, sem, mask, semantic_weight=semantic_weight)

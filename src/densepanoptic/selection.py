@@ -8,6 +8,7 @@ coordinates (x1, y1, x2, y2) and level index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,8 @@ def decode_candidates(
     Returns:
         Candidates in the total order.
     """
-    if score_thresh < 0:
-        raise ValueError("score_thresh must be nonnegative")
+    if not 0 <= score_thresh < math.inf:
+        raise ValueError(f"score_thresh must be a finite number >= 0, got {score_thresh}")
     if topk_per_level < 1:
         raise ValueError("topk_per_level must be positive")
     parts = [QuerySet(np.zeros((0, 4)), [], [], [])]

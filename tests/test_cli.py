@@ -167,6 +167,28 @@ class TestPipelineCommands:
                              "--targets", str(d / "targets"), "--lambda", "0.4")
         assert code == 0, err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_loss_rejects_a_non_finite_or_negative_lambda(self, scene_and_preds, capsys, value):
+        d = scene_and_preds
+        run(capsys, "targets", "--scene", str(d / "scene"), "--out", str(d / "targets"))
+        code, out, err = run(capsys, "loss", "--preds", str(d / "preds"),
+                             "--targets", str(d / "targets"), f"--lambda={value}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: semantic_weight must be a finite number >= 0")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.01"])
+    def test_construct_and_loss_reject_a_bad_score_thresh(self, scene_and_preds, capsys, value):
+        d = scene_and_preds
+        run(capsys, "targets", "--scene", str(d / "scene"), "--out", str(d / "targets"))
+        for argv in (["construct", "--preds", str(d / "preds"), "--out", str(d / "pan")],
+                     ["loss", "--preds", str(d / "preds"), "--targets", str(d / "targets")]):
+            code, out, err = run(capsys, *argv, f"--score-thresh={value}")
+            assert (code, out) == (1, ""), argv[0]
+            assert err.startswith("error: score_thresh must be a finite number >= 0")
+            assert len(err.strip().splitlines()) == 1
+        assert not (d / "pan").exists()
+
     def test_nan_prediction_bundle_is_clean_error(self, scene_and_preds, capsys):
         d = scene_and_preds
         raw = d / "preds" / "semantic_logits.bin"

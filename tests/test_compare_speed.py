@@ -44,19 +44,36 @@ def test_summary_of_ten_pairs():
     assert (peak["ref_wins"], peak["tree_wins"], peak["gain"]) == (0, 0, False)
     lines = compare_speed.format_rows(list(rows.values()))
     assert len(lines) == 1 + len(SPEC)
+    assert lines[0].split()[-2:] == ["gain", "worse"]
     assert lines[3].split() == ["image_p50_ms", "lower", "123", "[120.2,", "125.8]", "92.5", "[90.25,",
-                                "94.75]", "1/9/10", "yes"]
+                                "94.75]", "1/9/10", "yes", "no"]
+    assert not any(row["worse"] for row in rows.values())
 
 
 def test_gain_needs_nine_tenths_and_a_gap_wider_than_the_ref_spread():
     def gain(ref, tree):
         pairs = [({"image_p50_ms": r}, {"image_p50_ms": t}) for r, t in zip(ref, tree)]
-        return compare_speed.summarize(pairs, [{"name": "image_p50_ms", "better": "lower"}])[0]["gain"]
+        spec = {"name": "image_p50_ms", "better": "lower", "bound": 0.25}
+        return compare_speed.summarize(pairs, [spec])[0]["gain"]
 
     ref = [100.0 + k for k in range(10)]
     assert gain(ref, [r - 10 for r in ref])
     assert not gain(ref, [r - 10 for r in ref[:8]] + ref[8:])  # 8 of 10 wins
     assert not gain(ref, [r - 1 for r in ref])  # 10 of 10, inside the ref's IQR of 4.5
+
+
+@pytest.mark.parametrize("better, ref, tree, worse", [
+    ("lower", 100.0, 110.0, False),  # 10% worse, inside a 0.1 bound
+    ("lower", 100.0, 110.5, True),
+    ("lower", 100.0, 50.0, False),  # better by any amount is never worse
+    ("higher", 10.0, 9.0, False),
+    ("higher", 10.0, 8.9, True),
+])
+def test_worse_when_the_tree_median_passes_the_bound(better, ref, tree, worse):
+    pairs = [({"m": ref + k}, {"m": tree + k}) for k in (-1.0, 0.0, 1.0)]
+    row = compare_speed.summarize(pairs, [{"name": "m", "better": better, "bound": 0.1}])[0]
+    assert row["worse"] is worse
+    assert compare_speed.format_rows([row])[1].split()[-1] == ("yes" if worse else "no")
 
 
 def test_usage_errors():

@@ -447,6 +447,14 @@ class TestTotalLoss:
         assert d["semantics"] == 2.0 and d["total"] == rep.total
         assert "total" in rep.format()
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -0.5, np.float32("nan")])
+    def test_weight_must_be_finite_and_nonnegative(self, weight):
+        with pytest.raises(ValueError, match="semantic_weight must be a finite number >= 0"):
+            total_loss(1, 1, 1, 1, 1, 1, semantic_weight=weight)
+
+    def test_zero_weight_drops_semantics(self):
+        assert total_loss(1, 1, 1, 1, 5, 1, semantic_weight=0.0).total == 5.0
+
 
 class TestLossReportInputs:
     @staticmethod

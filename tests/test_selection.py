@@ -115,6 +115,11 @@ class TestDecode:
         out = decode_candidates([lv], score_thresh=0.05)
         assert len(out) == 1 and out.scores[0] == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("thresh", [float("nan"), float("inf"), -0.01])
+    def test_threshold_must_be_finite_and_nonnegative(self, thresh):
+        with pytest.raises(ValueError, match="score_thresh must be a finite number >= 0"):
+            decode_candidates([make_level()], score_thresh=thresh)
+
     def test_topk_caps_each_level(self):
         lv = make_level(gh=4, gw=4)
         lv.offsets[...] = 1.0

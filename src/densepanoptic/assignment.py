@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LevelSpec, PanopticMap, check_labels, validate_level_specs
+from .fields import LevelSpec, PanopticMap, as_uint16, check_labels, validate_level_specs
 from .geometry import boxes_to_offsets, boxes_valid, centerness, max_offset, receptive_centers
 
 MODES = ("full", "weak")
@@ -39,7 +39,7 @@ class GroundTruthScene:
 
     def __post_init__(self):
         self.boxes = np.ascontiguousarray(self.boxes, dtype=np.float32).reshape(-1, 4)
-        self.instance_classes = np.ascontiguousarray(self.instance_classes, dtype=np.uint16).reshape(-1)
+        self.instance_classes = as_uint16(self.instance_classes, "instance_classes").reshape(-1)
         if len(self.boxes) != len(self.instance_classes):
             raise ValueError("boxes and instance_classes must have equal length")
         if self.n_stuff < 0 or self.n_things < 0:

@@ -8,8 +8,8 @@ plus ".bin", so no entry reaches outside the directory) and verify that
 file byte lengths match the manifest shapes exactly, so round-trips are
 bitwise faithful. Each kind of bundle (scene, predictions, targets,
 panoptic) also checks the `meta` keys and value types and the tensors it
-needs before decoding, so a malformed bundle fails with one ValueError that
-names the key or tensor.
+needs, each of the one element type its saver writes, before decoding, so a
+malformed bundle fails with one ValueError that names the key or tensor.
 
 A panoptic archive is a bundle specialization carrying the fused class and
 instance maps, a segments table in the manifest, and optionally a colorized
@@ -146,17 +146,21 @@ _SEGMENTS = (_records({"id": _count, "class_id": _count, "area": _count, "score"
              "a list of {id, class_id, area: int, score: number}")
 _LEVELS = (_records({"stride": _count, "min_size": _number, "max_size": lambda v: v is None or _number(v)}),
            "a list of {stride: int, min_size: number, max_size: number or null}")
-# kind -> (name in errors, required meta keys with their checks, tensors, per-level tensor suffixes)
+# kind -> (name in errors, required meta keys with their checks, tensors and per-level
+# tensor suffixes with the one element type the savers write for each)
 _KINDS = {
     "scene": ("scene bundle", {**_COUNTS, "segments": _SEGMENTS},
-              ["class_map", "instance_map", "boxes", "instance_classes"], []),
+              {"class_map": "u16", "instance_map": "u16", "boxes": "f32", "instance_classes": "u16"}, {}),
     "predictions": ("predictions bundle", {**_COUNTS, **_SIZE, "levels": _LEVELS},
-                    ["semantic_logits", "levelness_logits"], ["offsets", "class_probs", "centerness"]),
+                    {"semantic_logits": "f32", "levelness_logits": "f32"},
+                    {"offsets": "f32", "class_probs": "f32", "centerness": "f32"}),
     "targets": ("targets bundle", {"mode": (lambda v: v in MODES, f"one of {MODES}"),
                                    **_COUNTS, **_SIZE, "levels": _LEVELS},
-                ["levelness", "semantics", "gt_boxes", "gt_classes", "gt_instances_quarter"],
-                ["offsets", "class", "centerness", "foreground"]),
-    "panoptic": ("panoptic archive", {**_COUNTS, "segments": _SEGMENTS}, ["class_map", "instance_map"], []),
+                {"levelness": "u16", "semantics": "u16", "gt_boxes": "f32", "gt_classes": "u16",
+                 "gt_instances_quarter": "u16"},
+                {"offsets": "f32", "class": "u16", "centerness": "f32", "foreground": "u8"}),
+    "panoptic": ("panoptic archive", {**_COUNTS, "segments": _SEGMENTS},
+                 {"class_map": "u16", "instance_map": "u16"}, {}),
 }
 
 
@@ -170,10 +174,13 @@ def _check_kind(tensors: dict, meta: dict, kind: str, path) -> None:
             raise ValueError(f"{path}: meta lacks {key!r}")
         if not ok(meta[key]):
             raise ValueError(f"{path}: meta {key!r} must be {expect}, got {meta[key]!r:.80}")
-    names = names + [f"level{i}_{t}" for i in range(len(meta.get("levels", []))) for t in level_names]
-    for name in names:
+    names = {**names, **{f"level{i}_{t}": dt for i in range(len(meta.get("levels", [])))
+                         for t, dt in level_names.items()}}
+    for name, dtype in names.items():
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
+        if tensors[name].dtype != DTYPES[dtype]:
+            raise ValueError(f"{path}: tensor {name!r} must be {dtype}, got {_dtype_name(tensors[name])}")
 
 
 # ---------------------------------------------------------------- scenes

@@ -61,14 +61,11 @@ def cmd_synth(args) -> int:
           f"{scene.n_stuff} stuff + {scene.n_things} thing classes -> {args.out}")
     if args.preds_out:
         pred = ideal_predictions(scene, default_level_specs(args.levels), mode=args.mode)
-        noise = NoiseConfig(offset_std=args.noise_offset_std,
-                            semantic_flip_prob=args.noise_semantic_flip,
-                            centerness_std=args.noise_centerness_std,
-                            levelness_flip_prob=args.noise_levelness_flip,
-                            seed=args.noise_seed)
-        if (noise.offset_std or noise.semantic_flip_prob or noise.centerness_std
-                or noise.levelness_flip_prob):
-            pred = perturb(pred, noise)
+        pred = perturb(pred, NoiseConfig(offset_std=args.noise_offset_std,
+                                         semantic_flip_prob=args.noise_semantic_flip,
+                                         centerness_std=args.noise_centerness_std,
+                                         levelness_flip_prob=args.noise_levelness_flip,
+                                         seed=args.noise_seed))
         bundle.save_predictions(args.preds_out, pred)
         print(f"predictions ({args.mode}, {args.levels} levels) -> {args.preds_out}")
     return 0

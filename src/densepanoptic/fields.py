@@ -189,26 +189,6 @@ def _readonly_planes(planes) -> np.ndarray:
     return view
 
 
-@dataclass
-class GlobalBoxField:
-    """Resolution-uniform absolute box per pixel, (h, w, 4) float32.
-
-    Background pixels carry the degenerate point box at their own sample
-    location so they score IoU 0 against every proper box.
-    """
-
-    boxes: np.ndarray
-
-    def __post_init__(self):
-        self.boxes = np.ascontiguousarray(self.boxes, dtype=np.float32)
-        if self.boxes.ndim != 3 or self.boxes.shape[2] != 4:
-            raise ValueError("global boxes must be (h, w, 4)")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.boxes.shape[:2]
-
-
 @dataclass(frozen=True)
 class SegmentInfo:
     """One panoptic segment: instance id (0 for stuff), class, area, score."""
@@ -219,12 +199,26 @@ class SegmentInfo:
     score: float
 
 
+def as_uint16(values, name: str) -> np.ndarray:
+    """`values` as a contiguous uint16 array. Values that are not uint16 already
+    must be integers in [0, 65535], since the cast would change any other."""
+    arr = np.asarray(values)
+    if arr.dtype != np.uint16:
+        with np.errstate(invalid="ignore"):
+            cast = arr.astype(np.uint16)
+        if not np.array_equal(cast, arr):
+            raise ValueError(f"{name} must hold integers in [0, 65535]")
+        arr = cast
+    return np.ascontiguousarray(arr)
+
+
 @dataclass
 class PanopticMap:
     """Joint per-pixel class and instance labeling plus its segment table.
 
-    class_map/instance_map are uint16; instance id 0 marks stuff and void
-    pixels, thing pixels carry ids 1..K consistent with exactly one class.
+    class_map/instance_map are uint16 (`as_uint16`); instance id 0 marks
+    stuff and void pixels, thing pixels carry ids 1..K consistent with
+    exactly one class.
     """
 
     class_map: np.ndarray
@@ -232,8 +226,8 @@ class PanopticMap:
     segments: list[SegmentInfo] = field(default_factory=list)
 
     def __post_init__(self):
-        self.class_map = np.ascontiguousarray(self.class_map, dtype=np.uint16)
-        self.instance_map = np.ascontiguousarray(self.instance_map, dtype=np.uint16)
+        self.class_map = as_uint16(self.class_map, "class_map")
+        self.instance_map = as_uint16(self.instance_map, "instance_map")
         if self.class_map.shape != self.instance_map.shape or self.class_map.ndim != 2:
             raise ValueError("class/instance maps must share a 2-d shape")
 

@@ -118,24 +118,30 @@ def _iou_from_areas(a: np.ndarray, b, area_a, area_b) -> np.ndarray:
     return out
 
 
-def _iou_grid_from_areas(boxes: np.ndarray, areas: np.ndarray, box) -> np.ndarray:
-    """IoU of every box in a dense (..., 4) array against one box, float32 with
-    the leading shape of `boxes`, given `_area(boxes)`: a caller scoring many
-    windows of one field computes the areas once and passes each window's slice.
+def _max_iou(box_fields: list[np.ndarray], areas: list[np.ndarray], box) -> np.ndarray:
+    """Per-pixel maximum IoU of the boxes of every (h, w, 4) field against one
+    query box, (h, w) float32, given each field's `_area`: a caller scoring many
+    windows of a field computes its areas once and passes each window's slice.
 
-    `box` is (x1, y1, x2, y2) as Python floats: a numpy float64 scalar would
-    promote float32 `boxes` arithmetic to float64 and change results.
-    Degenerate entries (zero width or height) score 0.
+    `box_fields` holds the assembled global field, or every pyramid level
+    resampled to quarter resolution. `box` is (x1, y1, x2, y2) as Python
+    floats: a numpy float64 scalar would promote float32 field arithmetic to
+    float64 and change results. Degenerate entries (zero width or height)
+    score 0.
     """
     bx1, by1, bx2, by2 = box
     area = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
-    return _iou_from_areas(boxes, box, areas, area).astype(np.float32, copy=False)
+    out = None
+    for boxes, box_areas in zip(box_fields, areas):
+        iou = _iou_from_areas(boxes, box, box_areas, area).astype(np.float32, copy=False)
+        out = iou if out is None else np.maximum(out, iou, out=out)
+    return out
 
 
 def iou_windows(box_fields: list[np.ndarray], query_boxes) -> list[tuple[slice, slice]]:
     """Per query box, the (rows, columns) of the quarter grid outside which no
     pixel of any of the (h, w, 4) `box_fields` has a positive IoU with it, as
-    `_iou_grid_from_areas` computes IoU. Windows may be empty.
+    `_max_iou` computes IoU. Windows may be empty.
 
     A positive IoU needs a positive overlap in x and in y. The IoU body
     intersects the float32 field with the query's float32 coordinates Q, so

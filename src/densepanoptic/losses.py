@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GlobalBoxField, plane_sum
-from .geometry import _area, _iou_grid_from_areas, box_iou, iou_windows
+from .fields import plane_sum
+from .geometry import _area, _max_iou, box_iou, iou_windows
 from .selection import QuerySet
 
 logger = logging.getLogger(__name__)
@@ -218,7 +218,7 @@ def match_queries(query_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
 
 
 def mask_loss(
-    global_boxes: GlobalBoxField,
+    global_boxes: np.ndarray,
     queries: QuerySet,
     gt_boxes: np.ndarray,
     gt_instances: np.ndarray,
@@ -228,13 +228,16 @@ def mask_loss(
     Each query matched to gt instance j (by box IoU) is scored
     (beta_j / N_j) * (E_FP + E_FN): N_j counts the instance's pixels in
     gt_instances, beta_j = IoU(query box, gt box), E_FN sums 1 - IoU of
-    pixel boxes inside the instance, E_FP sums IoU of pixel boxes outside
-    (pixel boxes are always scored against the query box).
+    pixel boxes (the (h, w, 4) `global_boxes`) inside the instance, E_FP
+    sums IoU of pixel boxes outside, always against the query box.
     Unmatched queries (or matches with N_j = 0) are skipped; the result is
     the mean over participating queries, 0.0 if none.
     """
+    global_boxes = np.ascontiguousarray(global_boxes, dtype=np.float32)
+    if global_boxes.ndim != 3 or global_boxes.shape[2] != 4:
+        raise ValueError("global boxes must be (h, w, 4)")
     gt_instances = np.asarray(gt_instances)
-    if gt_instances.shape != global_boxes.shape:
+    if gt_instances.shape != global_boxes.shape[:2]:
         raise ValueError("instance map and box field shapes differ")
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     if len(queries) == 0 or len(g) == 0:
@@ -247,9 +250,9 @@ def mask_loss(
     # outside its window every pixel box has IoU 0 with the query; the
     # zero-filled full-length buffer keeps both sums' summation order, and
     # each query zeroes its window again after its sums
-    windows = iou_windows([global_boxes.boxes], qboxes)
-    areas = _area(global_boxes.boxes)
-    ious = np.zeros(global_boxes.shape)
+    windows = iou_windows([global_boxes], qboxes)
+    areas = _area(global_boxes)
+    ious = np.zeros(gt_instances.shape)
     terms = []
     for i, (box, j) in enumerate(zip(qboxes.tolist(), matches.tolist())):
         if j < 0:
@@ -260,7 +263,7 @@ def mask_loss(
             continue
         beta = box_iou(qboxes[i], g[j])
         ys, xs = windows[i]
-        ious[ys, xs] = _iou_grid_from_areas(global_boxes.boxes[ys, xs], areas[ys, xs], box)
+        ious[ys, xs] = _max_iou([global_boxes[ys, xs]], [areas[ys, xs]], box)
         e_fn = float((1.0 - ious[inside]).sum())
         e_fp = float(ious[~inside].sum())
         ious[ys, xs] = 0.0

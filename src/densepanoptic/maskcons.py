@@ -13,23 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fields import GlobalBoxField, PanopticMap, SemanticField, segment_table, upsample_nearest
-from .geometry import _area, _iou_grid_from_areas, iou_windows
+from .fields import PanopticMap, SemanticField, segment_table, upsample_nearest
+from .geometry import _area, _max_iou, iou_windows
 from .selection import QuerySet, resample_level_boxes
-
-
-def _max_iou(box_fields: list[np.ndarray], areas: list[np.ndarray], box) -> np.ndarray:
-    """Per-pixel maximum IoU of the boxes of every (h, w, 4) field against one
-    query box, (h, w) float32, given each field's box areas.
-
-    `box_fields` holds the assembled global field, or every pyramid level
-    resampled to quarter resolution. `box` is (x1, y1, x2, y2) as Python
-    floats. Degenerate point boxes score 0.
-    """
-    out = _iou_grid_from_areas(box_fields[0], areas[0], box)
-    for boxes, area in zip(box_fields[1:], areas[1:]):
-        np.maximum(out, _iou_grid_from_areas(boxes, area, box), out=out)
-    return out
 
 
 def construct_masks(
@@ -37,16 +23,16 @@ def construct_masks(
     semantics: SemanticField,
     n_stuff: int,
     sigma: float = 0.3,
-    global_boxes: GlobalBoxField | None = None,
+    global_boxes: np.ndarray | None = None,
     levels=None,
     threads: int = 1,
 ) -> np.ndarray:
     """Instance masks for every query, (M, h, w) bool in query order.
 
-    Location probabilities come from the assembled global box field when
-    given, otherwise from the per-level maximum over `levels`, whose boxes
-    are resampled to the semantic grid once per call; box areas are also
-    computed once per call and sliced per window. Each query is scored
+    Location probabilities come from the assembled (h, w, 4) global box
+    field when given, otherwise from the per-level maximum over `levels`,
+    whose boxes are resampled to the semantic grid once per call; box areas
+    are also computed once per call and sliced per window. Each query is scored
     only inside its `iou_windows` window, outside which no pixel has a
     positive IoU with it; the rest of its mask stays False. Queries are
     independent, so they are distributed over a thread pool; each thread
@@ -57,8 +43,12 @@ def construct_masks(
         raise ValueError("exactly one of global_boxes or levels is required")
     if threads < 1:
         raise ValueError("threads must be positive")
-    if global_boxes is not None and global_boxes.shape != semantics.shape:
-        raise ValueError("box field and semantic field shapes differ")
+    if global_boxes is not None:
+        global_boxes = np.ascontiguousarray(global_boxes, dtype=np.float32)
+        if global_boxes.ndim != 3 or global_boxes.shape[2] != 4:
+            raise ValueError("global boxes must be (h, w, 4)")
+        if global_boxes.shape[:2] != semantics.shape:
+            raise ValueError("box field and semantic field shapes differ")
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0, 1)")
     bad = (queries.classes <= n_stuff) | (queries.classes > semantics.n_classes)
@@ -67,10 +57,8 @@ def construct_masks(
     h, w = semantics.shape
     out = np.zeros((len(queries), h, w), dtype=bool)
 
-    if global_boxes is not None:
-        box_fields = [global_boxes.boxes]
-    else:
-        box_fields = [resample_level_boxes(lv, (h, w)) for lv in levels]
+    box_fields = [global_boxes] if global_boxes is not None else [
+        resample_level_boxes(lv, (h, w)) for lv in levels]
     if not len(queries):
         return out
     windows = iou_windows(box_fields, queries.boxes)

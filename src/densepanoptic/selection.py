@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DenseBoxLevel, GlobalBoxField, LevelnessField, upsample_nearest
+from .fields import DenseBoxLevel, LevelnessField, upsample_nearest
 from .geometry import _area, _iou_from_areas, boxes_valid, decode_boxes
 
 
@@ -169,13 +169,13 @@ def quarter_point_boxes(quarter_hw: tuple[int, int]) -> np.ndarray:
     return decode_boxes(np.zeros((*quarter_hw, 4), dtype=np.float32), 4, np.float32)
 
 
-def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField) -> GlobalBoxField:
-    """Collapse the box pyramid into one quarter-resolution box field.
+def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField) -> np.ndarray:
+    """Collapse the box pyramid into one quarter-resolution (H/4, W/4, 4) float32 box field.
 
     Each pixel takes the box its levelness argmax selects, decoded from the
     level cell that covers it (the box `resample_level_boxes` puts there);
     pixels selecting background (0) get a degenerate point box at their own
-    sample location.
+    sample location, so they score IoU 0 against every proper box.
     """
     if levelness.n_levels != len(levels):
         raise ValueError("levelness channel count must be n_levels + 1")
@@ -188,4 +188,4 @@ def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField
             rep = _quarter_block(lv, (qh, qw))
             cy, cx = iy // rep, ix // rep
             out[iy, ix] = decode_boxes(lv.offsets[cy, cx], lv.stride, np.float32, cx, cy)
-    return GlobalBoxField(boxes=out)
+    return out

@@ -34,7 +34,6 @@ from query_rows import query_set
 from densepanoptic.assignment import build_targets
 from densepanoptic.bundle import TargetBundle
 from densepanoptic.fields import (
-    GlobalBoxField,
     PanopticMap,
     SegmentInfo,
     SemanticField,
@@ -166,14 +165,14 @@ def test_02_vectorized_stages_match_scalar_references(capfd):
         boxes[bg, 3] = boxes[bg, 1]
         probs = rng.random((h, w, n_classes))
         probs /= probs.sum(axis=-1, keepdims=True)
-        field = GlobalBoxField(boxes=boxes)
+        field = boxes.astype(np.float32)
         sem = SemanticField(probs)
         nq = 100 if big else int(rng.integers(1, 8))
         qb = _rand_boxes(rng, nq, span=8.0)
         qcls = rng.integers(n_stuff + 1, n_classes + 1, nq)
         queries = QuerySet(qb, qcls, 1.0 - np.arange(nq) * 1e-4, np.zeros(nq))
         got = construct_masks(queries, sem, n_stuff, sigma=0.3, global_boxes=field)
-        want = construct_masks_ref(field.boxes, sem.probs,
+        want = construct_masks_ref(field, sem.probs,
                                    [(tuple(qb[i]), int(qcls[i])) for i in range(nq)], 0.3)
         assert np.array_equal(got, np.asarray(want, dtype=bool))
     devs["mask"] = 0.0
@@ -285,7 +284,7 @@ def test_02_vectorized_stages_match_scalar_references(capfd):
         bg = rng.random((hq, wq)) < 0.2
         boxes[bg, 2] = boxes[bg, 0]
         boxes[bg, 3] = boxes[bg, 1]
-        field = GlobalBoxField(boxes=boxes)
+        field = boxes.astype(np.float32)
         m = int(rng.integers(1, 13))
         qb = _rand_boxes(rng, m, span=span)
         qb[rng.random(m) < 0.1] += 10 * span  # some queries match nothing
@@ -293,7 +292,7 @@ def test_02_vectorized_stages_match_scalar_references(capfd):
         assert np.array_equal(match_queries(qb, gt_boxes),
                               np.asarray(match_queries_ref(qb, gt_boxes)))
         worst = max(worst, abs(mask_loss(field, queries, gt_boxes, gt_inst)
-                               - mask_loss_ref(field.boxes, qb, gt_boxes, gt_inst)))
+                               - mask_loss_ref(field, qb, gt_boxes, gt_inst)))
     devs["mask_loss"] = worst
 
     # PQ and mIoU
@@ -457,7 +456,7 @@ def test_06_deterministic_across_threads_and_runs(capfd):
 def make_bench_inputs(height: int, width: int, n_queries: int, seed: int = 0):
     """Random but realistic quarter-resolution inputs for the mask stage.
 
-    Returns (GlobalBoxField, SemanticField, QuerySet) with n_queries thing
+    Returns ((h, w, 4) float32 boxes, SemanticField, QuerySet) with n_queries thing
     queries over 2 stuff + 4 thing classes; roughly a fifth of the pixels
     are background.
     """
@@ -474,7 +473,6 @@ def make_bench_inputs(height: int, width: int, n_queries: int, seed: int = 0):
                              cx + jitter[:, :, 0], cy + jitter[:, :, 1]).astype(np.float32)
     ys, xs = np.nonzero(rng.random((height, width)) < 0.2)
     boxes[ys, xs] = offsets_to_boxes(np.zeros((ys.size, 4)), cx[ys, xs], cy[ys, xs])
-    gb = GlobalBoxField(boxes=boxes)
     sem = SemanticField(softmax_field(rng.normal(0, 2.0, (height, width, n_stuff + n_things)).astype(np.float32)))
     qboxes = np.empty((n_queries, 4))
     classes = np.empty(n_queries, dtype=np.int64)
@@ -487,7 +485,7 @@ def make_bench_inputs(height: int, width: int, n_queries: int, seed: int = 0):
         qboxes[i] = (qx - hw, qy - hh, qx + hw, qy + hh)
         classes[i] = n_stuff + 1 + rng.integers(n_things)
         scores[i] = rng.uniform(0.1, 1.0)
-    return gb, sem, QuerySet(qboxes, classes, scores, np.zeros(n_queries, dtype=np.int64)).ordered()
+    return boxes, sem, QuerySet(qboxes, classes, scores, np.zeros(n_queries, dtype=np.int64)).ordered()
 
 
 def _seconds(fn) -> float:
@@ -508,7 +506,7 @@ def test_07_mask_construction_speedups(capfd):
     oracle. Runs on every machine; the thread half is test_07_thread_speedup."""
     gb, sem, queries = make_bench_inputs(256, 512, 50, seed=0)
     vectorized = _median_mask_seconds(gb, sem, queries, threads=1)
-    boxes, probs = gb.boxes.tolist(), sem.probs.tolist()
+    boxes, probs = gb.tolist(), sem.probs.tolist()
     rows = list(zip(queries.boxes.tolist(), queries.classes.tolist()))
     naive = _seconds(lambda: construct_masks_ref(boxes, probs, rows, sigma=0.3))
     speedup = naive / vectorized

@@ -88,6 +88,13 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="^instance 1 has pixels of a class other than its own$"):
             GroundTruthScene(sc.panoptic, sc.boxes, classes, sc.n_stuff, sc.n_things)
 
+    @pytest.mark.parametrize("classes", [[65538], [-65534], [2.5]])
+    def test_instance_classes_a_uint16_cast_would_change_rejected(self, classes):
+        # each value would wrap or truncate to 2, the class of the scene's one instance
+        sc = make_scene(16, 16, [(4, 4, 11, 11, 2)])
+        with pytest.raises(ValueError, match=r"^instance_classes must hold integers in \[0, 65535\]$"):
+            GroundTruthScene(sc.panoptic, sc.boxes, np.array(classes), 1, 1)
+
     @pytest.mark.parametrize("box", [(np.nan, 4, 12, 12), (4, 4, np.inf, 12), (-np.inf, -np.inf, np.inf, np.inf)])
     def test_non_finite_box_rejected(self, box):
         with pytest.raises(ValueError, match="instance boxes must be finite"):

@@ -38,6 +38,22 @@ class TestSynthCommand:
         assert pred.image_hw == (128, 256)
         assert len(pred.levels) == 5
 
+    def test_default_predictions_are_the_ideal_ones(self, tmp_path, capsys):
+        from densepanoptic.bundle import save_predictions
+        from densepanoptic.fields import default_level_specs
+        from densepanoptic.synth import ideal_predictions
+
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "256",
+                           "--height", "128", "--instances", "3", "--seed", "3",
+                           "--preds-out", str(tmp_path / "preds"))
+        assert code == 0, err
+        save_predictions(tmp_path / "ideal", ideal_predictions(load_scene(tmp_path / "scene"),
+                                                               default_level_specs(5)))
+        files = sorted(f.name for f in (tmp_path / "ideal").iterdir())
+        assert files == sorted(f.name for f in (tmp_path / "preds").iterdir())
+        for name in files:
+            assert (tmp_path / "preds" / name).read_bytes() == (tmp_path / "ideal" / name).read_bytes()
+
     def test_failure_is_single_line_nonzero(self, tmp_path, capsys):
         code, out, err = run(capsys, "synth", "--out", str(tmp_path / "s"),
                              "--width", "100")  # not divisible by 128
@@ -379,6 +395,42 @@ def test_targets_rejects_inconsistent_scene(tmp_path, capsys, tamper, message):
     assert err.startswith("error:") and message in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "targets").exists()
+
+
+def _retype(bundle_dir, tensor, dtype):
+    """Rewrite `tensor` of a bundle as element type `dtype`, its values cast."""
+    from densepanoptic.bundle import DTYPES
+
+    mpath = bundle_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    entry = next(e for e in manifest["tensors"] if e["name"] == tensor)
+    raw = bundle_dir / f"{tensor}.bin"
+    raw.write_bytes(np.frombuffer(raw.read_bytes(), DTYPES[entry["dtype"]]).astype(DTYPES[dtype]).tobytes())
+    entry["dtype"] = dtype
+    mpath.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("bundle_dir, tensor, dtype, written, argv", [
+    pytest.param("scene", "instance_classes", "f32", "u16", ["targets", "--scene", "scene", "--out", "t2"],
+                 id="scene"),
+    pytest.param("preds", "level0_centerness", "u8", "f32", ["construct", "--preds", "preds", "--out", "p2"],
+                 id="predictions"),
+    pytest.param("targets", "level0_foreground", "f32", "u8",
+                 ["loss", "--preds", "preds", "--targets", "targets"], id="targets"),
+    pytest.param("pan", "class_map", "f32", "u16", ["evaluate", "--pred", "pan", "--gt", "scene"], id="panoptic"),
+])
+def test_loaders_reject_a_tensor_of_another_dtype(tmp_path, capsys, monkeypatch, bundle_dir, tensor, dtype,
+                                                  written, argv):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "--out", "scene", "--width", "128", "--height", "128", "--instances", "2",
+        "--preds-out", "preds")
+    run(capsys, "targets", "--scene", "scene", "--out", "targets")
+    run(capsys, "construct", "--preds", "preds", "--out", "pan")
+    _retype(tmp_path / bundle_dir, tensor, dtype)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"tensor '{tensor}' must be {written}, got {dtype}" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def _write_value(path, index, value):

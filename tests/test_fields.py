@@ -10,7 +10,6 @@ from densepanoptic.fields import (
     DensePrediction,
     LevelnessField,
     LevelSpec,
-    GlobalBoxField,
     PanopticMap,
     SegmentInfo,
     SemanticField,
@@ -164,15 +163,22 @@ class TestDensePrediction:
             dataclasses.replace(pred, **{name: logits})
 
 
-class TestGlobalBoxField:
-    def test_shape_checks(self):
-        with pytest.raises(ValueError):
-            GlobalBoxField(boxes=np.zeros((2, 2, 3), np.float32))
-        with pytest.raises(ValueError):
-            GlobalBoxField(boxes=np.zeros((2, 4), np.float32))
-
-
 class TestPanopticMap:
+    @pytest.mark.parametrize("class_map, instance_map, named", [
+        pytest.param([[70000, -1]], [[0, 2]], "class_map", id="class-out-of-range"),
+        pytest.param([[1, 1]], [[0.7, 2.0]], "instance_map", id="fractional-instance"),
+        pytest.param([[np.nan, 1]], [[0, 0]], "class_map", id="nan-class"),
+        pytest.param([[1, 1]], [[0, np.inf]], "instance_map", id="inf-instance"),
+    ])
+    def test_rejects_values_a_uint16_cast_would_change(self, class_map, instance_map, named):
+        with pytest.raises(ValueError, match=f"^{named} must hold integers in \\[0, 65535\\]$"):
+            PanopticMap(np.array(class_map), np.array(instance_map))
+
+    def test_integer_valued_maps_are_cast(self):
+        pm = PanopticMap(np.array([[65535.0, 1.0]]), np.array([[0, 2]], np.int64))
+        assert pm.class_map.dtype == pm.instance_map.dtype == np.uint16
+        assert pm.class_map.tolist() == [[65535, 1]] and pm.instance_map.tolist() == [[0, 2]]
+
     def test_validate_ok(self):
         cm = np.array([[1, 1], [4, 4]], np.uint16)
         im = np.array([[0, 0], [1, 1]], np.uint16)

@@ -8,7 +8,7 @@ from densepanoptic.geometry import (
     box_iou,
     boxes_to_offsets,
     _area,
-    _iou_grid_from_areas,
+    _max_iou,
     centerness,
     max_offset,
     offsets_to_boxes,
@@ -198,7 +198,7 @@ class TestVectorized:
         boxes = np.concatenate([np.minimum(boxes[..., :2], boxes[..., 2:]),
                                 np.maximum(boxes[..., :2], boxes[..., 2:])], axis=-1)
         q = (10.0, 10.0, 50.0, 45.0)
-        grid = _iou_grid_from_areas(boxes, _area(boxes), q)
+        grid = _max_iou([boxes], [_area(boxes)], q)
         for y in range(7):
             for x in range(9):
                 ref = iou_ref(boxes[y, x].tolist(), q)
@@ -207,7 +207,7 @@ class TestVectorized:
     def test_iou_grid_degenerate_rows(self):
         boxes = np.zeros((2, 2, 4), dtype=np.float32)
         q = (0.0, 0.0, 10.0, 10.0)
-        assert (_iou_grid_from_areas(boxes, _area(boxes), q) == 0).all()
+        assert (_max_iou([boxes], [_area(boxes)], q) == 0).all()
 
     def test_iou_elementwise_and_matrix(self):
         rng = np.random.default_rng(1)

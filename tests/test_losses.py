@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densepanoptic import losses
-from densepanoptic.fields import GlobalBoxField
 from densepanoptic.losses import (
     _EXP_ZERO,
     LossReport,
@@ -362,24 +361,21 @@ class TestMaskLoss:
         boxes[0, 1] = (0, 0, 8, 8)
         boxes[1, 0] = (0, 0, 8, 4)  # IoU 0.5 against the query
         boxes[1, 1] = (0, 0, 4, 8)  # IoU 0.5
-        field = GlobalBoxField(boxes=boxes)
         queries = query_set([sb(0, 0, 8, 8)])
         gt_boxes = np.array([[0, 0, 8, 8]], np.float64)
         gt_instances = np.ones((2, 2), np.int64)
-        v = mask_loss(field, queries, gt_boxes, gt_instances)
+        v = mask_loss(boxes, queries, gt_boxes, gt_instances)
         assert v == pytest.approx(0.25, abs=1e-12)
 
     def test_empty_queries(self):
-        field = GlobalBoxField(boxes=np.zeros((2, 2, 4), np.float32))
-        assert mask_loss(field, query_set([]), np.zeros((1, 4)), np.zeros((2, 2))) == 0.0
+        assert mask_loss(np.zeros((2, 2, 4), np.float32), query_set([]), np.zeros((1, 4)), np.zeros((2, 2))) == 0.0
 
     def test_unmatched_query_excluded(self, caplog):
         boxes = np.zeros((1, 1, 4), np.float32)
-        field = GlobalBoxField(boxes=boxes)
         queries = query_set([sb(0, 0, 1, 1)])
         gt_boxes = np.array([[50, 50, 60, 60]], np.float64)
         with caplog.at_level(logging.WARNING, logger="densepanoptic.losses"):
-            v = mask_loss(field, queries, gt_boxes, np.ones((1, 1), np.int64))
+            v = mask_loss(boxes, queries, gt_boxes, np.ones((1, 1), np.int64))
         assert v == 0.0
         assert any("matched no gt" in r.message for r in caplog.records)
 
@@ -390,11 +386,10 @@ class TestMaskLoss:
         boxes[0, 1] = (0, 0, 8, 8)
         boxes[1, 0] = (20, 20, 22, 22)
         boxes[1, 1] = (20, 20, 22, 22)
-        field = GlobalBoxField(boxes=boxes)
         queries = query_set([sb(0, 0, 8, 8)])
         gt_boxes = np.array([[0, 0, 8, 8]], np.float64)
         gt_instances = np.array([[1, 1], [0, 0]], np.int64)
-        assert mask_loss(field, queries, gt_boxes, gt_instances) == 0.0
+        assert mask_loss(boxes, queries, gt_boxes, gt_instances) == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -405,7 +400,6 @@ class TestMaskLoss:
         h, w = (int(v) for v in rng.integers(2, 7, 2))
         boxes = rng.uniform(0, 16, (h, w, 4)).astype(np.float32)
         boxes[..., 2:] += boxes[..., :2]
-        field = GlobalBoxField(boxes=boxes)
         ng = int(rng.integers(1, 4))
         g = rng.uniform(0, 12, (ng, 4))
         g[:, 2:] += g[:, :2] + 1
@@ -417,13 +411,19 @@ class TestMaskLoss:
             queries.append(sb(float(x1), float(y1), float(x1 + bw), float(y1 + bh),
                               score=float(rng.uniform(0.1, 1.0))))
         queries.sort(key=lambda c: -c[2])
-        got = mask_loss(field, query_set(queries), g, gt_instances)
+        got = mask_loss(boxes, query_set(queries), g, gt_instances)
         want = mask_loss_ref(
             boxes.tolist(),
             [q[0] for q in queries],
             g.tolist(), gt_instances.tolist())
         # pixel IoUs are computed in float32; the scalar reference is float64
         assert got == pytest.approx(want, abs=1e-6)
+
+
+    def test_rejects_a_box_field_that_is_not_h_w_4(self):
+        for boxes in (np.zeros((2, 2, 3), np.float32), np.zeros((2, 4), np.float32)):
+            with pytest.raises(ValueError, match=r"global boxes must be \(h, w, 4\)"):
+                mask_loss(boxes, query_set([sb(0, 0, 8, 8)]), np.array([[0, 0, 8, 8]]), np.ones((2, 2)))
 
 
 class TestTotalLoss:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from densepanoptic.fields import GlobalBoxField, SemanticField
-from densepanoptic.geometry import _area
-from densepanoptic.maskcons import _max_iou, construct_masks, fuse_panoptic
+from densepanoptic.fields import SemanticField
+from densepanoptic.geometry import _area, _max_iou
+from densepanoptic.maskcons import construct_masks, fuse_panoptic
 from query_rows import query_set, row
 
 
@@ -17,12 +17,8 @@ def uniform_semantics(h, w, n_classes, cls):
     return SemanticField(probs)
 
 
-def location_probability(box_fields, box):
-    return _max_iou(box_fields, [_area(f) for f in box_fields], box)
-
-
 class TestLocationProbability:
-    def _field(self):
+    def _iou(self):
         boxes = np.zeros((2, 3, 4), np.float32)
         boxes[0, 0] = (0, 0, 10, 10)
         boxes[0, 1] = (5, 0, 15, 10)
@@ -30,10 +26,10 @@ class TestLocationProbability:
         boxes[1, 0] = (50, 50, 50, 50)  # background point box
         boxes[1, 1] = (0, 0, 10, 10)
         boxes[1, 2] = (2, 2, 6, 6)
-        return GlobalBoxField(boxes=boxes)
+        return _max_iou([boxes], [_area(boxes)], (0, 0, 10, 10))
 
     def test_identity_and_zero(self):
-        p = location_probability([self._field().boxes], (0, 0, 10, 10))
+        p = self._iou()
         assert p[0, 0] == 1.0  # equal boxes
         assert p[0, 2] == 0.0  # disjoint
         assert p[1, 0] == 0.0  # background point box
@@ -42,11 +38,11 @@ class TestLocationProbability:
         # the pixel at grid (1,1) is spatially wherever it is; only its
         # PREDICTED box matters, so a perfect prediction scores 1 even for a
         # pixel whose own location is outside the query box
-        p = location_probability([self._field().boxes], (0, 0, 10, 10))
+        p = self._iou()
         assert p[1, 1] == 1.0
 
     def test_partial_overlap_value(self):
-        p = location_probability([self._field().boxes], (0, 0, 10, 10))
+        p = self._iou()
         assert p[0, 1] == pytest.approx(1 / 3, abs=1e-6)  # 50 / 150
 
 
@@ -57,7 +53,6 @@ class TestConstructMasks:
         boxes[..., 2:] += boxes[..., :2]  # make x2>=x1, y2>=y1
         bg = rng.random((h, w)) < 0.2
         boxes[bg, 2:] = boxes[bg, :2]  # background pixels carry point boxes
-        field = GlobalBoxField(boxes=boxes)
         logits = rng.normal(0, 2, (h, w, 4)).astype(np.float32)
         e = np.exp(logits - logits.max(-1, keepdims=True))
         sem = SemanticField((e / e.sum(-1, keepdims=True)).astype(np.float32))
@@ -66,7 +61,7 @@ class TestConstructMasks:
             sb(0, 5, 9, 19, cls=4, score=0.6),
             sb(6, 1, 19, 9, cls=3, score=0.5),
         ])
-        return field, sem, queries
+        return boxes, sem, queries
 
     def test_matches_naive_oracle(self):
         from oracles import construct_masks_ref
@@ -74,7 +69,7 @@ class TestConstructMasks:
         field, sem, queries = self._setup()
         got = construct_masks(queries, sem, n_stuff=2, sigma=0.3, global_boxes=field)
         want = np.array(construct_masks_ref(
-            field.boxes.tolist(), sem.probs.tolist(),
+            field.tolist(), sem.probs.tolist(),
             [(q.box, q.class_id) for q in queries],
             0.3), dtype=bool)
         assert got.shape == want.shape
@@ -93,6 +88,12 @@ class TestConstructMasks:
         with pytest.raises(ValueError):
             construct_masks(queries, sem, n_stuff=2, global_boxes=field, levels=[])
 
+    def test_rejects_a_box_field_that_is_not_h_w_4(self):
+        _, sem, queries = self._setup()
+        for boxes in (np.zeros((8, 8, 3), np.float32), np.zeros((8, 4), np.float32)):
+            with pytest.raises(ValueError, match=r"global boxes must be \(h, w, 4\)"):
+                construct_masks(queries, sem, n_stuff=2, global_boxes=boxes)
+
     def test_empty_query_set(self):
         field, sem, _ = self._setup()
         out = construct_masks(query_set([]), sem, n_stuff=2, global_boxes=field)
@@ -104,7 +105,7 @@ class TestConstructMasks:
         with n_stuff = 1, semantic channels (1 - p, p)."""
         p = np.array([thing_probs], np.float32)
         sem = SemanticField(np.stack([1 - p, p], axis=-1))
-        field = GlobalBoxField(boxes=np.array([pixel_boxes], np.float32))
+        field = np.array([pixel_boxes], np.float32)
         masks = construct_masks(query_set([sb(0, 0, 10, 10, cls=cls)]), sem, n_stuff=1,
                                 sigma=sigma, global_boxes=field)
         return masks[0, 0].tolist()

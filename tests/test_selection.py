@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densepanoptic.fields import DenseBoxLevel, LevelnessField, SemanticField
-from densepanoptic.geometry import _area, box_iou, decode_boxes
-from densepanoptic.maskcons import _max_iou, construct_masks
+from densepanoptic.geometry import _area, _max_iou, box_iou, decode_boxes
+from densepanoptic.maskcons import construct_masks
 from densepanoptic.selection import (
     QuerySet,
     ScoredBox,
@@ -24,10 +24,6 @@ def make_level(stride=8, gh=2, gw=2, t=1):
         class_probs=np.zeros((gh, gw, t), np.float32),
         centerness=np.zeros((gh, gw), np.float32),
     )
-
-
-def location_probability(box_fields, box):
-    return _max_iou(box_fields, [_area(f) for f in box_fields], box)
 
 
 def sb(x1, y1, x2, y2, cls=1, score=0.9, level=0):
@@ -285,17 +281,17 @@ class TestAssembly:
         logits[7, 7] = (9, 0, 0)  # pixel (7,7) background
         field = assemble_global_boxes([lv0, lv1], LevelnessField(logits))
         r1 = resample_level_boxes(lv1, (8, 8))
-        assert (field.boxes[0, 0] == r1[0, 0]).all()
+        assert (field[0, 0] == r1[0, 0]).all()
         r0 = resample_level_boxes(lv0, (8, 8))
-        assert (field.boxes[3, 5] == r0[3, 5]).all()
-        assert tuple(field.boxes[7, 7]) == (30.0, 30.0, 30.0, 30.0)
+        assert (field[3, 5] == r0[3, 5]).all()
+        assert tuple(field[7, 7]) == (30.0, 30.0, 30.0, 30.0)
 
     def test_single_level_everywhere_foreground(self):
         lv0, _ = self._two_levels()
         logits = np.zeros((8, 8, 2), np.float32)
         logits[..., 1] = 3.0
         field = assemble_global_boxes([lv0], LevelnessField(logits))
-        assert (field.boxes == resample_level_boxes(lv0, (8, 8))).all()
+        assert (field == resample_level_boxes(lv0, (8, 8))).all()
 
     def test_level_count_mismatch_rejected(self):
         lv0, lv1 = self._two_levels()
@@ -314,7 +310,8 @@ class TestMaxLevelProbability:
 
     @staticmethod
     def maxlevel(levels, q, quarter_hw):
-        return location_probability([resample_level_boxes(lv, quarter_hw) for lv in levels], q)
+        fields = [resample_level_boxes(lv, quarter_hw) for lv in levels]
+        return _max_iou(fields, [_area(f) for f in fields], q)
 
     def test_exact_box_gives_one(self):
         levels = self._levels()
@@ -334,7 +331,7 @@ class TestMaxLevelProbability:
         logits[..., 1] = 2.0
         field = assemble_global_boxes([lv0], LevelnessField(logits))
         q = (1, 1, 9, 9)
-        direct = location_probability([field.boxes], q)
+        direct = _max_iou([field], [_area(field)], q)
         viamax = self.maxlevel([lv0], q, (4, 4))
         assert np.allclose(direct, viamax)
 
@@ -350,7 +347,7 @@ class TestMaxLevelProbability:
             logits = np.zeros((8, 8, 3), np.float32)
             logits[..., pick] = 4.0
             field = assemble_global_boxes([lv0, lv1], LevelnessField(logits))
-            assert (location_probability([field.boxes], q) <= pmax + 1e-7).all()
+            assert (_max_iou([field], [_area(field)], q) <= pmax + 1e-7).all()
 
     def test_empty_field_list_rejected(self):
         sem = SemanticField(np.full((4, 4, 2), 0.5, np.float32))

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densepanoptic.fields import DenseBoxLevel, GlobalBoxField, SemanticField, default_level_specs
-from densepanoptic.geometry import _area, _iou_grid_from_areas, box_iou, iou_windows, receptive_centers
+from densepanoptic.fields import DenseBoxLevel, SemanticField, default_level_specs
+from densepanoptic.geometry import _area, _max_iou, box_iou, iou_windows, receptive_centers
 from densepanoptic.losses import mask_loss, match_queries
-from densepanoptic.maskcons import _max_iou, construct_masks
+from densepanoptic.maskcons import construct_masks
 from densepanoptic.pipeline import ConstructionParams, select_queries
 from densepanoptic.selection import QuerySet, assemble_global_boxes, resample_level_boxes
 from densepanoptic.synth import NoiseConfig, SceneConfig, generate_scene, ideal_predictions, perturb
@@ -22,11 +22,6 @@ from densepanoptic.synth import NoiseConfig, SceneConfig, generate_scene, ideal_
 F32_MAX = float(np.finfo(np.float32).max)
 N_STUFF, N_CLASSES = 1, 3
 STRIDES = (8, 16)
-
-
-def iou_grid(boxes: np.ndarray, box) -> np.ndarray:
-    """IoU of every box of one whole field against `box`."""
-    return _iou_grid_from_areas(boxes, _area(boxes), box)
 
 
 def full_masks(box_fields, sem: SemanticField, queries: QuerySet, sigma: float) -> np.ndarray:
@@ -38,7 +33,7 @@ def full_masks(box_fields, sem: SemanticField, queries: QuerySet, sigma: float) 
     return out
 
 
-def full_mask_loss(global_boxes: GlobalBoxField, queries: QuerySet, gt_boxes, gt_instances) -> float:
+def full_mask_loss(global_boxes: np.ndarray, queries: QuerySet, gt_boxes, gt_instances) -> float:
     """The mask loss with IoUs computed over the whole field."""
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     if len(queries) == 0 or len(g) == 0:
@@ -52,7 +47,7 @@ def full_mask_loss(global_boxes: GlobalBoxField, queries: QuerySet, gt_boxes, gt
         n_j = int(inside.sum())
         if n_j == 0:
             continue
-        ious = iou_grid(global_boxes.boxes, box).astype(np.float64)
+        ious = _max_iou([global_boxes], [_area(global_boxes)], box).astype(np.float64)
         e_fn = float((1.0 - ious[inside]).sum())
         e_fp = float(ious[~inside].sum())
         terms.append(box_iou(qboxes[i], g[j]) / n_j * (e_fp + e_fn))
@@ -182,10 +177,10 @@ SIGMAS = st.sampled_from([0.3, 0.05, 0.5, 0.95])
 def test_levelness_masks_match_full_frame(seed, hq, wq, sigma, kinds):
     rng = np.random.default_rng(seed)
     h, w = 4 * hq, 4 * wq
-    field = GlobalBoxField(hand_field(rng, h, w, ["near"] * 4 + kinds))
+    field = hand_field(rng, h, w, ["near"] * 4 + kinds)
     sem = semantics(rng, h, w)
-    queries = queries_for(rng, [field.boxes], sem, sigma, int(rng.integers(1, 12)), "huge" in kinds)
-    want = full_masks([field.boxes], sem, queries, sigma)
+    queries = queries_for(rng, [field], sem, sigma, int(rng.integers(1, 12)), "huge" in kinds)
+    want = full_masks([field], sem, queries, sigma)
     for threads in (1, 2):
         got = construct_masks(queries, sem, N_STUFF, sigma=sigma, global_boxes=field, threads=threads)
         assert np.array_equal(got, want)
@@ -216,9 +211,9 @@ def test_max_iou_masks_match_full_frame(seed, hq, wq, sigma, huge):
 def test_mask_loss_matches_full_frame(seed, hq, wq, kinds, cut):
     rng = np.random.default_rng(seed)
     h, w = 4 * hq, 4 * wq
-    field = GlobalBoxField(hand_field(rng, h, w, ["near"] * 4 + kinds))
+    field = hand_field(rng, h, w, ["near"] * 4 + kinds)
     # cut = 0.01 leaves queries overlapping a pixel box by a sliver only
-    queries = queries_for(rng, [field.boxes], semantics(rng, h, w), cut, int(rng.integers(1, 10)),
+    queries = queries_for(rng, [field], semantics(rng, h, w), cut, int(rng.integers(1, 10)),
                           "huge" in kinds)
     # gt boxes near the queries, so that most queries are matched
     gt = queries.boxes[rng.permutation(len(queries))[: int(rng.integers(1, len(queries) + 1))]]
@@ -232,7 +227,7 @@ def assert_windows_hold_positive_iou(fields: list[np.ndarray], query_boxes: np.n
     """No pixel of any field outside a query's window has a positive IoU with it."""
     for (ys, xs), box in zip(iou_windows(fields, query_boxes), query_boxes.tolist()):
         for field in fields:
-            outside = iou_grid(field, box) > 0
+            outside = _max_iou([field], [_area(field)], box) > 0
             outside[ys, xs] = False
             assert not outside.any()
 
@@ -283,7 +278,7 @@ def test_a_box_beyond_every_pixel_box_gets_an_empty_window():
     assert field[..., 2].max() <= box[0]
     (ys, xs), = iou_windows([field], np.array([box]))
     assert xs.start == xs.stop and ys.stop > ys.start
-    assert not iou_grid(field, box).any()
+    assert not _max_iou([field], [_area(field)], box).any()
 
 
 def test_windows_need_a_box_field():
@@ -304,12 +299,12 @@ def test_noisy_city_frame_matches_full_frame():
     gb = assemble_global_boxes(pred.levels, pred.levelness_field())
     masks = construct_masks(queries, sem, pred.n_stuff, global_boxes=gb)
     assert len(queries) > 20 and masks.any()
-    assert np.array_equal(masks, full_masks([gb.boxes], sem, queries, 0.3))
+    assert np.array_equal(masks, full_masks([gb], sem, queries, 0.3))
     fields = [resample_level_boxes(lv, sem.shape) for lv in pred.levels]
     assert np.array_equal(construct_masks(queries, sem, pred.n_stuff, levels=pred.levels),
                           full_masks(fields, sem, queries, 0.3))
     inst = scene.quarter_instance_map()
     assert mask_loss(gb, queries, scene.boxes, inst) == full_mask_loss(gb, queries, scene.boxes, inst)
     area = sum((ys.stop - ys.start) * (xs.stop - xs.start)
-               for ys, xs in iou_windows([gb.boxes], queries.boxes))
+               for ys, xs in iou_windows([gb], queries.boxes))
     assert area < 0.2 * len(queries) * sem.shape[0] * sem.shape[1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import LevelSpec, PanopticMap, as_uint16, check_labels, validate_level_specs
-from .geometry import boxes_to_offsets, boxes_valid, centerness, max_offset, receptive_centers
+from .geometry import _area, boxes_to_offsets, boxes_valid, centerness, max_offset, receptive_centers
 
 MODES = ("full", "weak")
 
@@ -96,7 +96,11 @@ class LevelTargets:
     offsets: np.ndarray
     class_ids: np.ndarray
     centerness: np.ndarray
-    foreground: np.ndarray
+
+    @property
+    def foreground(self) -> np.ndarray:
+        """Bool grid of the positive locations: those assigned a class."""
+        return self.class_ids != 0
 
 
 @dataclass
@@ -121,8 +125,7 @@ def assign_foreground(scene: GroundTruthScene, mode: str = "full") -> np.ndarray
     out = np.zeros((scene.height, scene.width), dtype=np.uint16)
     if scene.n_instances == 0:
         return out
-    areas = (scene.boxes[:, 2] - scene.boxes[:, 0]) * (scene.boxes[:, 3] - scene.boxes[:, 1])
-    areas = areas.astype(np.float64)
+    areas = _area(scene.boxes).astype(np.float64)
     # paint large boxes first and, within equal areas, high ids first: the
     # smallest box (lowest id on ties) is written last and wins overlaps
     order = np.lexsort((-np.arange(len(areas)), -areas))
@@ -202,17 +205,13 @@ def build_targets(
         vmax = max_offset(off)
         keep = (vmax > spec.min_size) & (vmax <= spec.max_size)
         yy, xx, ids, off = yy[keep], xx[keep], ids[keep], off[keep]
-        fg = np.zeros(shape, dtype=bool)
-        fg[yy, xx] = True
         offsets = np.zeros(shape + (4,), dtype=np.float32)
         offsets[yy, xx] = off
         cent = np.zeros(shape, dtype=np.float32)
         cent[yy, xx] = centerness(off)
         cls = np.zeros(shape, dtype=np.uint16)
         cls[yy, xx] = scene.instance_classes[ids - 1]
-        level_targets.append(
-            LevelTargets(stride=spec.stride, offsets=offsets, class_ids=cls, centerness=cent, foreground=fg)
-        )
+        level_targets.append(LevelTargets(stride=spec.stride, offsets=offsets, class_ids=cls, centerness=cent))
 
     yy, xx, _, off = owner_offsets(fg_map, boxes, 4)
     vmax = max_offset(off)

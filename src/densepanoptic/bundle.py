@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import MODES, GroundTruthScene, GlobalTargets, LevelTargets
-from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, check_labels,
-                     segment_keys, split_segment_key)
+from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, as_uint16,
+                     check_labels, segment_keys, split_segment_key)
 from .geometry import boxes_valid
 
 FORMAT = "tensor-bundle-v1"
@@ -158,7 +158,7 @@ _KINDS = {
                                    **_COUNTS, **_SIZE, "levels": _LEVELS},
                 {"levelness": "u16", "semantics": "u16", "gt_boxes": "f32", "gt_classes": "u16",
                  "gt_instances_quarter": "u16"},
-                {"offsets": "f32", "class": "u16", "centerness": "f32", "foreground": "u8"}),
+                {"offsets": "f32", "class": "u16", "centerness": "f32"}),
     "panoptic": ("panoptic archive", {**_COUNTS, "segments": _SEGMENTS},
                  {"class_map": "u16", "instance_map": "u16"}, {}),
 }
@@ -291,18 +291,22 @@ class TargetBundle:
 
 
 def save_targets(path, bundle: TargetBundle) -> None:
+    """Write `bundle` with every tensor cast to the element type `load_targets`
+    accepts; a u16 tensor holding a value the cast would change raises, naming it."""
+    def u16(name, values):
+        return as_uint16(values, f"tensor {name!r}")
+
     tensors = {
-        "levelness": bundle.global_targets.levelness,
-        "semantics": bundle.global_targets.semantics,
-        "gt_boxes": bundle.gt_boxes.astype(np.float32),
-        "gt_classes": bundle.gt_classes.astype(np.uint16),
-        "gt_instances_quarter": bundle.gt_instances_quarter.astype(np.uint16),
+        "levelness": u16("levelness", bundle.global_targets.levelness),
+        "semantics": u16("semantics", bundle.global_targets.semantics),
+        "gt_boxes": np.asarray(bundle.gt_boxes, dtype=np.float32),
+        "gt_classes": u16("gt_classes", bundle.gt_classes),
+        "gt_instances_quarter": u16("gt_instances_quarter", bundle.gt_instances_quarter),
     }
     for i, t in enumerate(bundle.level_targets):
-        tensors[f"level{i}_offsets"] = t.offsets
-        tensors[f"level{i}_class"] = t.class_ids
-        tensors[f"level{i}_centerness"] = t.centerness
-        tensors[f"level{i}_foreground"] = t.foreground.astype(np.uint8)
+        tensors[f"level{i}_offsets"] = np.asarray(t.offsets, dtype=np.float32)
+        tensors[f"level{i}_class"] = u16(f"level{i}_class", t.class_ids)
+        tensors[f"level{i}_centerness"] = np.asarray(t.centerness, dtype=np.float32)
     write_bundle(path, tensors, meta={
         "kind": "targets",
         "mode": bundle.mode,
@@ -340,8 +344,7 @@ def load_targets(path) -> TargetBundle:
         LevelTargets(stride=spec.stride,
                      offsets=tensors[f"level{i}_offsets"],
                      class_ids=tensors[f"level{i}_class"],
-                     centerness=tensors[f"level{i}_centerness"],
-                     foreground=tensors[f"level{i}_foreground"].astype(bool))
+                     centerness=tensors[f"level{i}_centerness"])
         for i, spec in enumerate(specs)
     ]
     return TargetBundle(

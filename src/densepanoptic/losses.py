@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,16 +38,7 @@ class LossReport:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "box_regression": self.box_regression,
-            "centerness": self.centerness,
-            "levelness": self.levelness,
-            "box_classification": self.box_classification,
-            "semantics": self.semantics,
-            "mask": self.mask,
-            "semantic_weight": self.semantic_weight,
-            "total": self.total,
-        }
+        return asdict(self)
 
     def format(self) -> str:
         d = self.as_dict()

@@ -170,7 +170,6 @@ def panoptic_quality(
     fp: set[Key],
     fn: set[Key],
     n_stuff: int,
-    n_things: int,
 ) -> tuple[float, float, float, dict[int, ClassStats]]:
     """Eq-style PQ from match results.
 
@@ -257,7 +256,7 @@ def evaluate_panoptic(pred: PanopticMap, gt: PanopticMap, n_stuff: int, n_things
     check_labels(gt_classes, gt_inst, n_stuff, n_things, "ground truth")
     check_labels(pred_classes, pred_inst, n_stuff, n_things, "prediction")
     matches, fp, fn = match_segments(pred, gt, pairs=pairs)
-    pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, n_stuff, n_things)
+    pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, n_stuff)
     miou, per_iou = _class_iou(gt_classes, pred_classes, pairs[2])
     return MetricsReport(pq=pq, pq_things=pq_th, pq_stuff=pq_st, miou=miou,
                          per_class=per, per_class_iou=per_iou)

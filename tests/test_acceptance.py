@@ -331,7 +331,7 @@ def test_03_closed_form_spot_checks(capfd):
     checks.append(("centerness=0.57735", abs(got - 0.57735) < 1e-5))
 
     pq, _, _, _ = panoptic_quality([SegmentMatch((4, 1), (4, 1), 0.8)],
-                                   {(4, 2)}, set(), n_stuff=3, n_things=3)
+                                   {(4, 2)}, set(), n_stuff=3)
     checks.append(("pq=0.8/1.5", abs(pq - 0.8 / 1.5) < 1e-12))
 
     # two-channel logits with per-pixel CE of exactly 1..10; worst 3 -> 9

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densepanoptic.assignment import build_targets
+from densepanoptic.assignment import GlobalTargets, build_targets
 from densepanoptic.bundle import (
     TargetBundle,
     colorize,
@@ -22,6 +22,7 @@ from densepanoptic.bundle import (
     write_ppm,
 )
 from densepanoptic.fields import PanopticMap, SegmentInfo, default_level_specs
+from densepanoptic.pipeline import compute_loss_report
 from densepanoptic.synth import NoiseConfig, SceneConfig, generate_scene, ideal_predictions, perturb
 
 
@@ -172,17 +173,25 @@ class TestPredictionBundle:
         assert len(str(exc.value).splitlines()) == 1
 
 
+def _targets_of(sc, specs) -> TargetBundle:
+    levels, glob = build_targets(sc, specs, "full")
+    return TargetBundle(
+        level_targets=levels, global_targets=glob,
+        gt_boxes=sc.boxes, gt_classes=sc.instance_classes,
+        gt_instances_quarter=sc.quarter_instance_map(),
+        specs=specs, n_stuff=sc.n_stuff, n_things=sc.n_things,
+        image_hw=(sc.height, sc.width), mode="full")
+
+
+def _loss_bits(report) -> bytes:
+    return np.array(list(report.as_dict().values()), dtype=np.float64).tobytes()
+
+
 class TestTargetBundle:
     def test_round_trip(self, tmp_path):
         sc = generate_scene(SceneConfig(width=256, height=128, instances=4, seed=7))
-        specs = default_level_specs()
-        levels, glob = build_targets(sc, specs, "full")
-        bundle = TargetBundle(
-            level_targets=levels, global_targets=glob,
-            gt_boxes=sc.boxes, gt_classes=sc.instance_classes,
-            gt_instances_quarter=sc.quarter_instance_map(),
-            specs=specs, n_stuff=sc.n_stuff, n_things=sc.n_things,
-            image_hw=(sc.height, sc.width), mode="full")
+        bundle = _targets_of(sc, default_level_specs())
+        levels, glob = bundle.level_targets, bundle.global_targets
         save_targets(tmp_path / "targets", bundle)
         back = load_targets(tmp_path / "targets")
         assert back.mode == "full"
@@ -197,6 +206,48 @@ class TestTargetBundle:
         assert (back.global_targets.semantics == glob.semantics).all()
         assert (back.gt_boxes == sc.boxes).all()
         assert (back.gt_instances_quarter == sc.quarter_instance_map()).all()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_integer_levelness_saves_as_u16(self, tmp_path, dtype):
+        sc = generate_scene(SceneConfig(width=128, height=128, instances=3, seed=7))
+        bundle = _targets_of(sc, default_level_specs())
+        save_targets(tmp_path / "u16", bundle)
+        glob = bundle.global_targets
+        bundle.global_targets = GlobalTargets(levelness=glob.levelness.astype(dtype), semantics=glob.semantics)
+        save_targets(tmp_path / "other", bundle)
+        files = sorted(p.name for p in (tmp_path / "u16").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "other").iterdir())
+        for name in files:
+            assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "u16" / name).read_bytes(), name
+        assert (load_targets(tmp_path / "other").global_targets.levelness == glob.levelness).all()
+
+    def test_a_class_id_past_uint16_is_refused_on_save(self, tmp_path):
+        sc = generate_scene(SceneConfig(width=128, height=128, instances=3, seed=7))
+        bundle = _targets_of(sc, default_level_specs())
+        t = bundle.level_targets[0]
+        t.class_ids = t.class_ids.astype(np.int64)
+        t.class_ids[0, 0] = 70000
+        with pytest.raises(ValueError, match="tensor 'level0_class' must hold integers in") as exc:
+            save_targets(tmp_path / "targets", bundle)
+        assert len(str(exc.value).splitlines()) == 1
+
+    def test_a_stored_foreground_tensor_is_ignored(self, tmp_path):
+        # foreground is class != 0 and is not saved; a leftover level0_foreground
+        # tensor (older bundles wrote one) that disagrees with level0_class
+        # changes no loss bit
+        sc = generate_scene(SceneConfig(width=256, height=128, instances=4, seed=7))
+        specs = default_level_specs()
+        pred = perturb(ideal_predictions(sc, specs),
+                       NoiseConfig(offset_std=2.0, centerness_std=0.1, semantic_flip_prob=0.05, seed=1))
+        bundle = _targets_of(sc, specs)
+        save_targets(tmp_path / "targets", bundle)
+        assert not list((tmp_path / "targets").glob("*foreground*"))
+        tensors, meta = read_bundle(tmp_path / "targets")
+        stale = (tensors["level0_class"] == 0).astype(np.uint8)
+        write_bundle(tmp_path / "stale", {**tensors, "level0_foreground": stale}, meta)
+        expect = _loss_bits(compute_loss_report(pred, bundle))
+        assert _loss_bits(compute_loss_report(pred, load_targets(tmp_path / "targets"))) == expect
+        assert _loss_bits(compute_loss_report(pred, load_targets(tmp_path / "stale"))) == expect
 
 
 class TestPanopticArchive:
@@ -338,7 +389,7 @@ class TestMetaSchema:
         pytest.param("scene", _drop_tensor("boxes"), "'boxes'", id="scene-boxes-1"),
         pytest.param("targets", _set_meta("mode", "boxes"), "'mode'", id="targets-mode-1"),
         pytest.param("targets", _set_first("levels", "min_size", None), "'levels'", id="targets-levels-1"),
-        pytest.param("targets", _drop_tensor("level0_foreground"), "'level0_foreground'", id="targets-level0_foreground-1"),
+        pytest.param("targets", _drop_tensor("level0_class"), "'level0_class'", id="targets-level0_class-1"),
         pytest.param("panoptic", _set_first("segments", "score", "high"), "'segments'", id="panoptic-segments-1"),
         pytest.param("panoptic", _set_first("segments", "area", False), "'segments'", id="panoptic-segments-2"),
         pytest.param("panoptic", lambda m: m["meta"].pop("n_things"), "'n_things'", id="panoptic-n_things-1"),

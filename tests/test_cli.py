@@ -415,7 +415,7 @@ def _retype(bundle_dir, tensor, dtype):
                  id="scene"),
     pytest.param("preds", "level0_centerness", "u8", "f32", ["construct", "--preds", "preds", "--out", "p2"],
                  id="predictions"),
-    pytest.param("targets", "level0_foreground", "f32", "u8",
+    pytest.param("targets", "level0_class", "f32", "u16",
                  ["loss", "--preds", "preds", "--targets", "targets"], id="targets"),
     pytest.param("pan", "class_map", "f32", "u16", ["evaluate", "--pred", "pan", "--gt", "scene"], id="panoptic"),
 ])
@@ -451,7 +451,7 @@ def test_loss_rejects_bad_target_values(tmp_path, capsys, tensor, value):
         "--instances", "2", "--preds-out", str(tmp_path / "preds"))
     run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
     # a foreground cell, where the tampered value reaches a loss
-    fg = np.flatnonzero(np.frombuffer((tmp_path / "targets" / "level0_foreground.bin").read_bytes(), np.uint8))
+    fg = np.flatnonzero(np.frombuffer((tmp_path / "targets" / "level0_class.bin").read_bytes(), "<u2"))
     index = {"gt_boxes": 0, "level0_offsets": 4 * fg[0], "level0_centerness": fg[0]}[tensor]
     _write_value(tmp_path / "targets" / f"{tensor}.bin", index, value)
     code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))

@@ -103,7 +103,7 @@ class TestPanopticQuality:
     def test_perfect(self):
         gt = pmap([[1, 4], [1, 4]], [[0, 1], [0, 1]])
         matches, fp, fn = match_segments(gt, gt)
-        pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, n_stuff=1, n_things=1)
+        pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, n_stuff=1)
         assert pq == 1.0 and pq_th == 1.0 and pq_st == 1.0
         for stats in per.values():
             assert stats.pq == 1.0 and stats.sq == 1.0 and stats.rq == 1.0
@@ -112,12 +112,12 @@ class TestPanopticQuality:
         from densepanoptic.metrics import SegmentMatch
 
         matches = [SegmentMatch(gt_key=(4, 1), pred_key=(4, 1), iou=0.8)]
-        pq, pq_th, _, per = panoptic_quality(matches, {(4, 2)}, set(), 1, 1)
+        pq, pq_th, _, per = panoptic_quality(matches, {(4, 2)}, set(), 1)
         assert pq == pytest.approx(0.8 / 1.5)
         assert per[4].tp == 1 and per[4].fp == 1 and per[4].fn == 0
 
     def test_single_fn(self):
-        pq, _, _, per = panoptic_quality([], set(), {(4, 1)}, 1, 1)
+        pq, _, _, per = panoptic_quality([], set(), {(4, 1)}, 1)
         assert pq == 0.0
         assert per[4].fn == 1
 
@@ -125,7 +125,7 @@ class TestPanopticQuality:
         from densepanoptic.metrics import SegmentMatch
 
         matches = [SegmentMatch(gt_key=(2, 1), pred_key=(2, 1), iou=1.0)]
-        pq, pq_th, pq_st, per = panoptic_quality(matches, set(), set(), 1, 3)
+        pq, pq_th, pq_st, per = panoptic_quality(matches, set(), set(), 1)
         assert set(per) == {2}
         assert pq == 1.0 and pq_th == 1.0 and pq_st == 0.0
 
@@ -134,7 +134,7 @@ class TestPanopticQuality:
         gt = random_pmap(rng, 24, 24)
         pred = random_pmap(rng, 24, 24)
         matches, fp, fn = match_segments(pred, gt)
-        _, _, _, per = panoptic_quality(matches, fp, fn, 2, 2)
+        _, _, _, per = panoptic_quality(matches, fp, fn, 2)
         for stats in per.values():
             if stats.tp:
                 assert stats.pq == pytest.approx(stats.sq * stats.rq, abs=1e-12)
@@ -166,7 +166,7 @@ class TestPanopticQuality:
             add_stray_ids(rng, gt)
             add_stray_ids(rng, pred)
             matches, fp, fn = match_segments(pred, gt)
-            pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, 2, 2)
+            pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, 2)
             rpq, rpq_th, rpq_st, rper = pq_ref(
                 pred.class_map.tolist(), pred.instance_map.tolist(),
                 gt.class_map.tolist(), gt.instance_map.tolist(), 2)
@@ -296,7 +296,7 @@ class TestEvaluatePanoptic:
             pred, gt = maps
             report = evaluate_panoptic(pred, gt, 2, 2)
             matches, fp, fn = match_segments(pred, gt)
-            pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, 2, 2)
+            pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, 2)
             miou, per_iou = mean_iou(pred.class_map, gt.class_map)
             assert report == MetricsReport(pq, pq_th, pq_st, miou, per, per_iou)
             # the shift changes no segment but makes the dense table outgrow the frame,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .assignment import MODES, GroundTruthScene, GlobalTargets, LevelTargets
 from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, as_uint16,
-                     check_labels, segment_keys, split_segment_key)
+                     check_labels, segment_labels)
 from .geometry import boxes_valid
 
 FORMAT = "tensor-bundle-v1"
@@ -323,7 +323,12 @@ def load_targets(path) -> TargetBundle:
     _check_kind(tensors, meta, "targets", path)
     specs = _specs_from_meta(meta["levels"])
     n_stuff, n_classes = meta["n_stuff"], meta["n_stuff"] + meta["n_things"]
+    quarter = (meta["height"] // 4, meta["width"] // 4)
+    shapes = {"levelness": quarter, "semantics": quarter, "gt_instances_quarter": quarter,
+              **{f"level{i}_{t}": (meta["height"] // s.stride, meta["width"] // s.stride, *tail)
+                 for i, s in enumerate(specs) for t, tail in (("class", ()), ("offsets", (4,)), ("centerness", ()))}}
     _check_values(path, tensors, [
+        *((name, lambda a, shape=shape: a.shape == shape, f"of shape {shape}") for name, shape in shapes.items()),
         ("semantics", lambda c: c.min(initial=1) >= 1 and c.max(initial=1) <= n_classes,
          f"class ids in [1, {n_classes}]"),
         ("levelness", lambda v: v.min(initial=0) >= 0 and v.max(initial=0) <= len(specs),
@@ -412,15 +417,16 @@ def _palette_color(class_id: int, instance_id: int) -> tuple[int, int, int]:
 
 
 def colorize(class_map: np.ndarray, instance_map: np.ndarray) -> np.ndarray:
-    """Deterministic (h, w, 3) uint8 rendering of a panoptic labeling."""
-    class_map = np.asarray(class_map)
-    instance_map = np.asarray(instance_map)
+    """Deterministic (h, w, 3) uint8 rendering of a panoptic labeling; both maps
+    must hold integers in [0, 65535] (`as_uint16`)."""
+    class_map = as_uint16(class_map, "class_map")
+    instance_map = as_uint16(instance_map, "instance_map")
     if class_map.shape != instance_map.shape:
         raise ValueError("map shapes differ")
-    keys = segment_keys(class_map, instance_map)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    palette = np.array([_palette_color(*split_segment_key(k)) for k in uniq.tolist()], dtype=np.uint8)
-    return palette.reshape(-1, 3)[inverse.reshape(keys.shape)]
+    labels, n_inst, _ = segment_labels(class_map, instance_map)
+    uniq, inverse = np.unique(labels, return_inverse=True)
+    palette = np.array([_palette_color(*divmod(k, n_inst)) for k in uniq.tolist()], dtype=np.uint8)
+    return palette.reshape(-1, 3)[inverse.reshape(labels.shape)]
 
 
 def write_ppm(path, image: np.ndarray) -> None:

@@ -10,11 +10,11 @@ import argparse
 import sys
 
 from . import bundle
-from .assignment import build_targets
+from .assignment import MODES, build_targets
 from .fields import default_level_specs
 from .metrics import evaluate_panoptic
-from .pipeline import ConstructionParams, compute_loss_report, construct_panoptic
-from .synth import NoiseConfig, SceneConfig, generate_scene, ideal_predictions, perturb
+from .pipeline import ASSEMBLY_MODES, ConstructionParams, compute_loss_report, construct_panoptic
+from .synth import SHAPES, NoiseConfig, SceneConfig, generate_scene, ideal_predictions, perturb
 
 
 def _add_synth(sub):
@@ -29,14 +29,14 @@ def _add_synth(sub):
     p.add_argument("--max-same-iou", type=float, default=0.3)
     p.add_argument("--max-cross-iou", type=float, default=None,
                    help="pairwise cap across classes; 0 forces disjoint boxes")
-    p.add_argument("--shape", choices=["rectangle", "ellipse"], default="rectangle")
+    p.add_argument("--shape", choices=SHAPES, default="rectangle")
     p.add_argument("--min-size", type=int, default=16)
     p.add_argument("--max-size", type=int, default=56)
     p.add_argument("--centered", action="store_true",
                    help="small disjoint rectangles centered on receptive centers")
     p.add_argument("--min-stuff-area", type=int, default=0)
     p.add_argument("--preds-out", help="also write a prediction bundle here")
-    p.add_argument("--mode", choices=["full", "weak"], default="full",
+    p.add_argument("--mode", choices=MODES, default="full",
                    help="supervision mode for the prediction bundle")
     p.add_argument("--levels", type=int, default=5, help="pyramid levels in predictions")
     p.add_argument("--noise-offset-std", type=float, default=0.0)
@@ -75,7 +75,7 @@ def _add_targets(sub):
     p = sub.add_parser("targets", help="build training targets from a scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["full", "weak"], default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--levels", type=int, default=5)
     p.set_defaults(func=cmd_targets)
 
@@ -104,7 +104,7 @@ def _add_construct(sub):
     p.add_argument("--nms-iou", type=float, default=0.6)
     p.add_argument("--score-thresh", type=float, default=0.05)
     p.add_argument("--topk", type=int, default=1000)
-    p.add_argument("--assembly", choices=["levelness", "max-iou"], default="levelness")
+    p.add_argument("--assembly", choices=ASSEMBLY_MODES, default="levelness")
     p.add_argument("--stuff-area-min", type=int, default=4096)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--ppm", action="store_true", help="also write a colorized view.ppm")

@@ -4,8 +4,9 @@ Class-id convention used throughout the package: 0 is void, 1..n_stuff are
 stuff classes, n_stuff+1..n_stuff+n_things are thing classes. Levelness ids:
 0 is background, 1..L name the pyramid levels from finest to coarsest.
 
-Panoptic labelings (class map plus instance map) are counted (`pair_counts`,
-`label_counts`) and checked (`check_labels`) here only.
+Panoptic labelings (class map plus instance map) are encoded as one segment
+label per pixel (`segment_labels`), counted (`pair_counts`, `label_counts`)
+and checked (`check_labels`) here only.
 """
 
 from __future__ import annotations
@@ -129,11 +130,6 @@ class SemanticField:
                 raise ValueError("semantic probs must sum to 1 per pixel")
 
     @property
-    def probs(self) -> np.ndarray:
-        """The probabilities as a read-only (h, w, N) view of the planes."""
-        return np.moveaxis(self.planes, 0, 2)
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.planes.shape[1:]
 
@@ -162,11 +158,6 @@ class LevelnessField:
         self.planes = _readonly_planes(np.moveaxis(logits, 2, 0))
         if not np.isfinite(self.planes).all():
             raise ValueError("levelness logits must be finite")
-
-    @property
-    def logits(self) -> np.ndarray:
-        """The logits as a read-only (h, w, L+1) view of the planes."""
-        return np.moveaxis(self.planes, 0, 2)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -280,17 +271,17 @@ class PanopticMap:
         return classes, ids, counts
 
 
-def segment_keys(class_map: np.ndarray, instance_map: np.ndarray) -> np.ndarray:
-    """Per-pixel uint32 segment key class << 16 | instance; void (class 0) is key 0."""
-    keys = class_map.astype(np.uint32) << np.uint32(16)
-    keys |= instance_map.astype(np.uint32)
-    keys[class_map == 0] = 0
-    return keys
-
-
-def split_segment_key(key):
-    """(class, instance) of a segment key; works on ints and integer arrays."""
-    return key >> 16, key & 0xFFFF
+def segment_labels(class_map: np.ndarray, instance_map: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Per-pixel segment label class * n_inst + instance of uint16 maps, n_inst =
+    max instance + 1, with n_inst and the label count n; labels ascend in
+    (class, instance) order, `divmod(label, n_inst)` is the pair, and they are
+    uint16 whenever n fits, which halves the memory traffic."""
+    n_inst = int(instance_map.max(initial=0)) + 1
+    n = (int(class_map.max(initial=0)) + 1) * n_inst
+    dtype = np.uint16 if n < 1 << 16 else np.uint32
+    labels = np.multiply(class_map, dtype(n_inst), dtype=dtype)
+    labels += instance_map
+    return labels, n_inst, n
 
 
 def segment_table(class_map: np.ndarray, instance_map: np.ndarray, instances: list[tuple[int, float]],
@@ -400,10 +391,6 @@ class DensePrediction:
                 raise ValueError("level grid must be image size over stride")
             if lv.n_thing_classes != self.n_things:
                 raise ValueError("level class channels must equal n_things")
-
-    @property
-    def quarter_hw(self) -> tuple[int, int]:
-        return (self.image_hw[0] // 4, self.image_hw[1] // 4)
 
     def semantic_field(self) -> SemanticField:
         return SemanticField(softmax_field(self.semantic_logits))

@@ -6,8 +6,8 @@ they are excluded from match unions and from the semantic confusion matrix,
 and predictions mostly covering void are discarded rather than counted as
 false positives. `evaluate_panoptic` reads both metrics from one table of
 pixel counts per (gt segment, pred segment) pair, counted once per frame.
-The counting (`pair_counts`) and the rules a labeling must obey
-(`check_labels`) live in fields.py.
+The segment labels (`segment_labels`), their counting (`pair_counts`) and
+the rules a labeling must obey (`check_labels`) live in fields.py.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Pairs, PanopticMap, check_labels, pair_counts, segment_keys, split_segment_key
+from .fields import PanopticMap, check_labels, pair_counts, segment_labels
 
 Key = tuple[int, int]
 
@@ -92,34 +92,20 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _segment_labels(pmap: PanopticMap) -> tuple[np.ndarray, int, int]:
-    """Per-pixel label class * n_inst + instance, n_inst = max instance + 1, with
-    n_inst and the label count; labels keep the (class, instance) order and
-    are uint16 whenever they fit, which halves the memory traffic."""
-    n_inst = int(pmap.instance_map.max(initial=0)) + 1
-    n = (int(pmap.class_map.max(initial=0)) + 1) * n_inst
-    dtype = np.uint16 if n < 1 << 16 else np.uint32
-    labels = np.multiply(pmap.class_map, dtype(n_inst), dtype=dtype)
-    labels += pmap.instance_map
-    return labels, n_inst, n
-
-
-def _segment_pairs(pred: PanopticMap, gt: PanopticMap) -> Pairs:
-    """(gt key, pred key, pixel count) rows of every overlapping pair of segments.
-
-    Every class-0 label folds to the void key 0, so several rows may carry
-    key 0 on either side; the other rows ascend in (gt key, pred key) order.
-    """
+def _segment_pairs(pred: PanopticMap, gt: PanopticMap) -> tuple[np.ndarray, ...]:
+    """(gt class, gt instance, pred class, pred instance, pixel count) rows of
+    every overlapping pair of segments, as integer arrays in ascending (gt,
+    pred) order; a void segment is one whose class is 0, whatever its instance."""
     if pred.shape != gt.shape:
         raise ValueError(f"resolution mismatch: {pred.shape} vs {gt.shape}")
-    g_labels, g_inst, g_n = _segment_labels(gt)
-    p_labels, p_inst, p_n = _segment_labels(pred)
+    g_labels, g_inst, g_n = segment_labels(gt.class_map, gt.instance_map)
+    p_labels, p_inst, p_n = segment_labels(pred.class_map, pred.instance_map)
     g, p, counts = pair_counts(g_labels, g_n, p_labels, p_n)
-    return segment_keys(*np.divmod(g, g_inst)), segment_keys(*np.divmod(p, p_inst)), counts
+    return (*np.divmod(g, g_inst), *np.divmod(p, p_inst), counts)
 
 
 def match_segments(pred: PanopticMap, gt: PanopticMap,
-                   pairs: Pairs | None = None) -> tuple[list[SegmentMatch], set[Key], set[Key]]:
+                   pairs: tuple[np.ndarray, ...] | None = None) -> tuple[list[SegmentMatch], set[Key], set[Key]]:
     """Pair predicted and ground-truth segments of equal class at IoU > 0.5.
 
     IoU unions ignore gt-void pixels. Returns (matches, fp_keys, fn_keys)
@@ -131,36 +117,37 @@ def match_segments(pred: PanopticMap, gt: PanopticMap,
     """
     if pairs is None:
         pairs = _segment_pairs(pred, gt)
-    gt_areas: dict[int, int] = {}
-    pred_areas: dict[int, int] = {}
-    inter: dict[tuple[int, int], int] = {}
-    void_inter: dict[int, int] = {}
-    for g, p, c in zip(*(col.tolist() for col in pairs)):
-        if g != 0:
+    gt_areas: dict[Key, int] = {}
+    pred_areas: dict[Key, int] = {}
+    inter: dict[tuple[Key, Key], int] = {}
+    void_inter: dict[Key, int] = {}
+    for gc, gi, pc, pi, c in zip(*(col.tolist() for col in pairs)):
+        g, p = (gc, gi), (pc, pi)
+        if gc != 0:
             gt_areas[g] = gt_areas.get(g, 0) + c
-        if p != 0:
+        if pc != 0:
             pred_areas[p] = pred_areas.get(p, 0) + c
-            if g != 0:
-                inter[(g, p)] = c  # nonzero keys are never folded, so each pair has one row
+            if gc != 0:
+                inter[(g, p)] = c  # each pair of segments has one row
             else:
                 void_inter[p] = void_inter.get(p, 0) + c
 
     matches: list[SegmentMatch] = []
-    matched_gt: set[int] = set()
-    matched_pred: set[int] = set()
+    matched_gt: set[Key] = set()
+    matched_pred: set[Key] = set()
     for (g, p), ov in inter.items():
-        if split_segment_key(g)[0] != split_segment_key(p)[0]:
+        if g[0] != p[0]:
             continue
         iou = ov / (gt_areas[g] + pred_areas[p] - ov - void_inter.get(p, 0))
         if iou > 0.5:
             if g in matched_gt or p in matched_pred:
                 raise RuntimeError("non-unique match above IoU 0.5; maps are inconsistent")
-            matches.append(SegmentMatch(gt_key=split_segment_key(g), pred_key=split_segment_key(p), iou=iou))
+            matches.append(SegmentMatch(gt_key=g, pred_key=p, iou=iou))
             matched_gt.add(g)
             matched_pred.add(p)
 
-    fn = {split_segment_key(g) for g in gt_areas if g not in matched_gt}
-    fp = {split_segment_key(p) for p, area in pred_areas.items()
+    fn = {g for g in gt_areas if g not in matched_gt}
+    fp = {p for p, area in pred_areas.items()
           if p not in matched_pred and void_inter.get(p, 0) / area <= 0.5}
     return matches, fp, fn
 
@@ -247,16 +234,16 @@ def _class_iou(gt_classes: np.ndarray, pred_classes: np.ndarray,
 def evaluate_panoptic(pred: PanopticMap, gt: PanopticMap, n_stuff: int, n_things: int) -> MetricsReport:
     """Full evaluation: segment matching, PQ means and semantic mIoU.
 
-    The frame's (gt key, pred key) pair table is counted once; matching reads
-    it, and the class table behind mIoU is its grouping by key >> 16. Each
-    side's labels must pass `check_labels`.
+    The frame's segment pair table is counted once; matching reads it, and
+    the class table behind mIoU is its class columns. Each side's labels must
+    pass `check_labels`.
     """
     pairs = _segment_pairs(pred, gt)
-    (gt_classes, gt_inst), (pred_classes, pred_inst) = (split_segment_key(keys) for keys in pairs[:2])
+    gt_classes, gt_inst, pred_classes, pred_inst, counts = pairs
     check_labels(gt_classes, gt_inst, n_stuff, n_things, "ground truth")
     check_labels(pred_classes, pred_inst, n_stuff, n_things, "prediction")
     matches, fp, fn = match_segments(pred, gt, pairs=pairs)
     pq, pq_th, pq_st, per = panoptic_quality(matches, fp, fn, n_stuff)
-    miou, per_iou = _class_iou(gt_classes, pred_classes, pairs[2])
+    miou, per_iou = _class_iou(gt_classes, pred_classes, counts)
     return MetricsReport(pq=pq, pq_things=pq_th, pq_stuff=pq_st, miou=miou,
                          per_class=per, per_class_iou=per_iou)

@@ -172,7 +172,7 @@ def test_02_vectorized_stages_match_scalar_references(capfd):
         qcls = rng.integers(n_stuff + 1, n_classes + 1, nq)
         queries = QuerySet(qb, qcls, 1.0 - np.arange(nq) * 1e-4, np.zeros(nq))
         got = construct_masks(queries, sem, n_stuff, sigma=0.3, global_boxes=field)
-        want = construct_masks_ref(field, sem.probs,
+        want = construct_masks_ref(field, np.moveaxis(sem.planes, 0, 2),
                                    [(tuple(qb[i]), int(qcls[i])) for i in range(nq)], 0.3)
         assert np.array_equal(got, np.asarray(want, dtype=bool))
     devs["mask"] = 0.0
@@ -506,7 +506,7 @@ def test_07_mask_construction_speedups(capfd):
     oracle. Runs on every machine; the thread half is test_07_thread_speedup."""
     gb, sem, queries = make_bench_inputs(256, 512, 50, seed=0)
     vectorized = _median_mask_seconds(gb, sem, queries, threads=1)
-    boxes, probs = gb.tolist(), sem.probs.tolist()
+    boxes, probs = gb.tolist(), np.moveaxis(sem.planes, 0, 2).tolist()
     rows = list(zip(queries.boxes.tolist(), queries.classes.tolist()))
     naive = _seconds(lambda: construct_masks_ref(boxes, probs, rows, sigma=0.3))
     speedup = naive / vectorized

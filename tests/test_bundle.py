@@ -327,6 +327,24 @@ class TestColorize:
         assert out.dtype == np.uint8 and out.tobytes() == ref.tobytes()
         assert (out[cm == 0] == 0).all()
 
+    def test_integer_maps_render_as_uint16(self):
+        cm = np.array([[0, 3, 65535], [1, 1, 2]])
+        im = np.array([[7, 0, 65535], [0, 2, 1]])
+        want = colorize(cm.astype(np.uint16), im.astype(np.uint16))
+        for dtype in (np.int64, np.int32, np.uint32, np.float64):
+            assert colorize(cm.astype(dtype), im.astype(dtype)).tobytes() == want.tobytes(), dtype
+        assert colorize(cm.tolist(), im.tolist()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cm, im, name", [
+        pytest.param([[70000]], [[0]], "class_map", id="class-above-65535"),
+        pytest.param([[-1]], [[0]], "class_map", id="negative-class"),
+        pytest.param([[4]], [[-1]], "instance_map", id="negative-instance"),
+        pytest.param([[4]], [[1.5]], "instance_map", id="fractional-instance"),
+    ])
+    def test_values_a_uint16_cast_would_change_raise(self, cm, im, name):
+        with pytest.raises(ValueError, match=f"{name} must hold integers in \\[0, 65535\\]"):
+            colorize(np.array(cm), np.array(im))
+
     def test_ppm_writer_shape_checked(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 4), np.uint8))

@@ -460,6 +460,31 @@ def test_loss_rejects_bad_target_values(tmp_path, capsys, tensor, value):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("tensor, dtype, shape", [
+    pytest.param("level0_class", "<u2", (32, 64), id="class"),
+    pytest.param("level0_offsets", "<f4", (32, 64, 4), id="offsets"),
+    pytest.param("level0_centerness", "<f4", (32, 64), id="centerness"),
+    pytest.param("semantics", "<u2", (64, 128), id="semantics"),
+])
+def test_loss_rejects_a_transposed_target_tensor(tmp_path, capsys, tensor, dtype, shape):
+    run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "512", "--height", "256",
+        "--instances", "4", "--preds-out", str(tmp_path / "preds"))
+    run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
+    raw = tmp_path / "targets" / f"{tensor}.bin"
+    grid = np.frombuffer(raw.read_bytes(), dtype).reshape(shape)
+    raw.write_bytes(np.ascontiguousarray(grid.swapaxes(0, 1)).tobytes())
+    mpath = tmp_path / "targets" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    entry = next(e for e in manifest["tensors"] if e["name"] == tensor)
+    assert entry["shape"] == list(shape)
+    entry["shape"] = [shape[1], shape[0], *shape[2:]]
+    mpath.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"tensor '{tensor}' must be of shape {shape}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_loss_rejects_instance_ids_past_the_boxes(tmp_path, capsys):
     run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
         "--instances", "2", "--preds-out", str(tmp_path / "preds"))

@@ -18,10 +18,9 @@ from densepanoptic.fields import (
     label_counts,
     plane_argmax,
     plane_sum,
-    segment_keys,
+    segment_labels,
     segment_table,
     softmax_field,
-    split_segment_key,
     upsample_nearest,
     validate_level_specs,
 )
@@ -232,17 +231,39 @@ class TestPanopticMap:
             pm.validate()
 
 
-class TestSegmentKeys:
-    def test_key_round_trip_and_void(self):
-        cm = np.array([[0, 3, 65535], [0, 1, 2]], np.uint16)
-        im = np.array([[7, 0, 65535], [0, 2, 1]], np.uint16)
-        keys = segment_keys(cm, im)
-        assert keys.dtype == np.uint32
-        assert keys.tolist() == [[0, 3 << 16, 0xFFFFFFFF], [0, (1 << 16) | 2, (2 << 16) | 1]]
-        cls, inst = split_segment_key(keys)
-        assert (cls == cm).all()
-        assert (inst == np.where(cm == 0, 0, im)).all()
-        assert split_segment_key(int(keys[1, 1])) == (1, 2)
+class TestSegmentLabels:
+    def test_labels_ascend_in_pair_order_and_divmod_to_the_pair(self):
+        cm = np.array([[0, 3, 5], [0, 1, 2], [3, 5, 1]], np.uint16)
+        im = np.array([[7, 0, 2], [0, 2, 1], [1, 0, 2]], np.uint16)
+        labels, n_inst, n = segment_labels(cm, im)
+        assert (n_inst, n) == (8, 48) and labels.dtype == np.uint16
+        pairs = [divmod(k, n_inst) for k in labels.ravel().tolist()]
+        assert pairs == list(zip(cm.ravel().tolist(), im.ravel().tolist()))
+        uniq = np.unique(labels).tolist()
+        assert [divmod(k, n_inst) for k in uniq] == sorted(set(pairs))
+        assert labels.max() < n
+
+    @pytest.mark.parametrize("max_class, max_inst, dtype", [
+        (4, 13106, np.uint16),  # n = 5 * 13107 = 65535
+        (254, 255, np.uint16),  # n = 255 * 256 = 65280
+        (255, 255, np.uint32),  # n = 256 * 256 = 65536
+        (65535, 0, np.uint32),  # n = 65536
+        (0, 65535, np.uint32),  # n = 65536
+    ])
+    def test_labels_are_uint16_below_65536(self, max_class, max_inst, dtype):
+        cm = np.array([[0, max_class]], np.uint16)
+        im = np.array([[max_inst, 0]], np.uint16)
+        labels, n_inst, n = segment_labels(cm, im)
+        assert n == (max_class + 1) * (max_inst + 1)
+        assert labels.dtype == dtype
+        assert [divmod(k, n_inst) for k in labels.ravel().tolist()] == [(0, max_inst), (max_class, 0)]
+
+    def test_largest_pair_reaches_the_top_uint32_label(self):
+        cm = np.array([[65535, 0], [1, 65535]], np.uint16)
+        im = np.array([[65535, 0], [65535, 0]], np.uint16)
+        labels, n_inst, n = segment_labels(cm, im)
+        assert (n_inst, n) == (1 << 16, 1 << 32) and labels.dtype == np.uint32
+        assert labels.tolist() == [[2 ** 32 - 1, 0], [2 * 65536 - 1, 65535 * 65536]]
 
     def test_segment_table(self):
         cm = np.array([[1, 1, 4], [2, 5, 0], [3, 3, 3]], np.uint16)
@@ -388,7 +409,7 @@ class TestSoftmax:
         rng = np.random.default_rng(seed)
         logits = rng.normal(0, 5, (4, 5, 6)).astype(np.float32)
         f = SemanticField(softmax_field(logits))  # constructor checks sums
-        assert f.probs.shape == (4, 5, 6)
+        assert f.planes.shape == (6, 4, 5)
 
 
 def _planes(x: np.ndarray) -> np.ndarray:
@@ -440,8 +461,7 @@ class TestPlaneReductions:
             specs=default_level_specs(1), n_stuff=1, n_things=n_ch - 1, image_hw=(16, 24))
         sem = pred.semantic_field()
         want = softmax_rows_ref(logits)
-        assert sem.probs.shape == want.shape
-        assert np.ascontiguousarray(sem.probs).tobytes() == want.tobytes()
+        assert sem.planes.tobytes() == _planes(want).tobytes()
         assert softmax_field(logits).tobytes() == want.tobytes()
         assert (sem.argmax_classes() == np.argmax(want, axis=-1) + 1).all()
 
@@ -456,7 +476,7 @@ class TestPlaneReductions:
     def test_field_views_are_read_only(self):
         sem = SemanticField(np.full((2, 3, 4), 0.25, np.float32))
         lev = LevelnessField(np.zeros((2, 3, 2), np.float32))
-        for view in (sem.probs, sem.planes, lev.logits, lev.planes):
+        for view in (sem.planes, lev.planes):
             with pytest.raises(ValueError, match="read-only"):
                 view[0, 0, 0] = 1.0
         planes = np.full((4, 2, 3), 0.25, np.float32)

@@ -69,7 +69,7 @@ class TestConstructMasks:
         field, sem, queries = self._setup()
         got = construct_masks(queries, sem, n_stuff=2, sigma=0.3, global_boxes=field)
         want = np.array(construct_masks_ref(
-            field.tolist(), sem.probs.tolist(),
+            field.tolist(), np.moveaxis(sem.planes, 0, 2).tolist(),
             [(q.box, q.class_id) for q in queries],
             0.3), dtype=bool)
         assert got.shape == want.shape

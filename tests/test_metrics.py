@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densepanoptic.fields import PanopticMap, SegmentInfo, segment_keys, split_segment_key
+from densepanoptic.fields import PanopticMap, SegmentInfo, label_counts
 from densepanoptic.metrics import (
     ClassStats,
     MetricsReport,
@@ -16,9 +16,8 @@ from densepanoptic.metrics import (
 def pmap(class_map, inst_map):
     cm = np.asarray(class_map, np.uint16)
     im = np.asarray(inst_map, np.uint16)
-    keys, areas = np.unique(segment_keys(cm, im), return_counts=True)
     segs = [SegmentInfo(i, c, area, 1.0)
-            for (c, i), area in zip(map(split_segment_key, keys.tolist()), areas.tolist()) if c != 0]
+            for c, i, area in zip(*(col.tolist() for col in label_counts(cm, im))) if c != 0]
     return PanopticMap(cm, im, segs)
 
 

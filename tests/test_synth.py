@@ -181,7 +181,7 @@ class TestIdealPredictions:
         sc = generate_scene(SceneConfig(width=128, height=128, instances=2, seed=19))
         pred = ideal_predictions(sc, default_level_specs())
         sem = pred.semantic_field()
-        assert set(np.unique(sem.probs)) <= {0.0, 1.0}
+        assert set(np.unique(sem.planes)) <= {0.0, 1.0}
 
 
 class TestPerturb:

@@ -29,7 +29,7 @@ def full_masks(box_fields, sem: SemanticField, queries: QuerySet, sigma: float) 
     h, w = sem.shape
     out = np.zeros((len(queries), h, w), dtype=bool)
     for i, (box, c) in enumerate(zip(queries.boxes.tolist(), queries.classes.tolist())):
-        out[i] = _max_iou(box_fields, [_area(f) for f in box_fields], box) * sem.probs[..., c - 1] > sigma
+        out[i] = _max_iou(box_fields, [_area(f) for f in box_fields], box) * sem.planes[c - 1] > sigma
     return out
 
 
@@ -157,7 +157,7 @@ def queries_for(rng, fields: list[np.ndarray], sem: SemanticField, sigma: float,
             cut = (b[axis + 2] - b[axis]) * (1 - sigma * (1 + t))
             b[side] += cut if side < 2 else -cut
             boxes.append(tuple(b))
-            hot = int(np.argmax(sem.probs[i, j])) + 1
+            hot = int(np.argmax(sem.planes[:, i, j])) + 1
             cls = hot if hot > N_STUFF else cls
         classes.append(cls)
     if huge:

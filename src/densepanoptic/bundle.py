@@ -8,8 +8,9 @@ plus ".bin", so no entry reaches outside the directory) and verify that
 file byte lengths match the manifest shapes exactly, so round-trips are
 bitwise faithful. Each kind of bundle (scene, predictions, targets,
 panoptic) also checks the `meta` keys and value types and the tensors it
-needs, each of the one element type its saver writes, before decoding, so a
-malformed bundle fails with one ValueError that names the key or tensor.
+needs, each of the one element type its saver writes, so a malformed bundle
+fails with one ValueError that names the key or tensor. Loaders do nothing
+else: the containers they construct check every value.
 
 A panoptic archive is a bundle specialization carrying the fused class and
 instance maps, a segments table in the manifest, and optionally a colorized
@@ -29,7 +30,7 @@ import numpy as np
 
 from .assignment import MODES, GroundTruthScene, GlobalTargets, LevelTargets
 from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, as_uint16,
-                     check_labels, segment_labels)
+                     check_labels, segment_labels, validate_level_specs)
 from .geometry import boxes_valid
 
 FORMAT = "tensor-bundle-v1"
@@ -164,9 +165,15 @@ _KINDS = {
 }
 
 
+def _tensor_types(kind: str, n_levels: int) -> dict[str, str]:
+    """Each tensor name of a `kind` bundle of `n_levels` levels, with its element type."""
+    _, _, names, level_names = _KINDS[kind]
+    return {**names, **{f"level{i}_{t}": dt for i in range(n_levels) for t, dt in level_names.items()}}
+
+
 def _check_kind(tensors: dict, meta: dict, kind: str, path) -> None:
     """Raise one ValueError naming the first missing or mistyped meta key or tensor of `kind`."""
-    what, keys, names, level_names = _KINDS[kind]
+    what, keys = _KINDS[kind][:2]
     if meta.get("kind") != kind:
         raise ValueError(f"{path} is not a {what}")
     for key, (ok, expect) in keys.items():
@@ -174,9 +181,7 @@ def _check_kind(tensors: dict, meta: dict, kind: str, path) -> None:
             raise ValueError(f"{path}: meta lacks {key!r}")
         if not ok(meta[key]):
             raise ValueError(f"{path}: meta {key!r} must be {expect}, got {meta[key]!r:.80}")
-    names = {**names, **{f"level{i}_{t}": dt for i in range(len(meta.get("levels", [])))
-                         for t, dt in level_names.items()}}
-    for name, dtype in names.items():
+    for name, dtype in _tensor_types(kind, len(meta.get("levels", []))).items():
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
         if tensors[name].dtype != DTYPES[dtype]:
@@ -216,14 +221,9 @@ def decode_scene(tensors: dict, meta: dict, path) -> GroundTruthScene:
 # ----------------------------------------------------------- predictions
 
 def save_predictions(path, pred: DensePrediction) -> None:
-    tensors = {
-        "semantic_logits": pred.semantic_logits,
-        "levelness_logits": pred.levelness_logits,
-    }
-    for i, lv in enumerate(pred.levels):
-        tensors[f"level{i}_offsets"] = lv.offsets
-        tensors[f"level{i}_class_probs"] = lv.class_probs
-        tensors[f"level{i}_centerness"] = lv.centerness
+    tensors = {"semantic_logits": pred.semantic_logits, "levelness_logits": pred.levelness_logits,
+               **{f"level{i}_{name}": getattr(lv, name) for i, lv in enumerate(pred.levels)
+                  for name in ("offsets", "class_probs", "centerness")}}
     write_bundle(path, tensors, meta={
         "kind": "predictions",
         "n_stuff": pred.n_stuff,
@@ -234,36 +234,13 @@ def save_predictions(path, pred: DensePrediction) -> None:
     })
 
 
-def _check_values(path, tensors: dict, rules) -> None:
-    """Raise one ValueError naming the first tensor that fails its check; rules are
-    (tensor name, check, what the tensor must be) triples. The loaders check
-    these values, not the containers, so data built in memory skips them."""
-    for name, ok, expect in rules:
-        if not ok(tensors[name]):
-            raise ValueError(f"{path}: tensor {name!r} must be {expect}")
-
-
-def _box_areas_finite(off: np.ndarray) -> bool:
-    """Whether each (l, t, r, b) offset decodes to a finite box area (l + r) * (t + b)
-    in its own dtype, so that no IoU of the box overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite((off[..., 0] + off[..., 2]) * (off[..., 1] + off[..., 3])).all())
-
-
 def load_predictions(path) -> DensePrediction:
     tensors, meta = read_bundle(path)
     _check_kind(tensors, meta, "predictions", path)
     specs = _specs_from_meta(meta["levels"])
-    levels = [
-        DenseBoxLevel(stride=spec.stride,
-                      offsets=tensors[f"level{i}_offsets"],
-                      class_probs=tensors[f"level{i}_class_probs"],
-                      centerness=tensors[f"level{i}_centerness"])
-        for i, spec in enumerate(specs)
-    ]
-    # after DenseBoxLevel has checked each offsets tensor's shape and finiteness
-    _check_values(path, tensors, [(f"level{i}_offsets", _box_areas_finite,
-                                   "offsets with a finite box area (l + r) * (t + b)") for i in range(len(levels))])
+    levels = [DenseBoxLevel(stride=spec.stride, offsets=tensors[f"level{i}_offsets"],
+                            class_probs=tensors[f"level{i}_class_probs"], centerness=tensors[f"level{i}_centerness"])
+              for i, spec in enumerate(specs)]
     return DensePrediction(levels=levels,
                            semantic_logits=tensors["semantic_logits"],
                            levelness_logits=tensors["levelness_logits"],
@@ -276,7 +253,18 @@ def load_predictions(path) -> DensePrediction:
 
 @dataclass
 class TargetBundle:
-    """Serialized training targets plus the gt pieces the losses consume."""
+    """Training targets of one image plus the gt pieces the losses consume.
+
+    The constructor checks every value, wherever the data comes from, without
+    converting or copying an array, and raises one ValueError naming the
+    tensor as a saved bundle does (`tensors`): `mode` is one of MODES, the
+    level targets match the valid pyramid `specs` stride for stride, level
+    grids are image_hw // stride (offsets plus (4,)) and quarter tensors
+    (h // 4, w // 4); semantics hold class ids in [1, n_stuff + n_things],
+    levelness level ids in [0, L], level classes 0 or a thing class, offsets
+    are finite and >= 0 and centerness in [0, 1]; gt_boxes are (K, 4) valid
+    boxes, gt_classes one thing class per box and gt_instances_quarter ids at most K.
+    """
 
     level_targets: list[LevelTargets]
     global_targets: GlobalTargets
@@ -289,24 +277,55 @@ class TargetBundle:
     image_hw: tuple[int, int]
     mode: str
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        validate_level_specs(self.specs)
+        if [t.stride for t in self.level_targets] != [s.stride for s in self.specs]:
+            raise ValueError("level targets must match the specs one to one, stride for stride")
+        tensors, (h, w), n_levels = self.tensors(), self.image_hw, len(self.specs)
+        n_stuff, n_classes = self.n_stuff, self.n_stuff + self.n_things
+        quarter = (h // 4, w // 4)
+        shapes = {"levelness": quarter, "semantics": quarter, "gt_instances_quarter": quarter,
+                  **{f"level{i}_{t}": (h // s.stride, w // s.stride, *tail) for i, s in enumerate(self.specs)
+                     for t, tail in (("class", ()), ("offsets", (4,)), ("centerness", ()))}}
+        rules = [
+            *((name, lambda a, shape=shape: a.shape == shape, f"of shape {shape}") for name, shape in shapes.items()),
+            ("semantics", lambda c: c.min(initial=1) >= 1 and c.max(initial=1) <= n_classes,
+             f"class ids in [1, {n_classes}]"),
+            ("levelness", lambda v: v.min(initial=0) >= 0 and v.max(initial=0) <= n_levels,
+             f"level ids in [0, {n_levels}]"),
+            *((f"level{i}_class", lambda c: ((c == 0) | ((c > n_stuff) & (c <= n_classes))).all(),
+               f"0 or a thing class in [{n_stuff + 1}, {n_classes}]") for i in range(n_levels)),
+            ("gt_boxes", lambda b: b.ndim == 2 and b.shape[1] == 4 and boxes_valid(b),
+             "(K, 4) finite boxes with x1 <= x2 and y1 <= y2"),
+            ("gt_classes", lambda c: c.shape == (len(self.gt_boxes),) and ((c > n_stuff) & (c <= n_classes)).all(),
+             f"one thing class in [{n_stuff + 1}, {n_classes}] per gt_boxes row"),
+            ("gt_instances_quarter", lambda ids: ids.max(initial=0) <= len(self.gt_boxes),
+             "instance ids at most the box count"),
+            *((f"level{i}_offsets", lambda off: np.isfinite(off).all() and off.min(initial=0.0) >= 0,
+               "finite and >= 0") for i in range(n_levels)),
+            *((f"level{i}_centerness", lambda c: c.min(initial=0.0) >= 0 and c.max(initial=0.0) <= 1, "in [0, 1]")
+              for i in range(n_levels))]
+        for name, ok, expect in rules:
+            if not ok(tensors[name]):
+                raise ValueError(f"tensor {name!r} must be {expect}")
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every array of the bundle by its tensor name in a saved bundle."""
+        g, levels = self.global_targets, enumerate(self.level_targets)
+        return {"levelness": g.levelness, "semantics": g.semantics, "gt_boxes": self.gt_boxes,
+                "gt_classes": self.gt_classes, "gt_instances_quarter": self.gt_instances_quarter,
+                **{f"level{i}_{name}": a for i, t in levels
+                   for name, a in (("offsets", t.offsets), ("class", t.class_ids), ("centerness", t.centerness))}}
+
 
 def save_targets(path, bundle: TargetBundle) -> None:
     """Write `bundle` with every tensor cast to the element type `load_targets`
     accepts; a u16 tensor holding a value the cast would change raises, naming it."""
-    def u16(name, values):
-        return as_uint16(values, f"tensor {name!r}")
-
-    tensors = {
-        "levelness": u16("levelness", bundle.global_targets.levelness),
-        "semantics": u16("semantics", bundle.global_targets.semantics),
-        "gt_boxes": np.asarray(bundle.gt_boxes, dtype=np.float32),
-        "gt_classes": u16("gt_classes", bundle.gt_classes),
-        "gt_instances_quarter": u16("gt_instances_quarter", bundle.gt_instances_quarter),
-    }
-    for i, t in enumerate(bundle.level_targets):
-        tensors[f"level{i}_offsets"] = np.asarray(t.offsets, dtype=np.float32)
-        tensors[f"level{i}_class"] = u16(f"level{i}_class", t.class_ids)
-        tensors[f"level{i}_centerness"] = np.asarray(t.centerness, dtype=np.float32)
+    types = _tensor_types("targets", len(bundle.level_targets))
+    tensors = {name: as_uint16(a, f"tensor {name!r}") if types[name] == "u16" else np.asarray(a, dtype=np.float32)
+               for name, a in bundle.tensors().items()}
     write_bundle(path, tensors, meta={
         "kind": "targets",
         "mode": bundle.mode,
@@ -322,38 +341,10 @@ def load_targets(path) -> TargetBundle:
     tensors, meta = read_bundle(path)
     _check_kind(tensors, meta, "targets", path)
     specs = _specs_from_meta(meta["levels"])
-    n_stuff, n_classes = meta["n_stuff"], meta["n_stuff"] + meta["n_things"]
-    quarter = (meta["height"] // 4, meta["width"] // 4)
-    shapes = {"levelness": quarter, "semantics": quarter, "gt_instances_quarter": quarter,
-              **{f"level{i}_{t}": (meta["height"] // s.stride, meta["width"] // s.stride, *tail)
-                 for i, s in enumerate(specs) for t, tail in (("class", ()), ("offsets", (4,)), ("centerness", ()))}}
-    _check_values(path, tensors, [
-        *((name, lambda a, shape=shape: a.shape == shape, f"of shape {shape}") for name, shape in shapes.items()),
-        ("semantics", lambda c: c.min(initial=1) >= 1 and c.max(initial=1) <= n_classes,
-         f"class ids in [1, {n_classes}]"),
-        ("levelness", lambda v: v.min(initial=0) >= 0 and v.max(initial=0) <= len(specs),
-         f"level ids in [0, {len(specs)}]"),
-        *((f"level{i}_class", lambda c: ((c == 0) | ((c > n_stuff) & (c <= n_classes))).all(),
-           f"0 or a thing class in [{n_stuff + 1}, {n_classes}]") for i in range(len(specs))),
-        ("gt_boxes", lambda b: b.ndim == 2 and b.shape[1] == 4 and boxes_valid(b),
-         "(K, 4) finite boxes with x1 <= x2 and y1 <= y2"),
-        ("gt_classes", lambda c: c.shape == (len(tensors["gt_boxes"]),) and ((c > n_stuff) & (c <= n_classes)).all(),
-         f"one thing class in [{n_stuff + 1}, {n_classes}] per gt_boxes row"),
-        ("gt_instances_quarter", lambda ids: ids.max(initial=0) <= len(tensors["gt_boxes"]),
-         "instance ids at most the box count"),
-        *((f"level{i}_offsets", lambda off: np.isfinite(off).all() and off.min(initial=0.0) >= 0, "finite and >= 0")
-          for i in range(len(specs))),
-        *((f"level{i}_centerness", lambda c: c.min(initial=0.0) >= 0 and c.max(initial=0.0) <= 1, "in [0, 1]")
-          for i in range(len(specs)))])
-    level_targets = [
-        LevelTargets(stride=spec.stride,
-                     offsets=tensors[f"level{i}_offsets"],
-                     class_ids=tensors[f"level{i}_class"],
-                     centerness=tensors[f"level{i}_centerness"])
-        for i, spec in enumerate(specs)
-    ]
     return TargetBundle(
-        level_targets=level_targets,
+        level_targets=[LevelTargets(stride=spec.stride, offsets=tensors[f"level{i}_offsets"],
+                                    class_ids=tensors[f"level{i}_class"], centerness=tensors[f"level{i}_centerness"])
+                       for i, spec in enumerate(specs)],
         global_targets=GlobalTargets(levelness=tensors["levelness"], semantics=tensors["semantics"]),
         gt_boxes=tensors["gt_boxes"],
         gt_classes=tensors["gt_classes"],

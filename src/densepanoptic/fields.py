@@ -384,13 +384,18 @@ class DensePrediction:
         if len(self.levels) != len(self.specs):
             raise ValueError("one spec per level required")
         validate_level_specs(self.specs)
-        for lv, spec in zip(self.levels, self.specs):
+        for i, (lv, spec) in enumerate(zip(self.levels, self.specs)):
             if lv.stride != spec.stride:
                 raise ValueError("level stride disagrees with its spec")
             if lv.shape != (h // spec.stride, w // spec.stride):
                 raise ValueError("level grid must be image size over stride")
             if lv.n_thing_classes != self.n_things:
                 raise ValueError("level class channels must equal n_things")
+            off = lv.offsets
+            with np.errstate(over="ignore", invalid="ignore"):  # an area that overflows overflows every IoU
+                area = (off[..., 0] + off[..., 2]) * (off[..., 1] + off[..., 3])
+            if not np.isfinite(area).all():
+                raise ValueError(f"tensor 'level{i}_offsets' must be offsets with a finite box area (l + r) * (t + b)")
 
     def semantic_field(self) -> SemanticField:
         return SemanticField(softmax_field(self.semantic_logits))

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import re
 import shutil
 
 import numpy as np
@@ -21,7 +24,7 @@ from densepanoptic.bundle import (
     write_bundle,
     write_ppm,
 )
-from densepanoptic.fields import PanopticMap, SegmentInfo, default_level_specs
+from densepanoptic.fields import LevelSpec, PanopticMap, SegmentInfo, default_level_specs
 from densepanoptic.pipeline import compute_loss_report
 from densepanoptic.synth import NoiseConfig, SceneConfig, generate_scene, ideal_predictions, perturb
 
@@ -172,15 +175,72 @@ class TestPredictionBundle:
             load_predictions(tmp_path / "preds")
         assert len(str(exc.value).splitlines()) == 1
 
+    def test_construction_checks_the_box_area(self):
+        # 3e38 is a finite, nonnegative float32, but the area (l + r) * (t + b) of
+        # its box overflows, and with it every IoU of the box
+        sc = generate_scene(SceneConfig(width=512, height=512, seed=1))
+        pred = ideal_predictions(sc, default_level_specs())
+        y, x = np.argwhere(pred.levels[0].centerness > 0)[0]
+        pred.levels[0].offsets[y, x, 2] = 3e38
+        with pytest.raises(ValueError, match=re.escape(
+                "tensor 'level0_offsets' must be offsets with a finite box area (l + r) * (t + b)")) as exc:
+            dataclasses.replace(pred)
+        assert len(str(exc.value).splitlines()) == 1
+
+
+def _target_fields(sc, specs) -> dict:
+    """The keyword arguments of a valid full-mode TargetBundle of `sc`."""
+    levels, glob = build_targets(sc, specs, "full")
+    return dict(level_targets=levels, global_targets=glob,
+                gt_boxes=sc.boxes, gt_classes=sc.instance_classes,
+                gt_instances_quarter=sc.quarter_instance_map(),
+                specs=specs, n_stuff=sc.n_stuff, n_things=sc.n_things,
+                image_hw=(sc.height, sc.width), mode="full")
+
 
 def _targets_of(sc, specs) -> TargetBundle:
-    levels, glob = build_targets(sc, specs, "full")
-    return TargetBundle(
-        level_targets=levels, global_targets=glob,
-        gt_boxes=sc.boxes, gt_classes=sc.instance_classes,
-        gt_instances_quarter=sc.quarter_instance_map(),
-        specs=specs, n_stuff=sc.n_stuff, n_things=sc.n_things,
-        image_hw=(sc.height, sc.width), mode="full")
+    return TargetBundle(**_target_fields(sc, specs))
+
+
+def _level0(kw):
+    return kw["level_targets"][0]
+
+
+def _first_fg(kw) -> tuple[int, int]:
+    """Grid index of the first level-0 foreground cell."""
+    return tuple(np.argwhere(_level0(kw).foreground)[0])
+
+
+def _put(arr, index, value):
+    arr[index] = value
+
+
+# case -> (an edit of valid fields of a 256x128 scene that breaks one rule, the error it raises)
+_TARGET_VIOLATIONS = {
+    "nan-offsets": (lambda kw: _put(_level0(kw).offsets, _first_fg(kw), np.nan),
+                    "tensor 'level0_offsets' must be finite and >= 0"),
+    "centerness-above-1": (lambda kw: _put(_level0(kw).centerness, _first_fg(kw), 1.5),
+                           "tensor 'level0_centerness' must be in [0, 1]"),
+    "levelness-above-L": (lambda kw: _put(kw["global_targets"].levelness, (0, 0), 6),
+                          "tensor 'levelness' must be level ids in [0, 5]"),
+    "semantics-void": (lambda kw: _put(kw["global_targets"].semantics, (0, 0), 0),
+                       "tensor 'semantics' must be class ids in [1, 6]"),
+    "stuff-class-on-a-level": (lambda kw: _put(_level0(kw).class_ids, _first_fg(kw), 1),
+                               "tensor 'level0_class' must be 0 or a thing class in [4, 6]"),
+    "transposed-level-grid": (lambda kw: setattr(_level0(kw), "class_ids", _level0(kw).class_ids.T),
+                              "tensor 'level0_class' must be of shape (16, 32)"),
+    "instance-past-the-boxes": (lambda kw: _put(kw["gt_instances_quarter"], (0, 0), len(kw["gt_boxes"]) + 1),
+                                "tensor 'gt_instances_quarter' must be instance ids at most the box count"),
+    "gt-classes-short": (lambda kw: kw.update(gt_classes=kw["gt_classes"][:-1]),
+                         "tensor 'gt_classes' must be one thing class in [4, 6] per gt_boxes row"),
+    "mode": (lambda kw: kw.update(mode="bogus"), "mode must be one of ('full', 'weak')"),
+    "spec-count": (lambda kw: kw.update(specs=default_level_specs(4)),
+                   "level targets must match the specs one to one, stride for stride"),
+    "invalid-specs": (lambda kw: kw.update(specs=[LevelSpec(8, 0.0, 64.0), LevelSpec(8, 64.0, math.inf)]),
+                      "strides must increase with level"),
+    "level-stride": (lambda kw: setattr(kw["level_targets"][1], "stride", 32),
+                     "level targets must match the specs one to one, stride for stride"),
+}
 
 
 def _loss_bits(report) -> bytes:
@@ -188,6 +248,26 @@ def _loss_bits(report) -> bytes:
 
 
 class TestTargetBundle:
+    @pytest.mark.parametrize("case", sorted(_TARGET_VIOLATIONS))
+    def test_construction_checks_every_value(self, case):
+        # the rules of a loaded bundle hold for targets built in memory too
+        sc = generate_scene(SceneConfig(width=256, height=128, instances=4, seed=7))
+        kw = _target_fields(sc, default_level_specs())
+        TargetBundle(**kw)
+        edit, message = _TARGET_VIOLATIONS[case]
+        edit(kw)
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            TargetBundle(**kw)
+        assert len(str(exc.value).splitlines()) == 1
+
+    def test_a_bad_mode_is_refused_before_saving(self, tmp_path):
+        # load_targets refuses meta 'mode' outside MODES, so save must not write one
+        sc = generate_scene(SceneConfig(width=128, height=128, instances=3, seed=5))
+        with pytest.raises(ValueError, match="mode must be one of"):
+            save_targets(tmp_path / "targets", TargetBundle(**{**_target_fields(sc, default_level_specs()),
+                                                               "mode": "bogus"}))
+        assert not (tmp_path / "targets").exists()
+
     def test_round_trip(self, tmp_path):
         sc = generate_scene(SceneConfig(width=256, height=128, instances=4, seed=7))
         bundle = _targets_of(sc, default_level_specs())

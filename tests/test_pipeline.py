@@ -1,7 +1,7 @@
 """compute_loss_report runs its mask term on a worker thread; these tests pin
 it to the six terms run one after another on the calling thread."""
 
-import dataclasses
+import copy
 import threading
 
 import numpy as np
@@ -68,13 +68,19 @@ def test_report_is_bitwise_the_sequential_one(mode, seed):
     assert hex_terms(compute_loss_report(pred, targets, semantic_weight=0.4)) == hex_terms(want)
 
 
+# TargetBundle rejects these shapes when constructed, so each is set on a
+# copy of a valid bundle to reach compute_loss_report's own checks
+
 def _bad_instance_map(targets):
-    return dataclasses.replace(targets, gt_instances_quarter=targets.gt_instances_quarter[:-1])
+    bad = copy.copy(targets)
+    bad.gt_instances_quarter = targets.gt_instances_quarter[:-1]
+    return bad
 
 
 def _bad_semantics(targets):
-    g = targets.global_targets
-    return dataclasses.replace(targets, global_targets=GlobalTargets(g.levelness, g.semantics[:-1]))
+    bad, g = copy.copy(targets), targets.global_targets
+    bad.global_targets = GlobalTargets(g.levelness, g.semantics[:-1])
+    return bad
 
 
 def test_a_mask_only_failure_is_the_sequential_error():

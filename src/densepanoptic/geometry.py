@@ -109,12 +109,12 @@ def _iou_from_areas(a: np.ndarray, b, area_a, area_b) -> np.ndarray:
     bx1, by1, bx2, by2 = b
     iw = np.minimum(a[..., 2], bx2) - np.maximum(a[..., 0], bx1)
     ih = np.minimum(a[..., 3], by2) - np.maximum(a[..., 1], by1)
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    inter = np.maximum(iw, 0.0)  # np.clip(iw, 0.0, None), without its Python wrapper
+    inter *= np.maximum(ih, 0.0)
     union = area_a + area_b - inter
     out = np.zeros(inter.shape, dtype=inter.dtype)
-    np.divide(inter, union, out=out, where=union > 0)
     # a zero-width intersection strip must not survive the division
-    out[inter <= 0] = 0.0
+    np.divide(inter, union, out=out, where=(union > 0) & (inter > 0))
     return out
 
 
@@ -138,6 +138,9 @@ def _max_iou(box_fields: list[np.ndarray], areas: list[np.ndarray], box) -> np.n
     return out
 
 
+_BLOCK = 8  # quarter pixels per side of the blocks `iou_windows` tests
+
+
 def iou_windows(box_fields: list[np.ndarray], query_boxes) -> list[tuple[slice, slice]]:
     """Per query box, the (rows, columns) of the quarter grid outside which no
     pixel of any of the (h, w, 4) `box_fields` has a positive IoU with it, as
@@ -148,33 +151,72 @@ def iou_windows(box_fields: list[np.ndarray], query_boxes) -> list[tuple[slice, 
     it needs x1 < Qx2 and x2 > Qx1, and likewise for y. A column whose
     smallest x1 over its rows and over every field is not below Qx2, or
     whose largest x2 is not above Qx1, therefore holds no pixel of positive
-    IoU; the same holds for rows. Each window runs from the first to the last
-    column (row) that passes. A NaN coordinate scores IoU 0, but it makes
-    its column's (row's) extent NaN; the tests are negated, so that column
-    keeps its place anyway.
+    IoU; the same holds for rows. The same four tests on the extents (min x1,
+    min y1, max x2, max y2) of each 8x8 block of pixels (shorter at ragged
+    edges) rule out every block none of whose pixels meets the query in x
+    and y at once. The window is the span from the first to the last column
+    (row) that passes, cut to the bounding rectangle of the blocks that pass.
+    A NaN coordinate scores IoU 0, but it makes its column's (row's, block's)
+    extent NaN; the tests are negated, so that column keeps its place anyway.
     """
     if not box_fields:
         raise ValueError("at least one box field required")
     with np.errstate(over="ignore"):
         q = np.asarray(query_boxes, dtype=np.float64).reshape(-1, 4).astype(np.float32)
-    # per column (row), the smallest x1 (y1) and the largest x2 (y2)
-    lo_x, hi_x, lo_y, hi_y = np.inf, -np.inf, np.inf, -np.inf
-    for field in box_fields:
-        lo_x = np.minimum(lo_x, field[..., 0].min(axis=0, initial=np.inf))
-        hi_x = np.maximum(hi_x, field[..., 2].max(axis=0, initial=-np.inf))
-        lo_y = np.minimum(lo_y, field[..., 1].min(axis=1, initial=np.inf))
-        hi_y = np.maximum(hi_y, field[..., 3].max(axis=1, initial=-np.inf))
-    col0, col1 = _extent_span(lo_x, hi_x, q[:, 0], q[:, 2])
-    row0, row1 = _extent_span(lo_y, hi_y, q[:, 1], q[:, 3])
+    # per pixel, each coordinate's smallest (lo) and largest (hi) value over the fields
+    lo = hi = box_fields[0]
+    for field in box_fields[1:]:
+        lo, hi = np.minimum(lo, field), np.maximum(hi, field)
+    h, w = lo.shape[:2]
+    lo_y = lo[..., 1].min(axis=1, initial=np.inf)  # per row
+    hi_y = hi[..., 3].max(axis=1, initial=-np.inf)
+    # per column and run of 8 rows, (w, 2, hb): min (x1, y1) and max (x2, y2)
+    col_lo = np.ascontiguousarray(_runs(lo, np.minimum)[..., :2].transpose(1, 2, 0))
+    col_hi = np.ascontiguousarray(_runs(hi, np.maximum)[..., 2:].transpose(1, 2, 0))
+    col0, col1 = _span(_meets(col_lo[:, 0].min(axis=1, initial=np.inf),
+                              col_hi[:, 0].max(axis=1, initial=-np.inf), q[:, 0], q[:, 2]))
+    row0, row1 = _span(_meets(lo_y, hi_y, q[:, 1], q[:, 3]))
+    # per 8x8 block, (wb, 2, hb): can any of its pixels meet the query in x and in y?
+    b_lo, b_hi = _runs(col_lo, np.minimum), _runs(col_hi, np.maximum)
+    meet = (_meets(b_lo[:, 0].reshape(-1), b_hi[:, 0].reshape(-1), q[:, 0], q[:, 2])
+            & _meets(b_lo[:, 1].reshape(-1), b_hi[:, 1].reshape(-1), q[:, 1], q[:, 3]))
+    meet = meet.reshape(len(q), *b_lo.shape[::2])  # (M, wb, hb)
+    bcol0, bcol1 = _span(meet.any(axis=2))
+    brow0, brow1 = _span(meet.any(axis=1))
+    row0, row1 = _cut(row0, row1, brow0, brow1, h)
+    col0, col1 = _cut(col0, col1, bcol0, bcol1, w)
     return [(slice(*r), slice(*c)) for r, c in zip(zip(row0.tolist(), row1.tolist()),
                                                    zip(col0.tolist(), col1.tolist()))]
 
 
-def _extent_span(lo: np.ndarray, hi: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per query, [start, stop) from the first to the last index i whose extent
-    [lo[i], hi[i]] can overlap (q1, q2): not lo[i] >= q2 and not hi[i] <= q1."""
-    meet = ~(lo >= q2[:, None]) & ~(hi <= q1[:, None])
-    none = np.ones((len(meet), 1), dtype=bool)  # found where no index meets: start n, stop 0
+def _runs(a: np.ndarray, ufunc) -> np.ndarray:
+    """`ufunc` (np.minimum or np.maximum) reduced over each run of `_BLOCK`
+    entries of `a` along its first axis; the last run holds the entries left
+    over."""
+    full = len(a) - len(a) % _BLOCK
+    out = ufunc.reduce(a[:full].reshape(full // _BLOCK, _BLOCK, *a.shape[1:]), axis=1)
+    if full < len(a):
+        out = np.concatenate([out, ufunc.reduce(a[full:], axis=0, keepdims=True)])
+    return out
+
+
+def _meets(lo: np.ndarray, hi: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """(M, n) bool: whether extent [lo[i], hi[i]] can overlap query interval
+    (q1, q2): not lo[i] >= q2 and not hi[i] <= q1."""
+    return ~((lo >= q2[:, None]) | (hi <= q1[:, None]))
+
+
+def _span(meet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (M, n) bool `meet`, [start, stop) from its first to its
+    last True; (n, n) where it holds none."""
+    none = np.ones((len(meet), 1), dtype=bool)
     start = np.hstack([meet, none]).argmax(axis=1)
     stop = meet.shape[1] - np.hstack([meet[:, ::-1], none]).argmax(axis=1)
     return start, np.maximum(start, stop)
+
+
+def _cut(start: np.ndarray, stop: np.ndarray, block_start: np.ndarray, block_stop: np.ndarray,
+         n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel span [start, stop) cut to the pixels of the block span, within [0, n]."""
+    start = np.minimum(np.maximum(start, block_start * _BLOCK), n)
+    return start, np.maximum(start, np.minimum(stop, block_stop * _BLOCK))

@@ -90,10 +90,14 @@ def centerness_loss(pred: np.ndarray, target: np.ndarray, foreground: np.ndarray
 _EXP_ZERO = -746.0
 
 
+_CE_BLOCK = 16384  # pixels per block of `_cross_entropy`: its temporaries stay in cache
+
+
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-pixel CE of integer targets under the softmax of logits over the
     last axis, float64; computed on (C, pixels) planes, bitwise equal to the
     row-by-row form because `plane_sum` repeats numpy's summation order.
+    Pixels are independent, so they are computed in blocks of `_CE_BLOCK`.
 
     Lanes whose shifted logit lies below `_EXP_ZERO` skip `exp` and are
     written as +0.0, the value `exp` rounds them to, so every lane holds the
@@ -104,14 +108,18 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
     if t.size and (t.min() < 0 or t.max() >= n_ch):
         raise ValueError("target index out of range")
-    z = np.moveaxis(np.asarray(logits).reshape(-1, n_ch), 1, 0).astype(np.float64, order="C")
-    m = z.max(axis=0)
-    e = z - m
-    zero = e < _EXP_ZERO
-    np.exp(e, out=e, where=~zero)
-    np.copyto(e, 0.0, where=zero)
-    s = np.log(plane_sum(e))
-    return -(np.take_along_axis(z, t[None], axis=0)[0] - m - s)
+    rows = np.asarray(logits).reshape(-1, n_ch)
+    out = np.empty(len(rows))
+    for a in range(0, len(rows), _CE_BLOCK):
+        z = np.moveaxis(rows[a:a + _CE_BLOCK], 1, 0).astype(np.float64, order="C")
+        m = z.max(axis=0)
+        e = z - m
+        zero = e < _EXP_ZERO
+        np.exp(e, out=e, where=~zero)
+        np.copyto(e, 0.0, where=zero)
+        s = np.log(plane_sum(e))
+        out[a:a + _CE_BLOCK] = -(np.take_along_axis(z, t[None, a:a + _CE_BLOCK], axis=0)[0] - m - s)
+    return out
 
 
 def levelness_loss(logits: np.ndarray, target: np.ndarray) -> float:
@@ -222,15 +230,25 @@ def mask_loss(
     pixel boxes (the (h, w, 4) `global_boxes`) inside the instance, E_FP
     sums IoU of pixel boxes outside, always against the query box.
     Unmatched queries (or matches with N_j = 0) are skipped; the result is
-    the mean over participating queries, 0.0 if none.
+    the mean over participating queries, 0.0 if none. gt_instances must
+    hold integers in [0, len(gt_boxes)].
+
+    Both sums run over the same arrays, in the same order, as
+    `(1.0 - ious[inside]).sum()` and `ious[~inside].sum()` over a
+    full-frame IoU map, so every bit matches that form; only the query's
+    `iou_windows` window is scored, since every pixel outside it has IoU 0.
     """
     global_boxes = np.ascontiguousarray(global_boxes, dtype=np.float32)
     if global_boxes.ndim != 3 or global_boxes.shape[2] != 4:
         raise ValueError("global boxes must be (h, w, 4)")
-    gt_instances = np.asarray(gt_instances)
-    if gt_instances.shape != global_boxes.shape[:2]:
+    ids = np.asarray(gt_instances)
+    if ids.shape != global_boxes.shape[:2]:
         raise ValueError("instance map and box field shapes differ")
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    with np.errstate(invalid="ignore"):
+        whole = ids.dtype.kind in "biu" or np.array_equal(ids, ids.astype(np.int64))
+        if ids.size and not (whole and ids.min() >= 0 and ids.max() <= len(g)):
+            raise ValueError(f"gt_instances must hold integers in [0, {len(g)}]")
     if len(queries) == 0 or len(g) == 0:
         return 0.0
     qboxes = queries.boxes
@@ -238,29 +256,45 @@ def mask_loss(
     unmatched = int((matches < 0).sum())
     if unmatched:
         logger.warning("mask_loss: %d of %d queries matched no gt box", unmatched, len(queries))
-    # outside its window every pixel box has IoU 0 with the query; the
-    # zero-filled full-length buffer keeps both sums' summation order, and
-    # each query zeroes its window again after its sums
-    windows = iou_windows([global_boxes], qboxes)
-    areas = _area(global_boxes)
-    ious = np.zeros(gt_instances.shape)
-    terms = []
-    for i, (box, j) in enumerate(zip(qboxes.tolist(), matches.tolist())):
-        if j < 0:
-            continue
-        inside = gt_instances == j + 1
-        n_j = int(inside.sum())
-        if n_j == 0:
-            continue
-        beta = box_iou(qboxes[i], g[j])
-        ys, xs = windows[i]
-        ious[ys, xs] = _max_iou([global_boxes[ys, xs]], [areas[ys, xs]], box)
-        e_fn = float((1.0 - ious[inside]).sum())
-        e_fp = float(ious[~inside].sum())
-        ious[ys, xs] = 0.0
-        terms.append(beta / n_j * (e_fp + e_fn))
-    if not terms:
+    h, w = ids.shape
+    # each instance's pixels in ascending flat order: pixels[first[j]:first[j + 1]]
+    flat = ids.reshape(-1) if ids.dtype.kind in "ui" else ids.reshape(-1).astype(np.intp)
+    owned = np.flatnonzero(flat)
+    pixels = owned[np.argsort(flat[owned], kind="stable")]
+    first = np.concatenate([[0, 0], np.cumsum(np.bincount(flat[owned], minlength=len(g) + 1)[1:])])
+    scored = np.flatnonzero((matches >= 0) & (first[matches + 2] > first[matches + 1]))
+    if not scored.size:
         return 0.0
+    labels = matches[scored] + 1
+    sizes = first[labels + 1] - first[labels]
+    betas = box_iou(qboxes[scored], g[labels - 1])
+    windows = iou_windows([global_boxes], qboxes[scored])
+    areas = _area(global_boxes)
+    flat_index = np.arange(h * w).reshape(h, w)
+    # the instance's N_j entries of `ones` and the other h*w - N_j entries of
+    # `zeros` are the two summed arrays; each query writes its window's IoUs
+    # into them and restores them after its sums
+    ones, zeros = np.ones(sizes.max()), np.zeros(h * w - sizes.min())
+    terms = []
+    for box, j, n_j, beta, (ys, xs) in zip(qboxes[scored].tolist(), labels.tolist(), sizes.tolist(),
+                                           betas.tolist(), windows):
+        iou = _max_iou([global_boxes[ys, xs]], [areas[ys, xs]], box)
+        inside = ids[ys, xs] == j
+        # instance pixels in flat order up to each window pixel: along its
+        # row in the window, plus those before the row's first window pixel
+        k = np.cumsum(inside, axis=1)
+        row_starts = np.arange(ys.start * w + xs.start, ys.stop * w + xs.start, w)
+        k += np.searchsorted(pixels[first[j]:first[j + 1]], row_starts)[:, None]
+        outside = ~inside
+        fn_at = k[inside] - 1  # a pixel's place among the instance's pixels ...
+        fp_at = flat_index[ys, xs][outside] - k[outside]  # ... or among the others
+        ones[fn_at] = np.subtract(1.0, iou[inside], dtype=np.float64)
+        zeros[fp_at] = iou[outside]
+        e_fn = float(ones[:n_j].sum())
+        e_fp = float(zeros[:h * w - n_j].sum())
+        ones[fn_at] = 1.0
+        zeros[fp_at] = 0.0
+        terms.append(beta / n_j * (e_fp + e_fn))
     return float(np.mean(terms))
 
 

@@ -35,9 +35,9 @@ def construct_masks(
     are also computed once per call and sliced per window. Each query is scored
     only inside its `iou_windows` window, outside which no pixel has a
     positive IoU with it; the rest of its mask stays False. Queries are
-    independent, so they are distributed over a thread pool; each thread
-    writes a disjoint preallocated slice, making the result identical for
-    any thread count.
+    independent, so `threads` workers each take one contiguous run of
+    queries and write its disjoint preallocated slices, making the result
+    identical for any thread count.
     """
     if (global_boxes is None) == (levels is None):
         raise ValueError("exactly one of global_boxes or levels is required")
@@ -72,12 +72,17 @@ def construct_masks(
         p *= semantics.planes[channels[i], ys, xs]
         out[i, ys, xs] = p > sigma
 
-    if threads == 1 or len(queries) <= 1:
-        for i in range(len(queries)):
+    workers = min(threads, len(queries))
+
+    def run(k: int) -> None:
+        for i in range(k * len(queries) // workers, (k + 1) * len(queries) // workers):
             one(i)
+
+    if workers == 1:
+        run(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(len(queries))))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(workers)))
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DenseBoxLevel, LevelnessField, upsample_nearest
-from .geometry import _area, _iou_from_areas, boxes_valid, decode_boxes
+from .geometry import _area, _iou_from_areas, boxes_valid, decode_boxes, receptive_centers
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,13 @@ def resample_level_boxes(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> n
 
 
 def quarter_point_boxes(quarter_hw: tuple[int, int]) -> np.ndarray:
-    """Degenerate per-pixel point boxes at the quarter-grid sample locations."""
-    return decode_boxes(np.zeros((*quarter_hw, 4), dtype=np.float32), 4, np.float32)
+    """Degenerate per-pixel point boxes (cx, cy, cx, cy) at the quarter-grid
+    sample locations: the boxes `decode_boxes` gives zero offsets at stride 4."""
+    qh, qw = quarter_hw
+    out = np.empty((qh, qw, 4), dtype=np.float32)
+    out[..., 0::2] = receptive_centers(4, np.arange(qw)).astype(np.float32)[:, None]
+    out[..., 1::2] = receptive_centers(4, np.arange(qh)).astype(np.float32)[:, None, None]
+    return out
 
 
 def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField) -> np.ndarray:
@@ -176,16 +181,22 @@ def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField
     level cell that covers it (the box `resample_level_boxes` puts there);
     pixels selecting background (0) get a degenerate point box at their own
     sample location, so they score IoU 0 against every proper box.
+
+    The point boxes (a grid with one cell per pixel) and every level's
+    decoded cells form one table of rows; pixel (y, x) selecting s reads row
+    `row_index[s, y] + col_index[s, x]`, all pixels in one gather of 16-byte
+    rows.
     """
     if levelness.n_levels != len(levels):
         raise ValueError("levelness channel count must be n_levels + 1")
     qh, qw = levelness.shape
-    sel = levelness.argmax_levels()
-    out = quarter_point_boxes((qh, qw))
-    for li, lv in enumerate(levels):
-        iy, ix = np.nonzero(sel == li + 1)
-        if iy.size:
-            rep = _quarter_block(lv, (qh, qw))
-            cy, cx = iy // rep, ix // rep
-            out[iy, ix] = decode_boxes(lv.offsets[cy, cx], lv.stride, np.float32, cx, cy)
-    return out
+    grids = [quarter_point_boxes((qh, qw))] + [decode_boxes(lv.offsets, lv.stride, np.float32) for lv in levels]
+    reps = np.array([1] + [_quarter_block(lv, (qh, qw)) for lv in levels])[:, None]
+    widths = np.array([g.shape[1] for g in grids])[:, None]
+    starts = np.cumsum([0] + [g.shape[0] * g.shape[1] for g in grids[:-1]])[:, None]
+    row_index, col_index = starts + np.arange(qh) // reps * widths, np.arange(qw) // reps
+    sel = levelness.argmax_levels().astype(np.intp)
+    idx = np.take(row_index, sel * qh + np.arange(qh)[:, None])
+    idx += np.take(col_index, sel * qw + np.arange(qw))
+    rows = np.concatenate([g.reshape(-1, 4) for g in grids]).view(np.complex128).reshape(-1)  # 16 bytes a box
+    return rows.take(idx).view(np.float32).reshape(qh, qw, 4)

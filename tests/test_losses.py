@@ -147,6 +147,30 @@ class TestLevelnessLoss:
         assert got == pytest.approx(want, abs=1e-9)
 
 
+class TestCrossEntropyBlocks:
+    def test_lanes_across_block_edges_are_the_row_form(self):
+        """NaN, +-inf and margin-1000 lanes sit on both sides of each block edge."""
+        n_ch, block = 7, losses._CE_BLOCK
+        n = 2 * block + 37
+        rng = np.random.default_rng(23)
+        logits = rng.normal(0, 3, (n, n_ch)).astype(np.float32)
+        hot = rng.integers(0, n_ch, n)
+        margin = rng.random(n) < 0.5
+        logits[margin] = 0.0
+        logits[margin, hot[margin]] = ONE_HOT_MARGIN
+        for edge in (block, 2 * block, n):
+            for p, v in zip(range(edge - 3, edge + 3), (np.nan, np.inf, -np.inf, np.inf, np.nan, -np.inf)):
+                if p < n:
+                    logits[p, rng.integers(n_ch)] = v
+        logits[block - 4] = ONE_HOT_MARGIN  # every lane at the maximum
+        targets = rng.integers(0, n_ch, n)
+        with np.errstate(invalid="ignore"):
+            got = _cross_entropy(logits, targets)
+            want = cross_entropy_rows_ref(logits, targets)
+        assert np.isnan(got).any() and np.isinf(got).any() and (got == 0).any()
+        assert got.tobytes() == want.tobytes()
+
+
 class TestExpCutoff:
     """`_cross_entropy` writes +0.0 for lanes below `_EXP_ZERO` instead of taking exp."""
 
@@ -424,6 +448,19 @@ class TestMaskLoss:
         for boxes in (np.zeros((2, 2, 3), np.float32), np.zeros((2, 4), np.float32)):
             with pytest.raises(ValueError, match=r"global boxes must be \(h, w, 4\)"):
                 mask_loss(boxes, query_set([sb(0, 0, 8, 8)]), np.array([[0, 0, 8, 8]]), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, 7, np.nan])
+    def test_rejects_instance_ids_it_cannot_index(self, bad):
+        """Ids must be integers in [0, len(gt_boxes)]; one gt box here."""
+        boxes = np.zeros((8, 8, 4), np.float32)
+        boxes[..., 2:] = 8.0
+        queries, gt_boxes = query_set([sb(0, 0, 8, 8)]), np.array([[0, 0, 8, 8]], np.float64)
+        ids = np.zeros((8, 8), np.float64 if isinstance(bad, float) else np.int64)
+        ids[:4] = 1
+        assert mask_loss(boxes, queries, gt_boxes, ids) > 0
+        ids[5, 6] = bad
+        with pytest.raises(ValueError, match=r"gt_instances must hold integers in \[0, 1\]"):
+            mask_loss(boxes, queries, gt_boxes, ids)
 
 
 class TestTotalLoss:

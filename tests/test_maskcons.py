@@ -81,6 +81,18 @@ class TestConstructMasks:
         four = construct_masks(queries, sem, n_stuff=2, global_boxes=field, threads=4)
         assert (one == four).all()
 
+    def test_three_threads_on_ten_queries_equal_one_thread(self):
+        """Three workers take contiguous runs of 3, 3 and 4 queries, each
+        query the box of one pixel; every run holds some mask pixel."""
+        field, sem, _ = self._setup()
+        pixels = np.random.default_rng(10).permutation(64)[:10]
+        queries = query_set([sb(*field.reshape(-1, 4)[p].tolist(), cls=3 + k % 2, score=1.0 - k / 20)
+                             for k, p in enumerate(pixels.tolist())])
+        one = construct_masks(queries, sem, n_stuff=2, sigma=0.05, global_boxes=field, threads=1)
+        three = construct_masks(queries, sem, n_stuff=2, sigma=0.05, global_boxes=field, threads=3)
+        assert one[:3].any() and one[3:6].any() and one[6:].any()
+        assert one.shape == three.shape and one.tobytes() == three.tobytes()
+
     def test_requires_exactly_one_source(self):
         field, sem, queries = self._setup()
         with pytest.raises(ValueError):

@@ -299,6 +299,34 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_global_boxes([lv0, lv1], LevelnessField(logits))
 
+    def test_point_boxes_are_decoded_zero_offsets(self):
+        pts = quarter_point_boxes((5, 7))
+        assert pts.tobytes() == decode_boxes(np.zeros((5, 7, 4), np.float32), 4, np.float32).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), hq=st.integers(1, 5), wq=st.integers(1, 5),
+           n_levels=st.integers(1, 3))
+    def test_one_gather_is_the_per_level_scatter(self, seed, hq, wq, n_levels):
+        """Each pixel reads the box the former per-level scatter wrote there:
+        the level cell that covers it, decoded, or its own point box."""
+        rng = np.random.default_rng(seed)
+        qh, qw = 8 * hq, 8 * wq  # quarter grid that strides 8, 16 and 32 tile
+        levels = []
+        for z in (8, 16, 32)[:n_levels]:
+            lv = make_level(stride=z, gh=qh * 4 // z, gw=qw * 4 // z)
+            lv.offsets[...] = rng.uniform(0, 3 * z, lv.offsets.shape).astype(np.float32)
+            levels.append(lv)
+        levelness = LevelnessField(rng.normal(0, 1, (qh, qw, n_levels + 1)).astype(np.float32))
+        sel = levelness.argmax_levels()
+        want = quarter_point_boxes((qh, qw))
+        for li, lv in enumerate(levels):
+            iy, ix = np.nonzero(sel == li + 1)
+            rep = lv.stride // 4
+            want[iy, ix] = decode_boxes(lv.offsets[iy // rep, ix // rep], lv.stride, np.float32,
+                                        ix // rep, iy // rep)
+        got = assemble_global_boxes(levels, levelness)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
 
 class TestMaxLevelProbability:
     def _levels(self):

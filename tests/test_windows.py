@@ -223,6 +223,51 @@ def test_mask_loss_matches_full_frame(seed, hq, wq, kinds, cut):
     assert mask_loss(field, queries, gt, gt_instances) == full_mask_loss(field, queries, gt, gt_instances)
 
 
+def test_mask_loss_counts_instance_pixels_outside_the_window():
+    """Instance 1 is a band across the whole frame; its pixels right of the
+    query's window score IoU 0 but still count in N_j and E_FN."""
+    h, w = 24, 32
+    field = hand_field(np.random.default_rng(11), h, w, ["near"])
+    queries = QuerySet(np.array([[0.0, 0.0, 24.0, 24.0]]), [2], [0.9], [0])
+    gt = np.array([[0.0, 0.0, 24.0, 24.0], [60.0, 40.0, 120.0, 90.0]])
+    gt_instances = np.zeros((h, w), np.int64)
+    gt_instances[2:6] = 1
+    gt_instances[12:20, 16:30] = 2
+    (ys, xs), = iou_windows([field], queries.boxes)
+    assert xs.stop < w and (gt_instances[:, xs.stop:] == 1).any()
+    assert mask_loss(field, queries, gt, gt_instances) == full_mask_loss(field, queries, gt, gt_instances)
+
+
+def test_mask_loss_scores_two_queries_matched_to_one_gt():
+    h, w = 24, 32
+    field = hand_field(np.random.default_rng(12), h, w, ["near", "shifted", "point"])
+    queries = QuerySet(np.array([[0.0, 0.0, 24.0, 24.0], [2.0, 1.0, 22.0, 25.0], [70.0, 50.0, 110.0, 80.0]]),
+                       [2, 2, 3], [0.9, 0.8, 0.7], [0, 0, 0])
+    gt = np.array([[0.0, 0.0, 24.0, 24.0], [60.0, 40.0, 120.0, 90.0]])
+    gt_instances = np.zeros((h, w), np.uint16)
+    gt_instances[1:7, 0:7] = 1
+    gt_instances[10:22, 15:30] = 2
+    assert match_queries(queries.boxes, gt).tolist() == [0, 0, 1]
+    assert mask_loss(field, queries, gt, gt_instances) == full_mask_loss(field, queries, gt, gt_instances)
+
+
+def separable_windows(fields: list[np.ndarray], query_boxes: np.ndarray) -> list[tuple[slice, slice]]:
+    """The column-and-row rule alone: each window runs from the first to the
+    last column (row) whose extents over every field can meet the query."""
+    q = query_boxes.astype(np.float32)
+    lo_x = np.min([f[..., 0].min(axis=0) for f in fields], axis=0)
+    hi_x = np.max([f[..., 2].max(axis=0) for f in fields], axis=0)
+    lo_y = np.min([f[..., 1].min(axis=1) for f in fields], axis=0)
+    hi_y = np.max([f[..., 3].max(axis=1) for f in fields], axis=0)
+    out = []
+    for x1, y1, x2, y2 in q:
+        cols = np.flatnonzero(~(lo_x >= x2) & ~(hi_x <= x1))
+        rows = np.flatnonzero(~(lo_y >= y2) & ~(hi_y <= y1))
+        out.append((slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0),
+                    slice(cols[0], cols[-1] + 1) if cols.size else slice(0, 0)))
+    return out
+
+
 def assert_windows_hold_positive_iou(fields: list[np.ndarray], query_boxes: np.ndarray) -> None:
     """No pixel of any field outside a query's window has a positive IoU with it."""
     for (ys, xs), box in zip(iou_windows(fields, query_boxes), query_boxes.tolist()):
@@ -270,14 +315,14 @@ def test_windows_hold_every_positive_iou_pixel_of_non_finite_fields(seed, hq, wq
 
 def test_a_box_beyond_every_pixel_box_gets_an_empty_window():
     """A small query right of every pixel box, one of which reaches from far
-    left across many columns: no column can meet it."""
+    left across many columns: no column, and so no block, can meet it."""
     h, w = 8, 32
     field = hand_field(np.random.default_rng(7), h, w, ["near"])
     field[0, 0] = (-100.0, 0.0, 60.0, 8.0)
     box = (4.0 * w + 70, 10.0, 4.0 * w + 71, 11.0)
     assert field[..., 2].max() <= box[0]
     (ys, xs), = iou_windows([field], np.array([box]))
-    assert xs.start == xs.stop and ys.stop > ys.start
+    assert xs.start == xs.stop and ys.start == ys.stop
     assert not _max_iou([field], [_area(field)], box).any()
 
 
@@ -288,7 +333,8 @@ def test_windows_need_a_box_field():
 
 def test_noisy_city_frame_matches_full_frame():
     """A seeded noisy 1024x2048 frame: windowed masks in both modes and the
-    mask loss equal their full-frame references, and the windows are small."""
+    mask loss equal their full-frame references, and the windows are small:
+    at most 0.6 of the area the column-and-row rule alone gives."""
     scene = generate_scene(SceneConfig(width=2048, height=1024, instances=40, max_size=256,
                                        min_stuff_area=4096, seed=3))
     pred = perturb(ideal_predictions(scene, default_level_specs(5)),
@@ -305,6 +351,12 @@ def test_noisy_city_frame_matches_full_frame():
                           full_masks(fields, sem, queries, 0.3))
     inst = scene.quarter_instance_map()
     assert mask_loss(gb, queries, scene.boxes, inst) == full_mask_loss(gb, queries, scene.boxes, inst)
-    area = sum((ys.stop - ys.start) * (xs.stop - xs.start)
-               for ys, xs in iou_windows([gb], queries.boxes))
+    windows = iou_windows([gb], queries.boxes)
+    area = sum((ys.stop - ys.start) * (xs.stop - xs.start) for ys, xs in windows)
     assert area < 0.2 * len(queries) * sem.shape[0] * sem.shape[1]
+    # the 8x8 block test at least halves what the column-and-row rule keeps
+    separable = separable_windows([gb], queries.boxes)
+    assert area <= 0.6 * sum((ys.stop - ys.start) * (xs.stop - xs.start) for ys, xs in separable)
+    for (ys, xs), (sy, sx) in zip(windows, separable):
+        assert ys.start == ys.stop or sy.start <= ys.start <= ys.stop <= sy.stop
+        assert xs.start == xs.stop or sx.start <= xs.start <= xs.stop <= sx.stop

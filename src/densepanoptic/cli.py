@@ -48,6 +48,9 @@ def _add_synth(sub):
 
 
 def cmd_synth(args) -> int:
+    noise = NoiseConfig(offset_std=args.noise_offset_std, semantic_flip_prob=args.noise_semantic_flip,
+                        centerness_std=args.noise_centerness_std,
+                        levelness_flip_prob=args.noise_levelness_flip, seed=args.noise_seed)
     cfg = SceneConfig(width=args.width, height=args.height, instances=args.instances,
                       thing_classes=args.thing_classes, stuff_classes=args.stuff_classes,
                       max_same_class_iou=args.max_same_iou,
@@ -61,11 +64,7 @@ def cmd_synth(args) -> int:
           f"{scene.n_stuff} stuff + {scene.n_things} thing classes -> {args.out}")
     if args.preds_out:
         pred = ideal_predictions(scene, default_level_specs(args.levels), mode=args.mode)
-        pred = perturb(pred, NoiseConfig(offset_std=args.noise_offset_std,
-                                         semantic_flip_prob=args.noise_semantic_flip,
-                                         centerness_std=args.noise_centerness_std,
-                                         levelness_flip_prob=args.noise_levelness_flip,
-                                         seed=args.noise_seed))
+        pred = perturb(pred, noise)
         bundle.save_predictions(args.preds_out, pred)
         print(f"predictions ({args.mode}, {args.levels} levels) -> {args.preds_out}")
     return 0
@@ -100,13 +99,14 @@ def _add_construct(sub):
     p = sub.add_parser("construct", help="run the full panoptic construction")
     p.add_argument("--preds", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sigma", type=float, default=0.3)
-    p.add_argument("--nms-iou", type=float, default=0.6)
-    p.add_argument("--score-thresh", type=float, default=0.05)
-    p.add_argument("--topk", type=int, default=1000)
-    p.add_argument("--assembly", choices=ASSEMBLY_MODES, default="levelness")
-    p.add_argument("--stuff-area-min", type=int, default=4096)
-    p.add_argument("--threads", type=int, default=1)
+    d = ConstructionParams()
+    p.add_argument("--sigma", type=float, default=d.sigma)
+    p.add_argument("--nms-iou", type=float, default=d.nms_iou)
+    p.add_argument("--score-thresh", type=float, default=d.score_thresh)
+    p.add_argument("--topk", type=int, default=d.topk_per_level)
+    p.add_argument("--assembly", choices=ASSEMBLY_MODES, default=d.assembly)
+    p.add_argument("--stuff-area-min", type=int, default=d.stuff_area_min)
+    p.add_argument("--threads", type=int, default=d.threads)
     p.add_argument("--ppm", action="store_true", help="also write a colorized view.ppm")
     p.set_defaults(func=cmd_construct)
 
@@ -165,8 +165,9 @@ def _add_loss(sub):
     p.add_argument("--targets", required=True)
     p.add_argument("--lambda", dest="semantic_weight", type=float, default=1.0,
                    help="weight of the semantic loss in the total")
-    p.add_argument("--nms-iou", type=float, default=0.6)
-    p.add_argument("--score-thresh", type=float, default=0.05)
+    d = ConstructionParams()
+    p.add_argument("--nms-iou", type=float, default=d.nms_iou)
+    p.add_argument("--score-thresh", type=float, default=d.score_thresh)
     p.set_defaults(func=cmd_loss)
 
 

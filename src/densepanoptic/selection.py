@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DenseBoxLevel, LevelnessField, upsample_nearest
-from .geometry import _area, _iou_from_areas, boxes_valid, decode_boxes, receptive_centers
+from .geometry import _area, _iou_from_areas, boxes_valid, decode_boxes
 
 
 @dataclass(frozen=True)
@@ -164,34 +164,26 @@ def resample_level_boxes(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> n
     return upsample_nearest(decode_boxes(level.offsets, level.stride, np.float32), rep)
 
 
-def quarter_point_boxes(quarter_hw: tuple[int, int]) -> np.ndarray:
-    """Degenerate per-pixel point boxes (cx, cy, cx, cy) at the quarter-grid
-    sample locations: the boxes `decode_boxes` gives zero offsets at stride 4."""
-    qh, qw = quarter_hw
-    out = np.empty((qh, qw, 4), dtype=np.float32)
-    out[..., 0::2] = receptive_centers(4, np.arange(qw)).astype(np.float32)[:, None]
-    out[..., 1::2] = receptive_centers(4, np.arange(qh)).astype(np.float32)[:, None, None]
-    return out
-
-
 def assemble_global_boxes(levels: list[DenseBoxLevel], levelness: LevelnessField) -> np.ndarray:
     """Collapse the box pyramid into one quarter-resolution (H/4, W/4, 4) float32 box field.
 
     Each pixel takes the box its levelness argmax selects, decoded from the
     level cell that covers it (the box `resample_level_boxes` puts there);
-    pixels selecting background (0) get a degenerate point box at their own
-    sample location, so they score IoU 0 against every proper box.
+    pixels selecting background (0) read one shared empty box (+inf, +inf,
+    -inf, -inf). It scores IoU exactly 0 against every query (intersection
+    0, union +inf), and its extents drop out of `iou_windows`.
 
-    The point boxes (a grid with one cell per pixel) and every level's
-    decoded cells form one table of rows; pixel (y, x) selecting s reads row
-    `row_index[s, y] + col_index[s, x]`, all pixels in one gather of 16-byte
-    rows.
+    The empty box (a one-cell grid whose block covers the frame) and every
+    level's decoded cells form one table of rows; pixel (y, x) selecting s
+    reads row `row_index[s, y] + col_index[s, x]`, all pixels in one gather
+    of 16-byte rows.
     """
     if levelness.n_levels != len(levels):
         raise ValueError("levelness channel count must be n_levels + 1")
     qh, qw = levelness.shape
-    grids = [quarter_point_boxes((qh, qw))] + [decode_boxes(lv.offsets, lv.stride, np.float32) for lv in levels]
-    reps = np.array([1] + [_quarter_block(lv, (qh, qw)) for lv in levels])[:, None]
+    empty = np.array([[[np.inf, np.inf, -np.inf, -np.inf]]], dtype=np.float32)
+    grids = [empty] + [decode_boxes(lv.offsets, lv.stride, np.float32) for lv in levels]
+    reps = np.array([max(qh, qw)] + [_quarter_block(lv, (qh, qw)) for lv in levels])[:, None]
     widths = np.array([g.shape[1] for g in grids])[:, None]
     starts = np.cumsum([0] + [g.shape[0] * g.shape[1] for g in grids[:-1]])[:, None]
     row_index, col_index = starts + np.arange(qh) // reps * widths, np.arange(qw) // reps

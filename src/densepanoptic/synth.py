@@ -14,6 +14,7 @@ configuration under which every loss evaluates to exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,9 +99,10 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.offset_std, self.semantic_flip_prob, self.centerness_std,
-               self.levelness_flip_prob) < 0:
-            raise ValueError("noise magnitudes must be nonnegative")
+        for name in ("offset_std", "semantic_flip_prob", "centerness_std", "levelness_flip_prob"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"noise {name} must be a finite number >= 0, got {value}")
         if max(self.semantic_flip_prob, self.levelness_flip_prob) > 1:
             raise ValueError("flip probabilities must be at most 1")
 

@@ -7,6 +7,7 @@ import pytest
 from densepanoptic import cli
 from densepanoptic.bundle import load_panoptic, load_scene
 from densepanoptic.cli import build_parser, main
+from densepanoptic.pipeline import ConstructionParams
 
 
 def run(capsys, *argv):
@@ -60,6 +61,17 @@ class TestSynthCommand:
         assert code == 1
         assert err.strip().startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--noise-offset-std", "nan"), ("--noise-semantic-flip", "nan"),
+                                             ("--noise-centerness-std", "nan"), ("--noise-levelness-flip", "nan"),
+                                             ("--noise-centerness-std", "inf")])
+    def test_non_finite_noise_is_rejected(self, tmp_path, capsys, flag, value):
+        code, out, err = run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128",
+                             "--height", "128", "--instances", "2", "--preds-out", str(tmp_path / "preds"),
+                             flag, value)
+        assert (code, out) == (1, "") and not (tmp_path / "scene").exists()
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: noise ")
+        assert flag.removeprefix("--noise-").split("-")[0] in err
 
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -548,6 +560,17 @@ def test_docstring_names_every_subcommand():
     listed = cli.__doc__.splitlines()[0].split(":", 1)[1].rstrip(".").split("|")
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert [name.strip() for name in listed] == list(sub.choices)
+
+
+def test_construct_and_loss_defaults_are_the_construction_params():
+    d = ConstructionParams()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    construct = sub.choices["construct"].parse_args(["--preds", "p", "--out", "o"])
+    assert (construct.sigma, construct.nms_iou, construct.score_thresh, construct.topk, construct.assembly,
+            construct.stuff_area_min, construct.threads) == (d.sigma, d.nms_iou, d.score_thresh, d.topk_per_level,
+                                                             d.assembly, d.stuff_area_min, d.threads)
+    loss = sub.choices["loss"].parse_args(["--preds", "p", "--targets", "t"])
+    assert (loss.nms_iou, loss.score_thresh) == (d.nms_iou, d.score_thresh)
 
 
 @pytest.mark.parametrize("value, code", [pytest.param(3e38, 1, id="overflowing"), pytest.param(1e18, 0, id="large")])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densepanoptic.fields import DenseBoxLevel, LevelnessField, SemanticField
-from densepanoptic.geometry import _area, _max_iou, box_iou, decode_boxes
+from densepanoptic.geometry import _area, _max_iou, box_iou, decode_boxes, iou_windows
 from densepanoptic.maskcons import construct_masks
 from densepanoptic.selection import (
     QuerySet,
@@ -11,7 +11,6 @@ from densepanoptic.selection import (
     assemble_global_boxes,
     decode_candidates,
     nms,
-    quarter_point_boxes,
     resample_level_boxes,
 )
 from query_rows import query_set, row
@@ -32,6 +31,12 @@ def sb(x1, y1, x2, y2, cls=1, score=0.9, level=0):
 
 def box(r):
     return r[0]
+
+
+EMPTY = (np.inf, np.inf, -np.inf, -np.inf)  # what background pixels read from assembly
+# queries inside, around, on a point and at negative coordinates of a 32x32 image
+PROBES = [(4.0, 4.0, 20.0, 20.0), (-10.0, -10.0, 100.0, 100.0), (10.0, 6.0, 10.0, 6.0),
+                (-30.0, -20.0, -5.0, -2.0)]
 
 
 class TestQuerySet:
@@ -267,12 +272,6 @@ class TestAssembly:
         # quarter pixel (3, 5) belongs to level cell (1, 2), center (20, 12)
         assert tuple(boxes[3, 5]) == (18.0, 10.0, 22.0, 14.0)
 
-    def test_point_boxes_sit_on_quarter_centers(self):
-        pts = quarter_point_boxes((2, 3))
-        assert pts.shape == (2, 3, 4)
-        assert tuple(pts[1, 2]) == (10.0, 6.0, 10.0, 6.0)
-        assert (pts[..., 0] == pts[..., 2]).all() and (pts[..., 1] == pts[..., 3]).all()
-
     def test_argmax_selects_level(self):
         lv0, lv1 = self._two_levels()
         logits = np.zeros((8, 8, 3), np.float32)
@@ -284,7 +283,7 @@ class TestAssembly:
         assert (field[0, 0] == r1[0, 0]).all()
         r0 = resample_level_boxes(lv0, (8, 8))
         assert (field[3, 5] == r0[3, 5]).all()
-        assert tuple(field[7, 7]) == (30.0, 30.0, 30.0, 30.0)
+        assert tuple(field[7, 7]) == EMPTY
 
     def test_single_level_everywhere_foreground(self):
         lv0, _ = self._two_levels()
@@ -299,16 +298,41 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_global_boxes([lv0, lv1], LevelnessField(logits))
 
-    def test_point_boxes_are_decoded_zero_offsets(self):
-        pts = quarter_point_boxes((5, 7))
-        assert pts.tobytes() == decode_boxes(np.zeros((5, 7, 4), np.float32), 4, np.float32).tobytes()
+    def test_all_background_gives_empty_windows(self):
+        lv0, lv1 = self._two_levels()
+        field = assemble_global_boxes([lv0, lv1], LevelnessField(np.zeros((8, 8, 3), np.float32)))
+        assert field.dtype == np.float32 and (field == EMPTY).all()
+        for ys, xs in iou_windows([field], np.array(PROBES)):
+            assert ys.start == ys.stop and xs.start == xs.stop
+
+    def test_empty_box_scores_zero(self):
+        """Background pixels between level-0 pixels (a checkerboard) score IoU
+        exactly 0, with no floating-point warning, for queries inside,
+        around, on a point and at negative coordinates; a query equal to a
+        level-0 box still scores 1 on its pixels."""
+        lv0, lv1 = self._two_levels()
+        background = np.indices((8, 8)).sum(axis=0) % 2 == 0
+        logits = np.zeros((8, 8, 3), np.float32)
+        logits[~background, 1] = 1.0
+        sem = SemanticField(np.stack([np.zeros((8, 8)), np.ones((8, 8))], axis=-1).astype(np.float32))
+        queries = PROBES + [(10.0, 10.0, 14.0, 14.0)]
+        with np.errstate(all="raise"):
+            field = assemble_global_boxes([lv0, lv1], LevelnessField(logits))
+            assert (field[background] == EMPTY).all()
+            for q in queries:
+                assert not _max_iou([field], [_area(field)], q)[background].any()
+            # the smallest positive float as sigma: a mask pixel is IoU * 1.0 > 0
+            masks = construct_masks(query_set([sb(*q, cls=2) for q in queries]), sem, 1, sigma=5e-324,
+                                    global_boxes=field)
+        assert not masks[:, background].any()
+        assert masks[1].sum() == 32 and _max_iou([field], [_area(field)], queries[-1]).max() == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), hq=st.integers(1, 5), wq=st.integers(1, 5),
            n_levels=st.integers(1, 3))
     def test_one_gather_is_the_per_level_scatter(self, seed, hq, wq, n_levels):
         """Each pixel reads the box the former per-level scatter wrote there:
-        the level cell that covers it, decoded, or its own point box."""
+        the level cell that covers it, decoded, or the empty box."""
         rng = np.random.default_rng(seed)
         qh, qw = 8 * hq, 8 * wq  # quarter grid that strides 8, 16 and 32 tile
         levels = []
@@ -318,7 +342,7 @@ class TestAssembly:
             levels.append(lv)
         levelness = LevelnessField(rng.normal(0, 1, (qh, qw, n_levels + 1)).astype(np.float32))
         sel = levelness.argmax_levels()
-        want = quarter_point_boxes((qh, qw))
+        want = np.full((qh, qw, 4), EMPTY, np.float32)
         for li, lv in enumerate(levels):
             iy, ix = np.nonzero(sel == li + 1)
             rep = lv.stride // 4

@@ -129,13 +129,13 @@ def assign_foreground(scene: GroundTruthScene, mode: str = "full") -> np.ndarray
     # paint large boxes first and, within equal areas, high ids first: the
     # smallest box (lowest id on ties) is written last and wins overlaps
     order = np.lexsort((-np.arange(len(areas)), -areas))
-    ys = np.arange(scene.height)
-    xs = np.arange(scene.width)
-    for k in order:
-        x1, y1, x2, y2 = scene.boxes[k].astype(np.float64)
-        rows = (ys >= y1) & (ys <= y2)
-        cols = (xs >= x1) & (xs <= x2)
-        out[np.ix_(rows, cols)] = k + 1
+    # a box holds the pixels ceil(x1) <= x <= floor(x2), ceil(y1) <= y <= floor(y2);
+    # both ends are clipped to the frame, since a negative stop would wrap
+    hw = [scene.width, scene.height]
+    c0, r0 = np.clip(np.ceil(scene.boxes[:, :2]), 0, hw).astype(np.int64).T.tolist()
+    c1, r1 = np.clip(np.floor(scene.boxes[:, 2:]) + 1, 0, hw).astype(np.int64).T.tolist()
+    for k in order.tolist():
+        out[r0[k]:r1[k], c0[k]:c1[k]] = k + 1
     return out
 
 

@@ -84,6 +84,20 @@ def boxes_valid(boxes: np.ndarray) -> bool:
     return bool(np.isfinite(boxes).all() and (boxes[..., :2] <= boxes[..., 2:]).all())
 
 
+def box_field(boxes) -> np.ndarray:
+    """`boxes` as the contiguous (h, w, 4) float32 field `_max_iou` scores.
+
+    +-inf coordinates are kept (assembly's empty box is (+inf, +inf, -inf,
+    -inf)); a NaN coordinate, which would score IoU 0 unnoticed, raises.
+    """
+    boxes = np.ascontiguousarray(boxes, dtype=np.float32)
+    if boxes.ndim != 3 or boxes.shape[2] != 4:
+        raise ValueError("global boxes must be (h, w, 4)")
+    if np.isnan(boxes.min(initial=np.inf)):  # one pass: a NaN propagates through min
+        raise ValueError("global boxes must not hold NaN")
+    return boxes
+
+
 def box_iou(a, b) -> np.ndarray:
     """IoU of boxes (..., 4) broadcast against boxes (..., 4), float64.
 

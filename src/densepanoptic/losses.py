@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import plane_sum
-from .geometry import _area, _max_iou, box_iou, iou_windows
+from .geometry import _area, _max_iou, box_field, box_iou, iou_windows
 from .selection import QuerySet
 
 logger = logging.getLogger(__name__)
@@ -99,26 +99,42 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     row-by-row form because `plane_sum` repeats numpy's summation order.
     Pixels are independent, so they are computed in blocks of `_CE_BLOCK`.
 
-    Lanes whose shifted logit lies below `_EXP_ZERO` skip `exp` and are
-    written as +0.0, the value `exp` rounds them to, so every lane holds the
-    bits of the full computation (one-hot logits with a margin of 1000 make
-    most lanes such). The test is negated, so NaN lanes still take `exp`.
+    The target logits are one flat gather from the input: widening a logit
+    to float64 is exact, so they are the values the row form reads. Lanes
+    whose shifted logit lies below `_EXP_ZERO` skip `exp` and read +0.0, the
+    value `exp` rounds them to, so every lane holds the bits of the full
+    computation. The test is negated, so NaN lanes still take `exp`. With
+    one-hot logits of margin 1000 most lanes skip it: the others are
+    gathered, their `exp` is scattered into a zero-filled buffer reused by
+    every block, and the buffer is cleared at those lanes again. A block in
+    which every lane takes `exp` (a soft head) takes it in place.
     """
     n_ch = logits.shape[-1]
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
     if t.size and (t.min() < 0 or t.max() >= n_ch):
         raise ValueError("target index out of range")
     rows = np.asarray(logits).reshape(-1, n_ch)
+    at = np.arange(0, rows.size, n_ch)
+    at += t
+    picked = rows.reshape(-1).take(at)
     out = np.empty(len(rows))
+    zeros = np.zeros(n_ch * min(len(rows), _CE_BLOCK))
     for a in range(0, len(rows), _CE_BLOCK):
         z = np.moveaxis(rows[a:a + _CE_BLOCK], 1, 0).astype(np.float64, order="C")
         m = z.max(axis=0)
-        e = z - m
-        zero = e < _EXP_ZERO
-        np.exp(e, out=e, where=~zero)
-        np.copyto(e, 0.0, where=zero)
-        s = np.log(plane_sum(e))
-        out[a:a + _CE_BLOCK] = -(np.take_along_axis(z, t[None, a:a + _CE_BLOCK], axis=0)[0] - m - s)
+        z -= m
+        keep = ~(z < _EXP_ZERO)
+        if keep.all():
+            s = np.log(plane_sum(np.exp(z, out=z)))
+        else:
+            lanes = np.flatnonzero(keep)
+            e = zeros[:z.size]
+            e[lanes] = np.exp(z.reshape(-1)[lanes])
+            s = np.log(plane_sum(e.reshape(z.shape)))
+            e[lanes] = 0.0
+        o = np.subtract(picked[a:a + _CE_BLOCK], m, out=out[a:a + _CE_BLOCK])
+        o -= s
+        np.negative(o, out=o)
     return out
 
 
@@ -144,26 +160,35 @@ def focal_classification_loss(
     alpha: float = 0.25,
     gamma: float = 2.0,
 ) -> float:
-    """Sigmoid focal loss over per-location thing-class probabilities.
+    """Sigmoid focal loss over per-location thing-class probabilities in [0, 1].
 
     Every (location, channel) pair contributes; channel c of a foreground
     location is positive iff the location's global target class is
     n_stuff + 1 + c. The summed loss is divided by max(1, n_foreground).
+
+    The negative term is computed everywhere and the positive one only at
+    the positive pairs, where it replaces the negative one. The one-hot
+    form adds to each pair the other term times 0, a zero for p in [0, 1]:
+    it changes a term at most in the sign of a zero, so the sum at most in
+    the sign of a zero sum, which numpy's sum (it starts from +0.0) makes
+    +0.0 either way.
     """
     p = np.asarray(pred_probs, dtype=np.float64).reshape(-1, pred_probs.shape[-1])
     cls = np.asarray(target_classes, dtype=np.int64).reshape(-1)
     fg = np.asarray(foreground, dtype=bool).reshape(-1)
     if len(p) != len(cls) or len(p) != len(fg):
         raise ValueError("probability, class and foreground lengths differ")
-    y = np.zeros_like(p)
-    if fg.any():
-        ch = cls[fg] - n_stuff - 1
-        if ch.min(initial=0) < 0 or ch.max(initial=0) >= p.shape[1]:
+    if p.size and not (p.min() >= 0 and p.max() <= 1):
+        raise ValueError("probabilities must lie in [0, 1]")
+    terms = -(1.0 - alpha) * p ** gamma * _safe_log(1.0 - p)
+    rows = np.flatnonzero(fg)
+    if rows.size:
+        ch = cls[rows] - n_stuff - 1
+        if ch.min() < 0 or ch.max() >= p.shape[1]:
             raise ValueError("foreground class outside the thing range")
-        y[np.nonzero(fg)[0], ch] = 1.0
-    pos = -alpha * (1.0 - p) ** gamma * _safe_log(p) * y
-    neg = -(1.0 - alpha) * p ** gamma * _safe_log(1.0 - p) * (1.0 - y)
-    return float((pos + neg).sum() / max(1, int(fg.sum())))
+        q = p[rows, ch]
+        terms[rows, ch] = -alpha * (1.0 - q) ** gamma * _safe_log(q)
+    return float(terms.sum() / max(1, rows.size))
 
 
 def bootstrap_count(n_pixels: int, fraction: float) -> int:
@@ -231,16 +256,14 @@ def mask_loss(
     sums IoU of pixel boxes outside, always against the query box.
     Unmatched queries (or matches with N_j = 0) are skipped; the result is
     the mean over participating queries, 0.0 if none. gt_instances must
-    hold integers in [0, len(gt_boxes)].
+    hold integers in [0, len(gt_boxes)] and global_boxes no NaN.
 
     Both sums run over the same arrays, in the same order, as
     `(1.0 - ious[inside]).sum()` and `ious[~inside].sum()` over a
     full-frame IoU map, so every bit matches that form; only the query's
     `iou_windows` window is scored, since every pixel outside it has IoU 0.
     """
-    global_boxes = np.ascontiguousarray(global_boxes, dtype=np.float32)
-    if global_boxes.ndim != 3 or global_boxes.shape[2] != 4:
-        raise ValueError("global boxes must be (h, w, 4)")
+    global_boxes = box_field(global_boxes)
     ids = np.asarray(gt_instances)
     if ids.shape != global_boxes.shape[:2]:
         raise ValueError("instance map and box field shapes differ")

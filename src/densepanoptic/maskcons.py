@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .fields import PanopticMap, SemanticField, segment_table, upsample_nearest
-from .geometry import _area, _max_iou, iou_windows
+from .geometry import _area, _max_iou, box_field, iou_windows
 from .selection import QuerySet, resample_level_boxes
 
 
@@ -30,23 +30,21 @@ def construct_masks(
     """Instance masks for every query, (M, h, w) bool in query order.
 
     Location probabilities come from the assembled (h, w, 4) global box
-    field when given, otherwise from the per-level maximum over `levels`,
-    whose boxes are resampled to the semantic grid once per call; box areas
-    are also computed once per call and sliced per window. Each query is scored
-    only inside its `iou_windows` window, outside which no pixel has a
-    positive IoU with it; the rest of its mask stays False. Queries are
-    independent, so `threads` workers each take one contiguous run of
-    queries and write its disjoint preallocated slices, making the result
-    identical for any thread count.
+    field when given (a NaN coordinate raises, see `box_field`), otherwise
+    from the per-level maximum over `levels`, whose boxes are resampled to
+    the semantic grid once per call; box areas are also computed once per
+    call and sliced per window. Each query is scored only inside its
+    `iou_windows` window, outside which no pixel has a positive IoU with it;
+    the rest of its mask stays False. Queries are independent, so `threads`
+    workers each take one contiguous run of queries and write its disjoint
+    preallocated slices, making the result identical for any thread count.
     """
     if (global_boxes is None) == (levels is None):
         raise ValueError("exactly one of global_boxes or levels is required")
     if threads < 1:
         raise ValueError("threads must be positive")
     if global_boxes is not None:
-        global_boxes = np.ascontiguousarray(global_boxes, dtype=np.float32)
-        if global_boxes.ndim != 3 or global_boxes.shape[2] != 4:
-            raise ValueError("global boxes must be (h, w, 4)")
+        global_boxes = box_field(global_boxes)
         if global_boxes.shape[:2] != semantics.shape:
             raise ValueError("box field and semantic field shapes differ")
     if not 0 < sigma < 1:

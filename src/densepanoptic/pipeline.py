@@ -109,15 +109,19 @@ def compute_loss_report(
         pred_cent, tgt_cent = [], []
         pred_probs, tgt_cls = [], []
         for lv, t in pairs:
-            pred_boxes.append(decode_boxes(lv.offsets, lv.stride, np.float64).reshape(-1, 4))
-            tgt_boxes.append(decode_boxes(t.offsets, lv.stride, np.float64).reshape(-1, 4))
-            fg_all.append(t.foreground.reshape(-1))
+            fg = t.foreground
+            # iou_loss reads only the foreground rows, so only those are decoded
+            iy, ix = np.nonzero(fg)
+            pred_boxes.append(decode_boxes(lv.offsets[iy, ix], lv.stride, np.float64, ix, iy))
+            tgt_boxes.append(decode_boxes(t.offsets[iy, ix], lv.stride, np.float64, ix, iy))
+            fg_all.append(fg.reshape(-1))
             pred_cent.append(lv.centerness.reshape(-1))
             tgt_cent.append(t.centerness.reshape(-1))
             pred_probs.append(lv.class_probs.reshape(-1, lv.n_thing_classes))
             tgt_cls.append(t.class_ids.reshape(-1))
         fg = np.concatenate(fg_all)
-        box_reg = L.iou_loss(np.concatenate(pred_boxes), np.concatenate(tgt_boxes), fg)
+        pred_boxes = np.concatenate(pred_boxes)
+        box_reg = L.iou_loss(pred_boxes, np.concatenate(tgt_boxes), np.ones(len(pred_boxes), dtype=bool))
         cent = L.centerness_loss(np.concatenate(pred_cent), np.concatenate(tgt_cent), fg)
         lev = L.levelness_loss(pred.levelness_logits, targets.global_targets.levelness)
         focal = L.focal_classification_loss(np.concatenate(pred_probs), np.concatenate(tgt_cls),

@@ -1,9 +1,10 @@
 """Independent naive reference implementations used by the equivalence tests.
 
 Everything here is deliberately scalar python loops + math, sharing no code
-with the package internals beyond data containers. The exception is the
-row-layout section at the end: the numpy formulas over a trailing channel
-axis that the package's channel-planar code must reproduce bit for bit.
+with the package internals beyond data containers. The exceptions are the
+two sections at the end: the numpy formulas over a trailing channel axis that
+the package's channel-planar code must reproduce bit for bit, and the dense
+full-grid forms that its sparse kernels must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -322,3 +323,38 @@ def cross_entropy_rows_ref(logits: np.ndarray, targets: np.ndarray) -> np.ndarra
     m = z.max(axis=1)
     s = np.log(np.exp(z - m[:, None]).sum(axis=1))
     return -(z[np.arange(len(t)), t] - m - s)
+
+
+# ------------------------------------------------------------ dense forms
+
+def focal_loss_dense_ref(pred_probs, target_classes, foreground, n_stuff: int = 0,
+                         alpha: float = 0.25, gamma: float = 2.0) -> float:
+    """The focal loss as one-hot arrays: both terms at every (location,
+    channel) pair, masked by y and 1 - y, summed."""
+    p = np.asarray(pred_probs, dtype=np.float64).reshape(-1, pred_probs.shape[-1])
+    cls = np.asarray(target_classes, dtype=np.int64).reshape(-1)
+    fg = np.asarray(foreground, dtype=bool).reshape(-1)
+    y = np.zeros_like(p)
+    if fg.any():
+        y[np.nonzero(fg)[0], cls[fg] - n_stuff - 1] = 1.0
+
+    def safe_log(x):
+        return np.log(np.maximum(x, 1e-7))
+
+    pos = -alpha * (1.0 - p) ** gamma * safe_log(p) * y
+    neg = -(1.0 - alpha) * p ** gamma * safe_log(1.0 - p) * (1.0 - y)
+    return float((pos + neg).sum() / max(1, int(fg.sum())))
+
+
+def weak_owners_ref(boxes, height: int, width: int) -> np.ndarray:
+    """Weak-mode owners painted through boolean row and column masks: boxes
+    (K, 4) float32 from the largest area down, equal areas from the highest
+    id down, each over the pixels (x, y) with x1 <= x <= x2 and y1 <= y <= y2."""
+    boxes = np.asarray(boxes, dtype=np.float32).reshape(-1, 4)
+    out = np.zeros((height, width), dtype=np.uint16)
+    areas = ((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])).astype(np.float64)
+    ys, xs = np.arange(height), np.arange(width)
+    for k in np.lexsort((-np.arange(len(areas)), -areas)):
+        x1, y1, x2, y2 = boxes[k].astype(np.float64)
+        out[np.ix_((ys >= y1) & (ys <= y2), (xs >= x1) & (xs <= x2))] = k + 1
+    return out

@@ -164,6 +164,32 @@ class TestAssignForeground:
         fg = assign_foreground(sc, "weak")
         assert fg[5, 7] == 1  # equal areas, overlap goes to instance 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_weak_painting_is_the_boolean_mask_form(self, data):
+        """Slice painting against boolean row and column masks, on boxes with
+        fractional, negative and beyond-frame corners, zero width or height,
+        and equal areas (translated copies of earlier boxes)."""
+        from oracles import weak_owners_ref
+
+        h, w = 12, 20
+        coord = st.one_of(st.integers(-6, 26).map(float), st.floats(-6, 26, width=32),
+                          st.sampled_from([-0.5, 0.5, 11.5, 12.0, 19.5, 20.0]))
+        side = st.one_of(st.just(0.0), st.integers(0, 24).map(float), st.floats(0, 30, width=32))
+        boxes = [[x, y, x + bw, y + bh] for x, y, bw, bh in data.draw(st.lists(st.tuples(coord, coord, side, side),
+                                                                               min_size=1, max_size=6))]
+        for k, x, y in data.draw(st.lists(st.tuples(st.integers(0, 5), coord, coord), max_size=3)):
+            x1, y1, x2, y2 = boxes[k % len(boxes)]
+            boxes.append([x, y, x + (x2 - x1), y + (y2 - y1)])
+        boxes = np.array(boxes, np.float32)
+        boxes[:, 2:] = np.maximum(boxes[:, 2:], boxes[:, :2])  # float32 rounding must keep them ordered
+        panoptic = PanopticMap(np.ones((h, w), np.uint16), np.zeros((h, w), np.uint16),
+                               [SegmentInfo(0, 1, h * w, 1.0)])
+        sc = GroundTruthScene(panoptic=panoptic, boxes=boxes, instance_classes=np.full(len(boxes), 2, np.uint16),
+                              n_stuff=1, n_things=1)
+        got = assign_foreground(sc, "weak")
+        assert got.dtype == np.uint16 and np.array_equal(got, weak_owners_ref(boxes, h, w))
+
     def test_bad_mode(self):
         sc = make_scene(16, 16, [(2, 2, 5, 5, 2)])
         with pytest.raises(ValueError):

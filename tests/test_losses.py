@@ -171,6 +171,21 @@ class TestCrossEntropyBlocks:
         assert got.tobytes() == want.tobytes()
 
 
+    def test_soft_and_one_hot_blocks_alternate(self):
+        """A block where every lane takes exp (soft logits) takes it in place;
+        the blocks around it gather and scatter through the reused buffer."""
+        n_ch, block = 6, losses._CE_BLOCK
+        rng = np.random.default_rng(5)
+        logits = rng.normal(0, 2, (3 * block + 11, n_ch)).astype(np.float32)
+        for b in (0, 2):  # blocks 0 and 2 one-hot, block 1 and the tail soft
+            one_hot = np.zeros((block, n_ch), np.float32)
+            one_hot[np.arange(block), rng.integers(0, n_ch, block)] = ONE_HOT_MARGIN
+            logits[b * block:(b + 1) * block] = one_hot
+        targets = rng.integers(0, n_ch, len(logits))
+        got = _cross_entropy(logits, targets)
+        assert got.tobytes() == cross_entropy_rows_ref(logits, targets).tobytes()
+
+
 class TestExpCutoff:
     """`_cross_entropy` writes +0.0 for lanes below `_EXP_ZERO` instead of taking exp."""
 
@@ -280,6 +295,47 @@ class TestFocalLoss:
         got = focal_classification_loss(p, cls, fg, n_stuff=n_stuff)
         want = focal_loss_ref(p.tolist(), cls.tolist(), fg.tolist(), n_stuff)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bitwise_the_dense_form(self, data):
+        """The sparse positive term against the one-hot form, by float.hex:
+        probabilities at and next to 0, 1/2 and 1, or uniform; foreground
+        empty, full or mixed."""
+        from oracles import focal_loss_dense_ref
+
+        n, t, n_stuff = data.draw(st.integers(0, 24)), data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2))
+        prob = st.one_of(st.sampled_from([0.0, 1e-9, 0.5, 1 - 1e-9, 1.0]), st.floats(0, 1))
+        p = np.array(data.draw(st.lists(prob, min_size=n * t, max_size=n * t)), np.float64).reshape(n, t)
+        kind = data.draw(st.sampled_from(["empty", "full", "mixed"]))
+        fg = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool).reshape(n)
+        fg = {"empty": np.zeros(n, bool), "full": np.ones(n, bool), "mixed": fg}[kind]
+        cls = np.array(data.draw(st.lists(st.integers(n_stuff + 1, n_stuff + t), min_size=n, max_size=n)),
+                       np.int64).reshape(n)
+        cls[~fg] = 0
+        alpha, gamma = data.draw(st.sampled_from([(0.25, 2.0), (0.5, 1.5), (0.25, 0.0)]))
+        got = focal_classification_loss(p, cls, fg, n_stuff=n_stuff, alpha=alpha, gamma=gamma)
+        want = focal_loss_dense_ref(p, cls, fg, n_stuff=n_stuff, alpha=alpha, gamma=gamma)
+        assert got.hex() == want.hex()
+
+    def test_a_sum_of_zeros_is_positive_zero(self):
+        """Negative terms at p = 0 are -0.0; the one-hot form sums +0.0."""
+        from oracles import focal_loss_dense_ref
+
+        p = np.zeros((3, 2))
+        p[1, 1] = 1.0
+        cls, fg = np.array([0, 2, 0]), np.array([False, True, False])
+        assert focal_loss_dense_ref(p, cls, fg).hex() == "0x0.0p+0"
+        assert focal_classification_loss(p, cls, fg).hex() == "0x0.0p+0"
+        assert focal_classification_loss(p[:0], cls[:0], fg[:0]).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1 + 1e-9, np.nan, np.inf])
+    def test_rejects_probabilities_outside_zero_one(self, bad):
+        p = np.full((2, 3), 0.5)
+        p[1, 2] = bad
+        with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+            focal_classification_loss(p, np.array([1, 0]), np.array([True, False]))
 
 
 class TestSemanticLoss:
@@ -448,6 +504,19 @@ class TestMaskLoss:
         for boxes in (np.zeros((2, 2, 3), np.float32), np.zeros((2, 4), np.float32)):
             with pytest.raises(ValueError, match=r"global boxes must be \(h, w, 4\)"):
                 mask_loss(boxes, query_set([sb(0, 0, 8, 8)]), np.array([[0, 0, 8, 8]]), np.ones((2, 2)))
+
+    def test_rejects_a_nan_box_field(self):
+        """A field that is NaN except one box used to be scored silently."""
+        boxes = np.full((4, 4, 4), np.nan, np.float32)
+        boxes[1, 2] = (0, 0, 8, 8)
+        queries, gt_boxes = query_set([sb(0, 0, 8, 8)]), np.array([[0, 0, 8, 8]], np.float64)
+        ids = np.zeros((4, 4), np.int64)
+        ids[1:3, 1:3] = 1
+        with pytest.raises(ValueError, match="global boxes must not hold NaN"):
+            mask_loss(boxes, queries, gt_boxes, ids)
+        boxes[np.isnan(boxes[..., 0])] = (np.inf, np.inf, -np.inf, -np.inf)  # the empty box stays legal
+        # three instance pixels score IoU 0 (E_FN = 3), the rest 0 or 1
+        assert mask_loss(boxes, queries, gt_boxes, ids) == 3 / 4
 
     @pytest.mark.parametrize("bad", [-1, 2.5, 7, np.nan])
     def test_rejects_instance_ids_it_cannot_index(self, bad):

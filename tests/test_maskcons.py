@@ -106,6 +106,19 @@ class TestConstructMasks:
             with pytest.raises(ValueError, match=r"global boxes must be \(h, w, 4\)"):
                 construct_masks(queries, sem, n_stuff=2, global_boxes=boxes)
 
+    def test_rejects_a_nan_box_field(self):
+        """A field that is NaN except one box used to give a one-pixel mask."""
+        sem = uniform_semantics(4, 4, 3, cls=3)
+        field = np.full((4, 4, 4), np.nan, np.float32)
+        field[1, 2] = (0, 0, 8, 8)
+        queries = query_set([sb(0, 0, 8, 8, cls=3)])
+        with pytest.raises(ValueError, match="global boxes must not hold NaN"):
+            construct_masks(queries, sem, n_stuff=2, global_boxes=field)
+        field[:] = (np.inf, np.inf, -np.inf, -np.inf)  # assembly's empty box stays legal
+        field[1, 2] = (0, 0, 8, 8)
+        got = construct_masks(queries, sem, n_stuff=2, global_boxes=field)
+        assert np.argwhere(got[0]).tolist() == [[1, 2]]
+
     def test_empty_query_set(self):
         field, sem, _ = self._setup()
         out = construct_masks(query_set([]), sem, n_stuff=2, global_boxes=field)

@@ -106,8 +106,7 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     computation. The test is negated, so NaN lanes still take `exp`. With
     one-hot logits of margin 1000 most lanes skip it: the others are
     gathered, their `exp` is scattered into a zero-filled buffer reused by
-    every block, and the buffer is cleared at those lanes again. A block in
-    which every lane takes `exp` (a soft head) takes it in place.
+    every block, and the buffer is cleared at those lanes again.
     """
     n_ch = logits.shape[-1]
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
@@ -123,15 +122,11 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
         z = np.moveaxis(rows[a:a + _CE_BLOCK], 1, 0).astype(np.float64, order="C")
         m = z.max(axis=0)
         z -= m
-        keep = ~(z < _EXP_ZERO)
-        if keep.all():
-            s = np.log(plane_sum(np.exp(z, out=z)))
-        else:
-            lanes = np.flatnonzero(keep)
-            e = zeros[:z.size]
-            e[lanes] = np.exp(z.reshape(-1)[lanes])
-            s = np.log(plane_sum(e.reshape(z.shape)))
-            e[lanes] = 0.0
+        lanes = np.flatnonzero(~(z < _EXP_ZERO))
+        e = zeros[:z.size]
+        e[lanes] = np.exp(z.reshape(-1)[lanes])
+        s = np.log(plane_sum(e.reshape(z.shape)))
+        e[lanes] = 0.0
         o = np.subtract(picked[a:a + _CE_BLOCK], m, out=out[a:a + _CE_BLOCK])
         o -= s
         np.negative(o, out=o)

@@ -172,8 +172,8 @@ class TestCrossEntropyBlocks:
 
 
     def test_soft_and_one_hot_blocks_alternate(self):
-        """A block where every lane takes exp (soft logits) takes it in place;
-        the blocks around it gather and scatter through the reused buffer."""
+        """A block where every lane takes exp (soft logits) sits between
+        one-hot blocks; all of them share the reused zero-filled buffer."""
         n_ch, block = 6, losses._CE_BLOCK
         rng = np.random.default_rng(5)
         logits = rng.normal(0, 2, (3 * block + 11, n_ch)).astype(np.float32)

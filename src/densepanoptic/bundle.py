@@ -1,16 +1,17 @@
 """Directory-based tensor interchange plus scene/prediction/target codecs.
 
-A bundle is a directory with a JSON manifest listing every tensor (name,
-element type, shape, filename) and one raw little-endian row-major binary
-file per tensor. Element types are f32, u16 and u8. Reads check every
-manifest entry against that schema (the filename must be the tensor name
-plus ".bin", so no entry reaches outside the directory) and verify that
-file byte lengths match the manifest shapes exactly, so round-trips are
-bitwise faithful. Each kind of bundle (scene, predictions, targets,
-panoptic) also checks the `meta` keys and value types and the tensors it
-needs, each of the one element type its saver writes, so a malformed bundle
-fails with one ValueError that names the key or tensor. Loaders do nothing
-else: the containers they construct check every value.
+A bundle is a directory holding a JSON manifest and one data file,
+`tensors.bin`. The manifest lists every tensor (name, element type, shape)
+in the order its raw little-endian row-major bytes follow one another in the
+data file, so each tensor's offset is the summed byte length of the entries
+before it. Element types are f32, u16 and u8. Reads check every manifest
+entry against that schema (exactly the keys name, dtype and shape; names
+unique) and verify that the data file holds exactly the bytes the manifest
+implies, so round-trips are bitwise faithful. Each kind of bundle (scene,
+predictions, targets, panoptic) also checks the `meta` keys and value types
+and the tensors it needs, each of the one element type its saver writes, so
+a malformed bundle fails with one ValueError that names the key or tensor.
+Loaders do nothing else: the containers they construct check every value.
 
 A panoptic archive is a bundle specialization carrying the fused class and
 instance maps, a segments table in the manifest, and optionally a colorized
@@ -22,6 +23,7 @@ from __future__ import annotations
 import colorsys
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,10 +35,12 @@ from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, Seg
                      check_labels, segment_labels, validate_level_specs)
 from .geometry import boxes_valid
 
-FORMAT = "tensor-bundle-v1"
+FORMAT = "tensor-bundle-v2"
 MANIFEST = "manifest.json"
+DATA = "tensors.bin"
 DTYPES = {"f32": np.dtype("<f4"), "u16": np.dtype("<u2"), "u8": np.dtype("|u1")}
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+_ENTRY_KEYS = {"name", "dtype", "shape"}
 
 
 def _dtype_name(arr: np.ndarray) -> str:
@@ -47,44 +51,44 @@ def _dtype_name(arr: np.ndarray) -> str:
 
 
 def write_bundle(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write tensors + manifest into a directory (created if missing)."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    entries = []
+    """Write tensors + manifest into a directory (created if missing). Every
+    name and dtype is checked before anything is written."""
+    arrays, entries = [], []
     for name, arr in tensors.items():
         if not _NAME_RE.fullmatch(name):
             raise ValueError(f"invalid tensor name {name!r}")
         arr = np.ascontiguousarray(arr)
-        entries.append({
-            "name": name,
-            "dtype": _dtype_name(arr),
-            "shape": list(arr.shape),
-            "file": name + ".bin",
-        })
-        (root / (name + ".bin")).write_bytes(arr.astype(DTYPES[entries[-1]["dtype"]], copy=False).tobytes(order="C"))
-    manifest = {"format": FORMAT, "tensors": entries, "meta": meta or {}}
-    (root / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        entries.append({"name": name, "dtype": _dtype_name(arr), "shape": list(arr.shape)})
+        arrays.append(arr)
+    manifest = json.dumps({"format": FORMAT, "tensors": entries, "meta": meta or {}}, sort_keys=True)
+    root = Path(path)
+    root.mkdir(parents=True, exist_ok=True)
+    with open(root / DATA, "wb") as f:
+        for arr in arrays:
+            f.write(memoryview(arr))
+    (root / MANIFEST).write_text(manifest + "\n")
 
 
 def _manifest_entry(e) -> tuple[str, np.dtype, tuple[int, ...]]:
     """(name, dtype, shape) of one manifest entry, exactly as write_bundle writes it."""
-    if not (isinstance(e, dict) and isinstance(e.get("name"), str) and _NAME_RE.fullmatch(e["name"])
-            and isinstance(e.get("dtype"), str) and e["dtype"] in DTYPES
-            and isinstance(e.get("shape"), list) and all(type(d) is int and d >= 0 for d in e["shape"])
-            and e.get("file") == e["name"] + ".bin"):
-        raise ValueError(f"invalid manifest entry {e!r}: needs a tensor name, dtype in {list(DTYPES)}, "
-                         "shape of nonnegative ints and file equal to name + '.bin'")
+    if not (isinstance(e, dict) and e.keys() == _ENTRY_KEYS
+            and isinstance(e["name"], str) and _NAME_RE.fullmatch(e["name"])
+            and isinstance(e["dtype"], str) and e["dtype"] in DTYPES
+            and isinstance(e["shape"], list) and all(type(d) is int and d >= 0 for d in e["shape"])):
+        raise ValueError(f"invalid manifest entry {e!r}: needs exactly a tensor name, a dtype in "
+                         f"{list(DTYPES)} and a shape of nonnegative ints")
     return e["name"], DTYPES[e["dtype"]], tuple(e["shape"])
 
 
 def read_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a bundle directory; entries are schema-checked and byte lengths
-    validated against shapes."""
+    """Read a bundle directory; entries are schema-checked and the data file's
+    length validated against the shapes."""
     root = Path(path)
     mpath = root / MANIFEST
-    if not mpath.is_file():
-        raise ValueError(f"{root} is not a tensor bundle (missing {MANIFEST})")
-    manifest = json.loads(mpath.read_text())
+    try:
+        manifest = json.loads(mpath.read_bytes())
+    except OSError:
+        raise ValueError(f"{root} is not a tensor bundle (missing {MANIFEST})") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{mpath} does not hold a JSON object")
     if manifest.get("format") != FORMAT:
@@ -92,17 +96,27 @@ def read_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
     entries, meta = manifest.get("tensors"), manifest.get("meta", {})
     if not isinstance(entries, list) or not isinstance(meta, dict):
         raise ValueError(f"{mpath}: 'tensors' must be a list and 'meta' an object")
-    tensors: dict[str, np.ndarray] = {}
-    for e in entries:
-        name, dtype, shape = _manifest_entry(e)
-        fpath = root / (name + ".bin")
-        if not fpath.is_file():
-            raise ValueError(f"tensor {name}: missing file {fpath.name}")
-        raw = fpath.read_bytes()
-        expect = math.prod(shape) * dtype.itemsize
-        if len(raw) != expect:
-            raise ValueError(f"tensor {name}: file holds {len(raw)} bytes, manifest implies {expect}")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    entries = [_manifest_entry(e) for e in entries]
+    try:
+        f = open(root / DATA, "rb")
+    except OSError:
+        raise ValueError(f"{root}: missing {DATA}") from None
+    with f:
+        size, end, names = os.fstat(f.fileno()).st_size, 0, set()
+        for name, dtype, shape in entries:
+            if name in names:
+                raise ValueError(f"{mpath}: tensor {name} is listed twice")
+            names.add(name)
+            end += math.prod(shape) * dtype.itemsize
+            if end > size:
+                raise ValueError(f"tensor {name}: {DATA} holds {size} bytes, the manifest implies at least {end}")
+        if end != size:
+            raise ValueError(f"{root}: {DATA} holds {size} bytes, {size - end} past the {end} the manifest implies")
+        tensors: dict[str, np.ndarray] = {}
+        for name, dtype, shape in entries:
+            tensors[name] = arr = np.empty(shape, dtype)
+            if f.readinto(arr) != arr.nbytes:
+                raise ValueError(f"tensor {name}: {DATA} ended early")
     return tensors, meta
 
 

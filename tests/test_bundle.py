@@ -6,10 +6,12 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from bundle_bytes import drop_tensor, edit_manifest, read_tensor, set_value, tensor_span
 from densepanoptic.assignment import GlobalTargets, build_targets
 from densepanoptic.bundle import (
+    DTYPES,
     TargetBundle,
     colorize,
     load_panoptic,
@@ -55,7 +57,7 @@ class TestRawBundle:
 
     def test_byte_length_validated(self, tmp_path):
         write_bundle(tmp_path / "b", {"a": np.zeros((2, 2), np.float32)})
-        raw = tmp_path / "b" / "a.bin"
+        raw = tmp_path / "b" / "tensors.bin"
         raw.write_bytes(raw.read_bytes()[:-4])
         with pytest.raises(ValueError, match="byte"):
             read_bundle(tmp_path / "b")
@@ -68,9 +70,8 @@ class TestRawBundle:
     def test_manifest_is_json(self, tmp_path):
         write_bundle(tmp_path / "b", {"a": np.zeros(2, np.float32)})
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        assert manifest["format"] == "tensor-bundle-v1"
-        (entry,) = [t for t in manifest["tensors"] if t["name"] == "a"]
-        assert entry["dtype"] == "f32" and entry["shape"] == [2]
+        assert manifest["format"] == "tensor-bundle-v2"
+        assert manifest["tensors"] == [{"name": "a", "dtype": "f32", "shape": [2]}]
 
 
 class TestManifestSchema:
@@ -82,12 +83,15 @@ class TestManifestSchema:
         return tensors, mpath, json.loads(mpath.read_text())
 
     def test_file_outside_bundle_rejected(self, tmp_path):
+        # entries name no file: one that carries a `file` key, the v1 one or
+        # any other, is refused
         _, mpath, manifest = self._bundle(tmp_path)
         (tmp_path / "outside.bin").write_bytes(np.zeros(6, np.float32).tobytes())
-        manifest["tensors"][0]["file"] = "../outside.bin"
-        mpath.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="manifest entry"):
-            read_bundle(tmp_path / "b")
+        for file in ("../outside.bin", "a.bin"):
+            manifest["tensors"][0]["file"] = file
+            mpath.write_text(json.dumps(manifest))
+            with pytest.raises(ValueError, match="manifest entry"):
+                read_bundle(tmp_path / "b")
 
     def test_missing_dtype_is_value_error(self, tmp_path):
         _, mpath, manifest = self._bundle(tmp_path)
@@ -97,16 +101,17 @@ class TestManifestSchema:
             read_bundle(tmp_path / "b")
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 1), st.sampled_from(["name", "dtype", "shape", "file", None]),
+    @given(st.integers(0, 1), st.sampled_from(["name", "dtype", "shape", None]),
            st.sampled_from([None, 0, -1, 6, 2.0, True, "a", "b", "c", "a.bin", "b.bin", "c.bin",
                             "../outside.bin", "/etc/passwd", "f32", "u16", "u8", "i64",
                             [], [6], [3, 2], [2, 3], [4], [2, 2], [-1, -6], [2.0, 3], [True, 6],
                             {}, ["f32"]]),
            st.booleans())
     def test_mutated_manifest_is_rejected_or_exact(self, tmp_path_factory, index, key, value, drop):
+        # a tensor's bytes follow from its place in the manifest, so an edited
+        # name reads the original bytes under that name
         tmp_path = tmp_path_factory.mktemp("m")
         tensors, mpath, manifest = self._bundle(tmp_path)
-        (tmp_path / "outside.bin").write_bytes(np.zeros(6, np.float32).tobytes())
         entries = manifest["tensors"]
         if key is None:
             entries[index] = value
@@ -119,9 +124,85 @@ class TestManifestSchema:
             back, _ = read_bundle(tmp_path / "b")
         except ValueError:
             return
-        for name, arr in back.items():
-            assert arr.dtype == tensors[name].dtype
-            assert arr.tobytes() == tensors[name].tobytes()
+        assert list(back) == [e["name"] for e in entries]
+        for arr, want in zip(back.values(), tensors.values()):
+            assert arr.dtype == want.dtype
+            assert arr.tobytes() == want.tobytes()
+
+
+class TestDataFile:
+    """One data file per bundle: tensors back to back in manifest order."""
+
+    def test_a_v1_bundle_is_refused(self, tmp_path):
+        root = tmp_path / "v1"
+        root.mkdir()
+        (root / "a.bin").write_bytes(np.arange(4, dtype=np.float32).tobytes())
+        (root / "manifest.json").write_text(json.dumps({
+            "format": "tensor-bundle-v1", "meta": {},
+            "tensors": [{"name": "a", "dtype": "f32", "shape": [4], "file": "a.bin"}]}))
+        with pytest.raises(ValueError, match="unsupported bundle format 'tensor-bundle-v1'"):
+            read_bundle(root)
+
+    def test_a_missing_data_file_is_one_value_error(self, tmp_path):
+        write_bundle(tmp_path / "b", {"a": np.zeros(3, np.float32)})
+        (tmp_path / "b" / "tensors.bin").unlink()
+        with pytest.raises(ValueError, match="missing tensors.bin") as exc:
+            read_bundle(tmp_path / "b")
+        assert len(str(exc.value).splitlines()) == 1
+
+    def test_trailing_bytes_are_refused(self, tmp_path):
+        write_bundle(tmp_path / "b", {"a": np.zeros(3, np.float32)})
+        with open(tmp_path / "b" / "tensors.bin", "ab") as f:
+            f.write(b"\0")
+        with pytest.raises(ValueError, match="13 bytes, 1 past the 12 the manifest implies"):
+            read_bundle(tmp_path / "b")
+
+    def test_a_truncation_names_the_first_tensor_past_the_end(self, tmp_path):
+        write_bundle(tmp_path / "b", {"a": np.zeros(3, np.float32), "b": np.zeros(2, np.uint16),
+                                      "c": np.zeros(5, np.uint8)})
+        data = tmp_path / "b" / "tensors.bin"
+        data.write_bytes(data.read_bytes()[:13])  # a ends at byte 12, b at 16
+        with pytest.raises(ValueError, match="^tensor b: tensors.bin holds 13 bytes"):
+            read_bundle(tmp_path / "b")
+
+    def test_duplicate_names_are_refused(self, tmp_path):
+        write_bundle(tmp_path / "b", {"a": np.zeros(2, np.float32), "b": np.ones(2, np.float32)})
+        edit_manifest(tmp_path / "b", lambda m: m["tensors"][1].__setitem__("name", "a"))
+        with pytest.raises(ValueError, match="tensor a is listed twice"):
+            read_bundle(tmp_path / "b")
+
+    def test_zero_size_and_odd_length_tensors_round_trip(self, tmp_path):
+        # a 5-byte u8 tensor puts the f32 one after it at an odd offset
+        tensors = {"empty": np.zeros((0, 3), np.float32), "odd": np.arange(5, dtype=np.uint8),
+                   "f": np.array([1.5, -0.0, np.inf, np.nan, 3e38], np.float32),
+                   "none": np.zeros(0, np.uint16), "ids": np.arange(7, dtype=np.uint16).reshape(7, 1)}
+        write_bundle(tmp_path / "b", tensors)
+        back, _ = read_bundle(tmp_path / "b")
+        assert list(back) == list(tensors)
+        for name, arr in tensors.items():
+            assert (back[name].dtype, back[name].shape) == (arr.dtype, arr.shape)
+            assert back[name].tobytes() == arr.tobytes(), name
+        assert (tmp_path / "b" / "tensors.bin").stat().st_size == sum(a.nbytes for a in tensors.values())
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert tensor_span(manifest, "f") == (5, 25)
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_a_saved_bundle_holds_the_manifest_and_one_data_file(self, tmp_path, view):
+        sc = generate_scene(SceneConfig(width=128, height=128, instances=2, seed=5))
+        save_predictions(tmp_path / "preds", ideal_predictions(sc, default_level_specs()))
+        save_panoptic(tmp_path / "pan", sc.panoptic, sc.n_stuff, sc.n_things, write_view=view)
+        assert sorted(p.name for p in (tmp_path / "preds").iterdir()) == ["manifest.json", "tensors.bin"]
+        assert sorted(p.name for p in (tmp_path / "pan").iterdir()) == (
+            ["manifest.json", "tensors.bin"] + ["view.ppm"] * view)
+
+    @pytest.mark.parametrize("tensors", [
+        pytest.param({"a": np.zeros(3, np.float32), "../evil": np.zeros(3, np.float32)}, id="name"),
+        pytest.param({"a": np.zeros(3, np.float32), "b": np.zeros(3, np.int32)}, id="dtype"),
+    ])
+    def test_bad_input_writes_nothing(self, tmp_path, tensors):
+        with pytest.raises(ValueError):
+            write_bundle(tmp_path / "b", tensors)
+        assert not (tmp_path / "b").exists()
 
 
 class TestSceneBundle:
@@ -430,51 +511,51 @@ class TestColorize:
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 4), np.uint8))
 
 
-def _edit_manifest(path, fn):
-    mpath = path / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    fn(manifest)
-    mpath.write_text(json.dumps(manifest))
-
-
+# edits of a saved bundle directory, each breaking one rule of its kind
 def _drop_tensor(name):
-    return lambda m: m.__setitem__("tensors", [t for t in m["tensors"] if t["name"] != name])
+    return lambda path: drop_tensor(path, name)
+
+
+def _pop_meta(key):
+    return lambda path: edit_manifest(path, lambda m: m["meta"].pop(key))
 
 
 def _set_meta(key, value):
-    return lambda m: m["meta"].__setitem__(key, value)
+    return lambda path: edit_manifest(path, lambda m: m["meta"].__setitem__(key, value))
 
 
 def _set_first(key, field, value):
-    return lambda m: m["meta"][key][0].__setitem__(field, value)
+    return lambda path: edit_manifest(path, lambda m: m["meta"][key][0].__setitem__(field, value))
 
 
 _LOADERS = {"scene": load_scene, "predictions": load_predictions, "targets": load_targets,
             "panoptic": load_panoptic}
 
 
-class TestMetaSchema:
-    @pytest.fixture(scope="class")
-    def bundles(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("kinds")
-        sc = generate_scene(SceneConfig(width=128, height=128, instances=2, seed=5))
-        specs = default_level_specs()
-        lt, gt = build_targets(sc, specs)
-        save_scene(root / "scene", sc)
-        save_predictions(root / "predictions", ideal_predictions(sc, specs))
-        save_targets(root / "targets", TargetBundle(
-            level_targets=lt, global_targets=gt, gt_boxes=sc.boxes, gt_classes=sc.instance_classes,
-            gt_instances_quarter=sc.quarter_instance_map(), specs=specs, n_stuff=sc.n_stuff,
-            n_things=sc.n_things, image_hw=(128, 128), mode="full"))
-        save_panoptic(root / "panoptic", sc.panoptic, sc.n_stuff, sc.n_things)
-        return root
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    """A saved 128x128 bundle of each kind, in a subdirectory named by the kind."""
+    root = tmp_path_factory.mktemp("kinds")
+    sc = generate_scene(SceneConfig(width=128, height=128, instances=2, seed=5))
+    specs = default_level_specs()
+    lt, gt = build_targets(sc, specs)
+    save_scene(root / "scene", sc)
+    save_predictions(root / "predictions", ideal_predictions(sc, specs))
+    save_targets(root / "targets", TargetBundle(
+        level_targets=lt, global_targets=gt, gt_boxes=sc.boxes, gt_classes=sc.instance_classes,
+        gt_instances_quarter=sc.quarter_instance_map(), specs=specs, n_stuff=sc.n_stuff,
+        n_things=sc.n_things, image_hw=(128, 128), mode="full"))
+    save_panoptic(root / "panoptic", sc.panoptic, sc.n_stuff, sc.n_things)
+    return root
 
+
+class TestMetaSchema:
     @pytest.mark.parametrize("kind", sorted(_LOADERS))
     def test_untouched_bundles_load(self, bundles, kind):
         _LOADERS[kind](bundles / kind)
 
     @pytest.mark.parametrize("kind, edit, named", [
-        pytest.param("predictions", lambda m: m["meta"].pop("n_stuff"), "'n_stuff'", id="predictions-n_stuff-1"),
+        pytest.param("predictions", _pop_meta("n_stuff"), "'n_stuff'", id="predictions-n_stuff-1"),
         pytest.param("predictions", _set_first("levels", "stride", "x"), "'levels'", id="predictions-levels-1"),
         pytest.param("predictions", _set_meta("levels", 5), "'levels'", id="predictions-levels-2"),
         pytest.param("predictions", _set_first("levels", "max_size", "inf"), "'levels'", id="predictions-levels-3"),
@@ -482,7 +563,7 @@ class TestMetaSchema:
         pytest.param("predictions", _set_meta("height", 128.0), "'height'", id="predictions-height-1"),
         pytest.param("predictions", _drop_tensor("level3_offsets"), "'level3_offsets'", id="predictions-level3_offsets-1"),
         pytest.param("predictions", _drop_tensor("semantic_logits"), "'semantic_logits'", id="predictions-semantic_logits-1"),
-        pytest.param("scene", lambda m: m["meta"].pop("segments"), "'segments'", id="scene-segments-1"),
+        pytest.param("scene", _pop_meta("segments"), "'segments'", id="scene-segments-1"),
         pytest.param("scene", _set_meta("n_stuff", -1), "'n_stuff'", id="scene-n_stuff-1"),
         pytest.param("scene", _drop_tensor("boxes"), "'boxes'", id="scene-boxes-1"),
         pytest.param("targets", _set_meta("mode", "boxes"), "'mode'", id="targets-mode-1"),
@@ -490,13 +571,83 @@ class TestMetaSchema:
         pytest.param("targets", _drop_tensor("level0_class"), "'level0_class'", id="targets-level0_class-1"),
         pytest.param("panoptic", _set_first("segments", "score", "high"), "'segments'", id="panoptic-segments-1"),
         pytest.param("panoptic", _set_first("segments", "area", False), "'segments'", id="panoptic-segments-2"),
-        pytest.param("panoptic", lambda m: m["meta"].pop("n_things"), "'n_things'", id="panoptic-n_things-1"),
+        pytest.param("panoptic", _pop_meta("n_things"), "'n_things'", id="panoptic-n_things-1"),
         pytest.param("panoptic", _drop_tensor("instance_map"), "'instance_map'", id="panoptic-instance_map-1"),
     ])
     def test_bad_meta_is_one_value_error_naming_the_key(self, bundles, tmp_path, kind, edit, named):
         path = tmp_path / kind
         shutil.copytree(bundles / kind, path)
-        _edit_manifest(path, edit)
+        edit(path)
         with pytest.raises(ValueError, match=named) as exc:
             _LOADERS[kind](path)
         assert len(str(exc.value).splitlines()) == 1
+
+
+def _pred_arrays(pred) -> dict:
+    return {"semantic_logits": pred.semantic_logits, "levelness_logits": pred.levelness_logits,
+            **{f"level{i}_{name}": getattr(lv, name) for i, lv in enumerate(pred.levels)
+               for name in ("offsets", "class_probs", "centerness")}}
+
+
+# kind -> every array of a loaded value by its tensor name in the bundle
+_LOADED_ARRAYS = {
+    "scene": lambda sc: {"class_map": sc.panoptic.class_map, "instance_map": sc.panoptic.instance_map,
+                         "boxes": sc.boxes, "instance_classes": sc.instance_classes},
+    "predictions": _pred_arrays,
+    "targets": lambda t: t.tensors(),
+    "panoptic": lambda loaded: {"class_map": loaded[0].class_map, "instance_map": loaded[0].instance_map},
+}
+
+
+def _shapes(shape: list) -> list:
+    """Manifest shapes near `shape`: permuted, flattened, padded, resized or hostile."""
+    return [shape, shape[::-1], [math.prod(shape)], [*shape, 1], [1, *shape], [shape[0] + 1, *shape[1:]],
+            [0], [], [2 ** 40], [-1, *shape[1:]], [float(shape[0]), *shape[1:]]]
+
+
+class TestOneEditOfAKind:
+    """Every loader refuses a bundle with one edit, with exactly one ValueError,
+    or returns exactly the arrays the edited bundle holds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(_LOADERS)), st.data())
+    def test_one_edit_is_refused_or_exact(self, bundles, tmp_path_factory, kind, data):
+        path = tmp_path_factory.mktemp("edit") / kind
+        shutil.copytree(bundles / kind, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        expect = {e["name"]: read_tensor(path, e["name"]) for e in manifest["tensors"]}
+        floats = [name for name, arr in expect.items() if arr.dtype == np.float32 and arr.size]
+        edit = data.draw(st.sampled_from(["key", "length"] + ["value"] * bool(floats)), label="edit")
+        if edit == "key":
+            entry = data.draw(st.sampled_from(manifest["tensors"]), label="entry")
+            key = data.draw(st.sampled_from(["name", "dtype", "shape", "file"]), label="key")
+            value = data.draw(st.sampled_from({
+                "name": [*expect, "zz", "level9_offsets", "../class_map"],
+                "dtype": [*DTYPES, "i64", None],
+                "shape": _shapes(entry["shape"]),
+                "file": [entry["name"] + ".bin"]}[key]), label="value")
+            index = manifest["tensors"].index(entry)
+            edit_manifest(path, lambda m: m["tensors"][index].__setitem__(key, value))
+        elif edit == "length":
+            size = (path / "tensors.bin").stat().st_size
+            cut = data.draw(st.integers(-4, -1) | st.integers(1, size), label="bytes cut (< 0 appends)")
+            with open(path / "tensors.bin", "r+b") as f:
+                f.truncate(size - cut)
+        else:
+            name = data.draw(st.sampled_from(floats), label="tensor")
+            index = data.draw(st.integers(0, expect[name].size - 1), label="index")
+            value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 3e38, -3e38]), label="value")
+            set_value(path, name, index, value)
+            expect[name].flat[index] = value
+        try:
+            loaded = _LOADERS[kind](path)
+        except ValueError as exc:
+            assert len(str(exc).splitlines()) == 1
+            event(f"{edit} refused")
+            return
+        event(f"{edit} accepted")
+        got = _LOADED_ARRAYS[kind](loaded)
+        assert got.keys() == expect.keys()
+        for name, arr in got.items():
+            assert (arr.dtype, arr.shape) == (expect[name].dtype, expect[name].shape), name
+            assert arr.tobytes() == expect[name].tobytes(), name

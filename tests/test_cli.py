@@ -1,9 +1,9 @@
 import argparse
-import json
 
 import numpy as np
 import pytest
 
+from bundle_bytes import drop_tensor, edit_manifest, read_tensor, set_value, write_tensor
 from densepanoptic import cli
 from densepanoptic.bundle import load_panoptic, load_scene
 from densepanoptic.cli import build_parser, main
@@ -219,10 +219,7 @@ class TestPipelineCommands:
 
     def test_nan_prediction_bundle_is_clean_error(self, scene_and_preds, capsys):
         d = scene_and_preds
-        raw = d / "preds" / "semantic_logits.bin"
-        logits = np.frombuffer(raw.read_bytes(), dtype="<f4").copy()
-        logits[17] = np.nan
-        raw.write_bytes(logits.tobytes())
+        set_value(d / "preds", "semantic_logits", 17, np.nan)
         code, _, err = run(capsys, "construct", "--preds", str(d / "preds"),
                            "--out", str(d / "pan"))
         assert code == 1
@@ -239,21 +236,19 @@ class TestPipelineCommands:
 
 class TestMetaErrors:
     @pytest.mark.parametrize("edit, named", [
-        pytest.param(lambda m: m["meta"].pop("n_stuff"), "'n_stuff'", id="no-n_stuff"),
-        pytest.param(lambda m: m["meta"]["levels"][0].__setitem__("stride", "x"), "'levels'", id="stride-x"),
-        pytest.param(lambda m: m["meta"].__setitem__("levels", 5), "'levels'", id="levels-5"),
-        pytest.param(lambda m: m.__setitem__("tensors", [t for t in m["tensors"] if t["name"] != "level3_offsets"]),
-                     "'level3_offsets'", id="no-level3_offsets"),
+        pytest.param(lambda p: edit_manifest(p, lambda m: m["meta"].pop("n_stuff")), "'n_stuff'", id="no-n_stuff"),
+        pytest.param(lambda p: edit_manifest(p, lambda m: m["meta"]["levels"][0].__setitem__("stride", "x")),
+                     "'levels'", id="stride-x"),
+        pytest.param(lambda p: edit_manifest(p, lambda m: m["meta"].__setitem__("levels", 5)), "'levels'",
+                     id="levels-5"),
+        pytest.param(lambda p: drop_tensor(p, "level3_offsets"), "'level3_offsets'", id="no-level3_offsets"),
     ])
     def test_construct_names_the_bad_key(self, tmp_path, capsys, edit, named):
         code, _, err = run(capsys, "synth", "--out", str(tmp_path / "scene"),
                            "--width", "128", "--height", "128", "--instances", "2",
                            "--preds-out", str(tmp_path / "preds"))
         assert code == 0, err
-        mpath = tmp_path / "preds" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        edit(manifest)
-        mpath.write_text(json.dumps(manifest))
+        edit(tmp_path / "preds")
         code, _, err = run(capsys, "construct", "--preds", str(tmp_path / "preds"),
                            "--out", str(tmp_path / "pan"))
         assert code == 1
@@ -263,10 +258,7 @@ class TestMetaErrors:
     def test_evaluate_names_missing_segments(self, tmp_path, capsys):
         run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
             "--instances", "2")
-        mpath = tmp_path / "scene" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        del manifest["meta"]["segments"]
-        mpath.write_text(json.dumps(manifest))
+        edit_manifest(tmp_path / "scene", lambda m: m["meta"].pop("segments"))
         code, _, err = run(capsys, "evaluate", "--pred", str(tmp_path / "scene"),
                            "--gt", str(tmp_path / "scene"))
         assert code == 1
@@ -278,12 +270,13 @@ def test_evaluate_rejects_tampered_stuff_segments(tmp_path, capsys):
     run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "256", "--height", "256",
         "--instances", "4", "--seed", "11", "--min-stuff-area", "4096", "--preds-out", str(tmp_path / "preds"))
     run(capsys, "construct", "--preds", str(tmp_path / "preds"), "--out", str(tmp_path / "pan"))
-    mpath = tmp_path / "pan" / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    segments = manifest["meta"]["segments"]
-    next(s for s in segments if s["id"] == 0 and s["class_id"] == 1)["area"] += 12345
-    segments.append({"id": 0, "class_id": 77, "area": 5, "score": 1.0})
-    mpath.write_text(json.dumps(manifest))
+
+    def tamper(manifest):
+        segments = manifest["meta"]["segments"]
+        next(s for s in segments if s["id"] == 0 and s["class_id"] == 1)["area"] += 12345
+        segments.append({"id": 0, "class_id": 77, "area": 5, "score": 1.0})
+
+    edit_manifest(tmp_path / "pan", tamper)
     code, _, err = run(capsys, "evaluate", "--pred", str(tmp_path / "pan"), "--gt", str(tmp_path / "scene"))
     assert code == 1
     assert err.startswith("error:") and "stuff segment of class 1" in err
@@ -340,14 +333,11 @@ def test_evaluate_rejects_thing_class_on_instance_zero(tmp_path, capsys):
 def test_targets_rejects_class_above_meta_counts(tmp_path, capsys):
     scene = tmp_path / "scene"
     run(capsys, "synth", "--out", str(scene), "--width", "128", "--height", "128", "--instances", "2")
-    raw = scene / "class_map.bin"
-    cm = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
+    cm = read_tensor(scene, "class_map")
     cm[cm == 1] = 9
-    raw.write_bytes(cm.tobytes())
-    mpath = scene / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    next(s for s in manifest["meta"]["segments"] if s["id"] == 0 and s["class_id"] == 1)["class_id"] = 9
-    mpath.write_text(json.dumps(manifest))
+    write_tensor(scene, "class_map", cm)
+    edit_manifest(scene, lambda m: next(s for s in m["meta"]["segments"]
+                                        if s["id"] == 0 and s["class_id"] == 1).__setitem__("class_id", 9))
     code, out, err = run(capsys, "targets", "--scene", str(scene), "--out", str(tmp_path / "targets"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "class id 9 exceeds n_stuff + n_things = 6" in err
@@ -369,28 +359,20 @@ def test_loss_rejects_class_counts_differing_from_targets(tmp_path, capsys):
 
 
 def _relabel_stuff_class_1_as_5(scene):
-    raw = scene / "class_map.bin"
-    cm = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
+    cm = read_tensor(scene, "class_map")
     cm[cm == 1] = 5
-    raw.write_bytes(cm.tobytes())
-    mpath = scene / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    next(s for s in manifest["meta"]["segments"] if s["id"] == 0 and s["class_id"] == 1)["class_id"] = 5
-    mpath.write_text(json.dumps(manifest))
+    write_tensor(scene, "class_map", cm)
+    edit_manifest(scene, lambda m: next(s for s in m["meta"]["segments"]
+                                        if s["id"] == 0 and s["class_id"] == 1).__setitem__("class_id", 5))
 
 
 def _relabel_instance_1(scene):
-    raw = scene / "instance_classes.bin"
-    ic = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
-    ic[0] = 4 if ic[0] != 4 else 5
-    raw.write_bytes(ic.tobytes())
+    ic = read_tensor(scene, "instance_classes")
+    set_value(scene, "instance_classes", 0, 4 if ic[0] != 4 else 5)
 
 
 def _nan_box_1(scene):
-    raw = scene / "boxes.bin"
-    boxes = np.frombuffer(raw.read_bytes(), dtype="<f4").copy()
-    boxes[0] = np.nan
-    raw.write_bytes(boxes.tobytes())
+    set_value(scene, "boxes", 0, np.nan)
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -413,13 +395,7 @@ def _retype(bundle_dir, tensor, dtype):
     """Rewrite `tensor` of a bundle as element type `dtype`, its values cast."""
     from densepanoptic.bundle import DTYPES
 
-    mpath = bundle_dir / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    entry = next(e for e in manifest["tensors"] if e["name"] == tensor)
-    raw = bundle_dir / f"{tensor}.bin"
-    raw.write_bytes(np.frombuffer(raw.read_bytes(), DTYPES[entry["dtype"]]).astype(DTYPES[dtype]).tobytes())
-    entry["dtype"] = dtype
-    mpath.write_text(json.dumps(manifest))
+    write_tensor(bundle_dir, tensor, read_tensor(bundle_dir, tensor).astype(DTYPES[dtype]))
 
 
 @pytest.mark.parametrize("bundle_dir, tensor, dtype, written, argv", [
@@ -445,13 +421,6 @@ def test_loaders_reject_a_tensor_of_another_dtype(tmp_path, capsys, monkeypatch,
     assert len(err.strip().splitlines()) == 1
 
 
-def _write_value(path, index, value):
-    """Set element `index` of the float32 tensor file `path` to `value`."""
-    arr = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
-    arr[index] = value
-    path.write_bytes(arr.tobytes())
-
-
 @pytest.mark.parametrize("tensor, value", [
     pytest.param("gt_boxes", np.nan, id="nan-gt-box"),
     pytest.param("level0_offsets", np.nan, id="nan-offset"),
@@ -463,34 +432,28 @@ def test_loss_rejects_bad_target_values(tmp_path, capsys, tensor, value):
         "--instances", "2", "--preds-out", str(tmp_path / "preds"))
     run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
     # a foreground cell, where the tampered value reaches a loss
-    fg = np.flatnonzero(np.frombuffer((tmp_path / "targets" / "level0_class.bin").read_bytes(), "<u2"))
+    fg = np.flatnonzero(read_tensor(tmp_path / "targets", "level0_class"))
     index = {"gt_boxes": 0, "level0_offsets": 4 * fg[0], "level0_centerness": fg[0]}[tensor]
-    _write_value(tmp_path / "targets" / f"{tensor}.bin", index, value)
+    set_value(tmp_path / "targets", tensor, index, value)
     code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"tensor '{tensor}' must be" in err
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("tensor, dtype, shape", [
-    pytest.param("level0_class", "<u2", (32, 64), id="class"),
-    pytest.param("level0_offsets", "<f4", (32, 64, 4), id="offsets"),
-    pytest.param("level0_centerness", "<f4", (32, 64), id="centerness"),
-    pytest.param("semantics", "<u2", (64, 128), id="semantics"),
+@pytest.mark.parametrize("tensor, shape", [
+    pytest.param("level0_class", (32, 64), id="class"),
+    pytest.param("level0_offsets", (32, 64, 4), id="offsets"),
+    pytest.param("level0_centerness", (32, 64), id="centerness"),
+    pytest.param("semantics", (64, 128), id="semantics"),
 ])
-def test_loss_rejects_a_transposed_target_tensor(tmp_path, capsys, tensor, dtype, shape):
+def test_loss_rejects_a_transposed_target_tensor(tmp_path, capsys, tensor, shape):
     run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "512", "--height", "256",
         "--instances", "4", "--preds-out", str(tmp_path / "preds"))
     run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
-    raw = tmp_path / "targets" / f"{tensor}.bin"
-    grid = np.frombuffer(raw.read_bytes(), dtype).reshape(shape)
-    raw.write_bytes(np.ascontiguousarray(grid.swapaxes(0, 1)).tobytes())
-    mpath = tmp_path / "targets" / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    entry = next(e for e in manifest["tensors"] if e["name"] == tensor)
-    assert entry["shape"] == list(shape)
-    entry["shape"] = [shape[1], shape[0], *shape[2:]]
-    mpath.write_text(json.dumps(manifest))
+    grid = read_tensor(tmp_path / "targets", tensor)
+    assert grid.shape == shape
+    write_tensor(tmp_path / "targets", tensor, grid.swapaxes(0, 1))
     code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"tensor '{tensor}' must be of shape {shape}" in err
@@ -501,10 +464,7 @@ def test_loss_rejects_instance_ids_past_the_boxes(tmp_path, capsys):
     run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
         "--instances", "2", "--preds-out", str(tmp_path / "preds"))
     run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
-    raw = tmp_path / "targets" / "gt_instances_quarter.bin"
-    ids = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
-    ids[0] = 3
-    raw.write_bytes(ids.tobytes())
+    set_value(tmp_path / "targets", "gt_instances_quarter", 0, 3)
     code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
     assert code == 1 and out == ""
     assert "tensor 'gt_instances_quarter' must be instance ids at most the box count" in err
@@ -522,10 +482,7 @@ def test_loss_rejects_out_of_range_target_labels(tmp_path, capsys, tensor, value
     run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
         "--instances", "2", "--preds-out", str(tmp_path / "preds"))
     run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
-    raw = tmp_path / "targets" / f"{tensor}.bin"
-    labels = np.frombuffer(raw.read_bytes(), dtype="<u2").copy()
-    labels[-1] = value
-    raw.write_bytes(labels.tobytes())
+    set_value(tmp_path / "targets", tensor, -1, value)
     code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"tensor '{tensor}' must be {expect}" in err
@@ -542,13 +499,7 @@ def test_loss_rejects_bad_gt_classes(tmp_path, capsys, classes):
     run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
         "--instances", "3", "--preds-out", str(tmp_path / "preds"))
     run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
-    raw = tmp_path / "targets" / "gt_classes.bin"
-    new = classes(np.frombuffer(raw.read_bytes(), dtype="<u2"))
-    raw.write_bytes(new.tobytes())
-    mpath = tmp_path / "targets" / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    next(e for e in manifest["tensors"] if e["name"] == "gt_classes")["shape"] = [len(new)]
-    mpath.write_text(json.dumps(manifest))
+    write_tensor(tmp_path / "targets", "gt_classes", classes(read_tensor(tmp_path / "targets", "gt_classes")))
     code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "tensor 'gt_classes' must be one thing class in [4, 6] per gt_boxes row" in err
@@ -580,8 +531,8 @@ def test_construct_checks_the_decoded_box_area(tmp_path, capsys, value, code):
     run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
         "--instances", "2", "--preds-out", str(tmp_path / "preds"))
     # the right offset of the most central level-0 cell, which becomes a query
-    cent = np.frombuffer((tmp_path / "preds" / "level0_centerness.bin").read_bytes(), "<f4")
-    _write_value(tmp_path / "preds" / "level0_offsets.bin", 4 * int(np.argmax(cent)) + 2, value)
+    cent = read_tensor(tmp_path / "preds", "level0_centerness")
+    set_value(tmp_path / "preds", "level0_offsets", 4 * int(np.argmax(cent)) + 2, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow warning would fail the command
         got, out, err = run(capsys, "construct", "--preds", str(tmp_path / "preds"), "--out", str(tmp_path / "pan"))

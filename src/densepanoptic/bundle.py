@@ -65,7 +65,7 @@ def write_bundle(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
     root.mkdir(parents=True, exist_ok=True)
     with open(root / DATA, "wb") as f:
         for arr in arrays:
-            f.write(memoryview(arr))
+            f.write(arr)
     (root / MANIFEST).write_text(manifest + "\n")
 
 
@@ -102,21 +102,20 @@ def read_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
     except OSError:
         raise ValueError(f"{root}: missing {DATA}") from None
     with f:
-        size, end, names = os.fstat(f.fileno()).st_size, 0, set()
-        for name, dtype, shape in entries:
-            if name in names:
-                raise ValueError(f"{mpath}: tensor {name} is listed twice")
-            names.add(name)
-            end += math.prod(shape) * dtype.itemsize
-            if end > size:
-                raise ValueError(f"tensor {name}: {DATA} holds {size} bytes, the manifest implies at least {end}")
-        if end != size:
-            raise ValueError(f"{root}: {DATA} holds {size} bytes, {size - end} past the {end} the manifest implies")
+        size, end = os.fstat(f.fileno()).st_size, 0
         tensors: dict[str, np.ndarray] = {}
         for name, dtype, shape in entries:
+            if name in tensors:
+                raise ValueError(f"{mpath}: tensor {name} is listed twice")
+            end += math.prod(shape) * dtype.itemsize
+            # checked before the array is made, so a hostile shape allocates nothing
+            if end > size:
+                raise ValueError(f"tensor {name}: {DATA} holds {size} bytes, the manifest implies at least {end}")
             tensors[name] = arr = np.empty(shape, dtype)
             if f.readinto(arr) != arr.nbytes:
                 raise ValueError(f"tensor {name}: {DATA} ended early")
+        if end != size:
+            raise ValueError(f"{root}: {DATA} holds {size} bytes, {size - end} past the {end} the manifest implies")
     return tensors, meta
 
 

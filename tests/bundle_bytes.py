@@ -51,9 +51,9 @@ def read_tensor(bundle_dir, name: str) -> np.ndarray:
     return np.frombuffer(raw, DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
 
 
-def _splice(bundle_dir, name: str, arr: np.ndarray | None) -> None:
-    """Replace the bytes of tensor `name` by those of `arr` and its entry's
-    dtype and shape by arr's, or drop both if `arr` is None."""
+def splice(bundle_dir, name: str, arr: np.ndarray | None) -> None:
+    """Store `arr` (f32, u16 or u8) as tensor `name`, with its dtype and shape,
+    or, if `arr` is None, remove the tensor: its manifest entry and its bytes."""
     root = Path(bundle_dir)
     manifest = json.loads((root / MANIFEST).read_text())
     start, stop = tensor_span(manifest, name)
@@ -70,18 +70,8 @@ def _splice(bundle_dir, name: str, arr: np.ndarray | None) -> None:
     (root / MANIFEST).write_text(json.dumps(manifest))
 
 
-def write_tensor(bundle_dir, name: str, arr: np.ndarray) -> None:
-    """Store `arr` (f32, u16 or u8) as tensor `name`, with its dtype and shape."""
-    _splice(bundle_dir, name, arr)
-
-
-def drop_tensor(bundle_dir, name: str) -> None:
-    """Remove tensor `name`: its manifest entry and its bytes."""
-    _splice(bundle_dir, name, None)
-
-
 def set_value(bundle_dir, name: str, index: int, value) -> None:
     """Set element `index` of the flattened tensor `name` to `value`."""
     arr = read_tensor(bundle_dir, name)
     arr.flat[index] = value
-    write_tensor(bundle_dir, name, arr)
+    splice(bundle_dir, name, arr)

@@ -3,7 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
-from bundle_bytes import drop_tensor, edit_manifest, read_tensor, set_value, write_tensor
+from bundle_bytes import edit_manifest, read_tensor, set_value, splice
 from densepanoptic import cli
 from densepanoptic.bundle import load_panoptic, load_scene
 from densepanoptic.cli import build_parser, main
@@ -241,7 +241,7 @@ class TestMetaErrors:
                      "'levels'", id="stride-x"),
         pytest.param(lambda p: edit_manifest(p, lambda m: m["meta"].__setitem__("levels", 5)), "'levels'",
                      id="levels-5"),
-        pytest.param(lambda p: drop_tensor(p, "level3_offsets"), "'level3_offsets'", id="no-level3_offsets"),
+        pytest.param(lambda p: splice(p, "level3_offsets", None), "'level3_offsets'", id="no-level3_offsets"),
     ])
     def test_construct_names_the_bad_key(self, tmp_path, capsys, edit, named):
         code, _, err = run(capsys, "synth", "--out", str(tmp_path / "scene"),
@@ -335,7 +335,7 @@ def test_targets_rejects_class_above_meta_counts(tmp_path, capsys):
     run(capsys, "synth", "--out", str(scene), "--width", "128", "--height", "128", "--instances", "2")
     cm = read_tensor(scene, "class_map")
     cm[cm == 1] = 9
-    write_tensor(scene, "class_map", cm)
+    splice(scene, "class_map", cm)
     edit_manifest(scene, lambda m: next(s for s in m["meta"]["segments"]
                                         if s["id"] == 0 and s["class_id"] == 1).__setitem__("class_id", 9))
     code, out, err = run(capsys, "targets", "--scene", str(scene), "--out", str(tmp_path / "targets"))
@@ -361,7 +361,7 @@ def test_loss_rejects_class_counts_differing_from_targets(tmp_path, capsys):
 def _relabel_stuff_class_1_as_5(scene):
     cm = read_tensor(scene, "class_map")
     cm[cm == 1] = 5
-    write_tensor(scene, "class_map", cm)
+    splice(scene, "class_map", cm)
     edit_manifest(scene, lambda m: next(s for s in m["meta"]["segments"]
                                         if s["id"] == 0 and s["class_id"] == 1).__setitem__("class_id", 5))
 
@@ -395,7 +395,7 @@ def _retype(bundle_dir, tensor, dtype):
     """Rewrite `tensor` of a bundle as element type `dtype`, its values cast."""
     from densepanoptic.bundle import DTYPES
 
-    write_tensor(bundle_dir, tensor, read_tensor(bundle_dir, tensor).astype(DTYPES[dtype]))
+    splice(bundle_dir, tensor, read_tensor(bundle_dir, tensor).astype(DTYPES[dtype]))
 
 
 @pytest.mark.parametrize("bundle_dir, tensor, dtype, written, argv", [
@@ -453,7 +453,7 @@ def test_loss_rejects_a_transposed_target_tensor(tmp_path, capsys, tensor, shape
     run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
     grid = read_tensor(tmp_path / "targets", tensor)
     assert grid.shape == shape
-    write_tensor(tmp_path / "targets", tensor, grid.swapaxes(0, 1))
+    splice(tmp_path / "targets", tensor, grid.swapaxes(0, 1))
     code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"tensor '{tensor}' must be of shape {shape}" in err
@@ -499,7 +499,7 @@ def test_loss_rejects_bad_gt_classes(tmp_path, capsys, classes):
     run(capsys, "synth", "--out", str(tmp_path / "scene"), "--width", "128", "--height", "128",
         "--instances", "3", "--preds-out", str(tmp_path / "preds"))
     run(capsys, "targets", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "targets"))
-    write_tensor(tmp_path / "targets", "gt_classes", classes(read_tensor(tmp_path / "targets", "gt_classes")))
+    splice(tmp_path / "targets", "gt_classes", classes(read_tensor(tmp_path / "targets", "gt_classes")))
     code, out, err = run(capsys, "loss", "--preds", str(tmp_path / "preds"), "--targets", str(tmp_path / "targets"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "tensor 'gt_classes' must be one thing class in [4, 6] per gt_boxes row" in err

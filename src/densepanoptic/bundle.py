@@ -374,8 +374,11 @@ def load_targets(path) -> TargetBundle:
 
 def save_panoptic(path, pmap: PanopticMap, n_stuff: int, n_things: int,
                   write_view: bool = False) -> None:
-    """Write a panoptic archive; optionally adds a colorized view.ppm."""
-    pmap.validate()
+    """Write a panoptic archive that `load_panoptic` accepts, with a colorized
+    view.ppm or none: a view of an earlier archive at `path` is removed."""
+    if not (_count(n_stuff) and _count(n_things)):
+        raise ValueError(f"class counts must be nonnegative ints, got {n_stuff!r} and {n_things!r}")
+    check_labels(*pmap.validate()[:2], n_stuff, n_things, "panoptic map")
     meta = {
         "kind": "panoptic",
         "n_stuff": n_stuff,
@@ -385,8 +388,11 @@ def save_panoptic(path, pmap: PanopticMap, n_stuff: int, n_things: int,
     if write_view:
         meta["view"] = "view.ppm"
     write_bundle(path, {"class_map": pmap.class_map, "instance_map": pmap.instance_map}, meta=meta)
+    view = Path(path) / "view.ppm"
     if write_view:
-        write_ppm(Path(path) / "view.ppm", colorize(pmap.class_map, pmap.instance_map))
+        write_ppm(view, colorize(pmap.class_map, pmap.instance_map))
+    else:
+        view.unlink(missing_ok=True)
 
 
 def load_panoptic(path) -> tuple[PanopticMap, dict]:

@@ -145,11 +145,8 @@ class SemanticField:
 
 
 class LevelnessField:
-    """Per-pixel level-selection logits; channel 0 is background.
-
-    Held as contiguous (L+1, h, w) float32 `planes`, read-only; the
-    constructor takes (h, w, L+1) logits.
-    """
+    """Per-pixel level-selection logits as read-only contiguous (L+1, h, w)
+    float32 `planes`, channel 0 background; the constructor takes (h, w, L+1)."""
 
     def __init__(self, logits: np.ndarray):
         logits = np.asarray(logits)
@@ -354,9 +351,10 @@ def check_labels(classes: np.ndarray, instances: np.ndarray, n_stuff: int, n_thi
 class DensePrediction:
     """Everything one scene's dense head would emit, in one container.
 
-    Losses consume the raw semantic/levelness logits; the construction
-    pipeline consumes their softmax/argmax. image_hw is the full resolution;
-    logits live on the quarter-resolution grid.
+    The quarter-resolution logits are copied once into read-only float32
+    (C, h, w) planes, which losses and construction read as they are; the
+    `*_logits` fields are (h, w, C) views of them, and `levelness_field()` is
+    the one field, checked at construction. image_hw is the full resolution.
     """
 
     levels: list[DenseBoxLevel]
@@ -368,19 +366,21 @@ class DensePrediction:
     image_hw: tuple[int, int]
 
     def __post_init__(self):
-        self.semantic_logits = np.ascontiguousarray(self.semantic_logits, dtype=np.float32)
-        self.levelness_logits = np.ascontiguousarray(self.levelness_logits, dtype=np.float32)
+        for name in ("semantic_logits", "levelness_logits"):
+            planes = np.array(np.moveaxis(np.asarray(getattr(self, name)), -1, 0), np.float32, order="C")
+            setattr(self, name, np.moveaxis(_readonly_planes(planes), 0, -1))
         h, w = self.image_hw
         if h % 4 or w % 4:
             raise ValueError("image size must be divisible by 4")
+        if self.n_stuff < 0 or self.n_things < 0:
+            raise ValueError("class counts must be nonnegative")
         q = (h // 4, w // 4)
         if self.semantic_logits.shape != (*q, self.n_stuff + self.n_things):
             raise ValueError(f"semantic logits shape {self.semantic_logits.shape} mismatch")
         if self.levelness_logits.shape != (*q, len(self.levels) + 1):
             raise ValueError(f"levelness logits shape {self.levelness_logits.shape} mismatch")
-        for name, arr in (("semantic", self.semantic_logits), ("levelness", self.levelness_logits)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} logits must be finite")
+        if not np.isfinite(self.semantic_logits).all():
+            raise ValueError("semantic logits must be finite")
         if len(self.levels) != len(self.specs):
             raise ValueError("one spec per level required")
         validate_level_specs(self.specs)
@@ -396,12 +396,13 @@ class DensePrediction:
                 area = (off[..., 0] + off[..., 2]) * (off[..., 1] + off[..., 3])
             if not np.isfinite(area).all():
                 raise ValueError(f"tensor 'level{i}_offsets' must be offsets with a finite box area (l + r) * (t + b)")
+        self._levelness = LevelnessField(self.levelness_logits)
 
     def semantic_field(self) -> SemanticField:
         return SemanticField(softmax_field(self.semantic_logits))
 
     def levelness_field(self) -> LevelnessField:
-        return LevelnessField(self.levelness_logits)
+        return self._levelness
 
 
 def upsample_nearest(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -430,11 +431,11 @@ def softmax_field(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax of float logits along the last axis,
     preserving dtype, as a view of contiguous channel planes.
 
-    One transposed copy of the logits is the only buffer of C channels: the
-    max, subtraction, exponential and division run on it plane by plane, in
-    place. The result is bitwise the per-pixel formula on the (..., C)
-    layout: the max is exact in any order, and `plane_sum` repeats numpy's
-    summation order.
+    One planar copy of the logits (a plain copy of the planes that
+    `DensePrediction` holds) is the only buffer of C channels: max,
+    subtraction, exp and division run on it plane by plane, in place. The
+    result is bitwise the per-pixel formula on the (..., C) layout: the max
+    is exact in any order, and `plane_sum` repeats numpy's summation order.
     """
     planes = np.moveaxis(np.asarray(logits), -1, 0).copy()
     planes -= planes.max(axis=0)

@@ -95,11 +95,11 @@ _CE_BLOCK = 16384  # pixels per block of `_cross_entropy`: its temporaries stay 
 
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-pixel CE of integer targets under the softmax of logits over the
-    last axis, float64; computed on (C, pixels) planes, bitwise equal to the
-    row-by-row form because `plane_sum` repeats numpy's summation order.
-    Pixels are independent, so they are computed in blocks of `_CE_BLOCK`.
+    last axis, float64, on (C, pixels) planes taken once (a `DensePrediction`'s
+    logits need no copy) and widened in blocks of `_CE_BLOCK` pixels; bitwise
+    the row-by-row form because `plane_sum` repeats numpy's summation order.
 
-    The target logits are one flat gather from the input: widening a logit
+    The target logits are one flat gather from the planes: widening a logit
     to float64 is exact, so they are the values the row form reads. Lanes
     whose shifted logit lies below `_EXP_ZERO` skip `exp` and read +0.0, the
     value `exp` rounds them to, so every lane holds the bits of the full
@@ -112,14 +112,13 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
     if t.size and (t.min() < 0 or t.max() >= n_ch):
         raise ValueError("target index out of range")
-    rows = np.asarray(logits).reshape(-1, n_ch)
-    at = np.arange(0, rows.size, n_ch)
-    at += t
-    picked = rows.reshape(-1).take(at)
-    out = np.empty(len(rows))
-    zeros = np.zeros(n_ch * min(len(rows), _CE_BLOCK))
-    for a in range(0, len(rows), _CE_BLOCK):
-        z = np.moveaxis(rows[a:a + _CE_BLOCK], 1, 0).astype(np.float64, order="C")
+    planes = np.ascontiguousarray(np.moveaxis(logits, -1, 0)).reshape(n_ch, -1)
+    n = planes.shape[1]
+    picked = planes.reshape(-1).take(np.arange(n) + t * n)
+    out = np.empty(n)
+    zeros = np.zeros(n_ch * min(n, _CE_BLOCK))
+    for a in range(0, n, _CE_BLOCK):
+        z = planes[:, a:a + _CE_BLOCK].astype(np.float64, order="C")
         m = z.max(axis=0)
         z -= m
         lanes = np.flatnonzero(~(z < _EXP_ZERO))

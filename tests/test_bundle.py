@@ -431,26 +431,36 @@ class TestPanopticArchive:
         with pytest.raises(ValueError):
             load_panoptic(tmp_path / "pan")
 
+    def _refused_on_save_and_load(self, tmp_path, pmap, good, bad, message):
+        """`save_panoptic` under the `bad` counts raises and writes nothing; an archive
+        saved under the `good` counts and edited to the `bad` ones does not load."""
+        with pytest.raises(ValueError, match=message) as exc:
+            save_panoptic(tmp_path / "pan", pmap, *bad, write_view=True)
+        assert len(str(exc.value).splitlines()) == 1
+        assert not (tmp_path / "pan").exists()
+        save_panoptic(tmp_path / "pan", pmap, *good)
+        assert load_panoptic(tmp_path / "pan")[0].segments == pmap.segments
+        edit_manifest(tmp_path / "pan", lambda m: m["meta"].update(n_stuff=bad[0], n_things=bad[1]))
+        with pytest.raises(ValueError, match=message) as exc:
+            load_panoptic(tmp_path / "pan")
+        assert len(str(exc.value).splitlines()) == 1
+
     def test_class_above_meta_counts_rejected(self, tmp_path):
         cm = np.array([[1, 1, 9], [1, 9, 9]], np.uint16)
         im = np.array([[0, 0, 1], [0, 1, 1]], np.uint16)
         pmap = PanopticMap(cm, im, [SegmentInfo(1, 9, 3, 1.0), SegmentInfo(0, 1, 3, 1.0)])
-        save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=1)
-        with pytest.raises(ValueError, match="class id 9 exceeds n_stuff \\+ n_things = 2") as exc:
-            load_panoptic(tmp_path / "pan")
-        assert len(str(exc.value).splitlines()) == 1
-        save_panoptic(tmp_path / "ok", pmap, n_stuff=1, n_things=8)
-        assert load_panoptic(tmp_path / "ok")[0].segments == pmap.segments
+        self._refused_on_save_and_load(tmp_path, pmap, (1, 8), (1, 1), "class id 9 exceeds n_stuff \\+ n_things = 2")
 
     def test_thing_class_on_instance_zero_rejected(self, tmp_path):
         cm = np.array([[1, 2, 2], [1, 1, 2]], np.uint16)
         pmap = PanopticMap(cm, np.zeros_like(cm), [SegmentInfo(0, 1, 3, 1.0), SegmentInfo(0, 2, 3, 1.0)])
-        save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=1)
-        with pytest.raises(ValueError, match="thing class 2 on instance 0 \\(n_stuff = 1\\)") as exc:
-            load_panoptic(tmp_path / "pan")
-        assert len(str(exc.value).splitlines()) == 1
-        save_panoptic(tmp_path / "ok", pmap, n_stuff=2, n_things=0)
-        assert load_panoptic(tmp_path / "ok")[0].segments == pmap.segments
+        self._refused_on_save_and_load(tmp_path, pmap, (2, 0), (1, 1), "thing class 2 on instance 0 \\(n_stuff = 1\\)")
+
+    def test_save_refuses_negative_class_counts(self, tmp_path):
+        pmap = PanopticMap(np.zeros((2, 3), np.uint16), np.zeros((2, 3), np.uint16))
+        with pytest.raises(ValueError, match="class counts must be nonnegative ints, got -1 and 4"):
+            save_panoptic(tmp_path / "pan", pmap, n_stuff=-1, n_things=4)
+        assert not (tmp_path / "pan").exists()
 
     def test_view_ppm_written(self, tmp_path):
         sc = generate_scene(SceneConfig(width=256, height=128, instances=3, seed=9))

@@ -179,6 +179,14 @@ class TestPipelineCommands:
         assert code == 0
         assert (d / "pan" / "view.ppm").read_bytes().startswith(b"P6\n")
 
+    def test_construct_without_ppm_leaves_no_stale_view(self, scene_and_preds, capsys):
+        d = scene_and_preds
+        for flags in (["--ppm"], []):
+            code, _, err = run(capsys, "construct", "--preds", str(d / "preds"), "--out", str(d / "pan_view"), *flags)
+            assert code == 0, err
+        assert sorted(p.name for p in (d / "pan_view").iterdir()) == ["manifest.json", "tensors.bin"]
+        assert "view" not in load_panoptic(d / "pan_view")[1]
+
     def test_weak_mode_targets(self, scene_and_preds, capsys):
         d = scene_and_preds
         code, _, err = run(capsys, "targets", "--scene", str(d / "scene"),
@@ -310,7 +318,8 @@ def test_evaluate_rejects_class_above_meta_counts(tmp_path, capsys):
     cm = np.array([[1, 1, 9], [1, 9, 9]], np.uint16)
     im = np.array([[0, 0, 1], [0, 1, 1]], np.uint16)
     pmap = PanopticMap(cm, im, [SegmentInfo(1, 9, 3, 1.0), SegmentInfo(0, 1, 3, 1.0)])
-    save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=1)
+    save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=8)  # save refuses n_things=1
+    edit_manifest(tmp_path / "pan", lambda m: m["meta"].update(n_things=1))
     code, out, err = run(capsys, "evaluate", "--pred", str(tmp_path / "pan"), "--gt", str(tmp_path / "pan"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "class id 9 exceeds n_stuff + n_things = 2" in err
@@ -323,7 +332,8 @@ def test_evaluate_rejects_thing_class_on_instance_zero(tmp_path, capsys):
 
     cm = np.array([[1, 2, 2], [1, 1, 2]], np.uint16)
     pmap = PanopticMap(cm, np.zeros_like(cm), [SegmentInfo(0, 1, 3, 1.0), SegmentInfo(0, 2, 3, 1.0)])
-    save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=1)
+    save_panoptic(tmp_path / "pan", pmap, n_stuff=2, n_things=0)  # save refuses n_stuff=1, n_things=1
+    edit_manifest(tmp_path / "pan", lambda m: m["meta"].update(n_stuff=1, n_things=1))
     code, out, err = run(capsys, "evaluate", "--pred", str(tmp_path / "pan"), "--gt", str(tmp_path / "pan"))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "thing class 2 on instance 0 (n_stuff = 1)" in err

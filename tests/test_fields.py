@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densepanoptic.bundle import save_predictions
 from densepanoptic.fields import (
     DenseBoxLevel,
     DensePrediction,
@@ -160,6 +161,33 @@ class TestDensePrediction:
         logits[1, 2, 0] = bad
         with pytest.raises(ValueError, match="must be finite"):
             dataclasses.replace(pred, **{name: logits})
+
+    def test_logits_are_read_only_views_of_owned_planes(self, tmp_path):
+        rng = np.random.default_rng(0)
+        sem = rng.normal(0, 4, (4, 4, 3)).astype(np.float32)
+        lev_planes = rng.normal(0, 4, (2, 4, 4)).astype(np.float32)
+        lev = np.moveaxis(lev_planes, 0, -1)  # a writable view of planes is copied too
+        pred = dataclasses.replace(self._pred(), semantic_logits=sem, levelness_logits=lev)
+        for got, given in ((pred.semantic_logits, sem), (pred.levelness_logits, lev)):
+            assert got.shape == given.shape and got.tobytes() == given.tobytes()
+            assert not np.shares_memory(got, given)
+            assert np.moveaxis(got, -1, 0).flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0, 0] = 1.0
+        field = pred.levelness_field()
+        assert pred.levelness_field() is field
+        assert np.shares_memory(field.planes, pred.levelness_logits)
+        assert field.planes.tobytes() == lev_planes.tobytes()
+        save_predictions(tmp_path / "preds", pred)  # the (h, w, C) bytes, as before
+        inputs = [sem, lev] + [getattr(lv, name) for lv in pred.levels
+                               for name in ("offsets", "class_probs", "centerness")]
+        assert (tmp_path / "preds" / "tensors.bin").read_bytes() == b"".join(a.tobytes() for a in inputs)
+
+    def test_negative_class_counts_rejected(self):
+        pred = self._pred()
+        level = dataclasses.replace(pred.levels[0], class_probs=np.zeros((2, 2, 4), np.float32))
+        with pytest.raises(ValueError, match="class counts must be nonnegative"):
+            dataclasses.replace(pred, levels=[level], n_stuff=-1, n_things=4)
 
 
 class TestPanopticMap:
@@ -465,12 +493,16 @@ class TestPlaneReductions:
         assert softmax_field(logits).tobytes() == want.tobytes()
         assert (sem.argmax_classes() == np.argmax(want, axis=-1) + 1).all()
 
-    @pytest.mark.parametrize("n_ch", [6, 19])
-    def test_cross_entropy_is_the_row_form(self, n_ch):
+    @pytest.mark.parametrize("n_ch, planar", [
+        pytest.param(n_ch, planar, id=f"{n_ch}-planes-view" if planar else str(n_ch))
+        for planar in (False, True) for n_ch in (1, 6, 19, 133)])
+    def test_cross_entropy_is_the_row_form(self, n_ch, planar):
         rng = np.random.default_rng(n_ch)
         logits = rng.normal(0, 4, (16, 24, n_ch)).astype(np.float32)
         targets = rng.integers(0, n_ch, (16, 24))
-        got = _cross_entropy(logits, targets)
+        # the reference sums contiguous rows; a DensePrediction holds a view of planes
+        given = np.moveaxis(_planes(logits), 0, -1) if planar else logits
+        got = _cross_entropy(given, targets)
         assert got.tobytes() == cross_entropy_rows_ref(logits, targets).tobytes()
 
     def test_field_views_are_read_only(self):

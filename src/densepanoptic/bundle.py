@@ -131,8 +131,16 @@ def _specs_from_meta(items: list[dict]) -> list[LevelSpec]:
 
 
 def _segments_to_meta(segments: list[SegmentInfo]) -> list[dict]:
-    return [{"id": s.segment_id, "class_id": s.class_id, "area": s.area, "score": s.score}
+    return [{"id": s.segment_id, "class_id": s.class_id, "area": s.area, "score": _score(s)}
             for s in segments]
+
+
+def _score(s: SegmentInfo) -> float:
+    """The score as the float the `segments` schema accepts on load: no bool, NaN or inf."""
+    score = math.nan if isinstance(s.score, (bool, np.bool_)) else float(s.score)
+    if not math.isfinite(score):
+        raise ValueError(f"segment {s.segment_id} score must be a finite number, got {s.score!r}")
+    return score
 
 
 def _segments_from_meta(items: list[dict]) -> list[SegmentInfo]:

@@ -3,8 +3,8 @@
 A query's mask probability at a pixel is the product of a location term (IoU
 between the pixel's predicted global box and the query box) and a semantic
 term (the pixel's probability of the query's class). Masks are the strict
-threshold of that product. Fusion claims pixels greedily by query score and
-fills the rest from the semantic field.
+threshold of that product. Fusion starts from the semantic fill and lets
+queries claim pixels over it greedily by score.
 """
 
 from __future__ import annotations
@@ -93,10 +93,11 @@ def fuse_panoptic(
 ) -> PanopticMap:
     """Merge instance masks and semantics into one panoptic labeling.
 
-    Queries must arrive in descending score order; each claims its still-free
-    mask pixels (instance ids follow claim order from 1, empty claims produce
-    no segment). Unclaimed pixels take the semantic argmax; those landing on
-    a thing class become void. The fused quarter-resolution maps are
+    Queries must arrive in descending score order. The quarter-resolution
+    class map starts as the semantic argmax with thing classes set to void;
+    each query then claims its mask pixels that no earlier query claimed
+    (instance ids follow claim order from 1, so a pixel is free exactly where
+    its id is 0; empty claims produce no segment). The fused maps are
     upsampled 4x to full resolution; segment areas count full-resolution
     pixels (quarter pixels * 16), stuff classes whose area falls below
     stuff_area_min are voided, and stuff segments carry id 0, score 1.0.
@@ -113,30 +114,30 @@ def fuse_panoptic(
         raise ValueError("mask and semantic shapes differ")
     if np.any(queries.classes <= n_stuff):
         raise ValueError("queries must carry thing classes")
-    class_map = np.zeros((h, w), dtype=np.uint16)
+    above = queries.classes > semantics.n_classes
+    if above.any():
+        raise ValueError(f"query class {queries.classes[above][0]} exceeds the "
+                         f"semantic field's {semantics.n_classes} classes")
+    class_map = semantics.argmax_classes() if h * w else np.zeros((h, w), dtype=np.uint16)
+    class_map *= class_map <= n_stuff  # thing classes to void
     inst_map = np.zeros((h, w), dtype=np.uint16)
-    claimed = np.zeros((h, w), dtype=bool)
     claims: list[tuple[int, float]] = []  # (class id, score) of instance id k at index k - 1
     # each query claims inside its mask's bounding rectangle only
-    rows, cols = masks.any(axis=2), masks.any(axis=1)
+    rows = masks.any(axis=2)
     for i, (cls, score) in enumerate(zip(queries.classes.tolist(), scores.tolist())):
-        r, c = np.flatnonzero(rows[i]), np.flatnonzero(cols[i])
+        r = np.flatnonzero(rows[i])
         if not r.size:
             continue
-        ys, xs = slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1)
-        take = masks[i, ys, xs] & ~claimed[ys, xs]
+        ys = slice(r[0], r[-1] + 1)
+        c = np.flatnonzero(masks[i, ys].any(axis=0))
+        xs = slice(c[0], c[-1] + 1)
+        take = masks[i, ys, xs] & (inst_map[ys, xs] == 0)
         if not take.any():
             continue
         claims.append((cls, score))
         class_map[ys, xs][take] = cls
         inst_map[ys, xs][take] = len(claims)
-        claimed[ys, xs] |= take
 
-    free = ~claimed
-    if free.any():
-        sem_cls = semantics.argmax_classes()
-        fill = np.where(sem_cls <= n_stuff, sem_cls, 0).astype(np.uint16)
-        class_map[free] = fill[free]
     segments = segment_table(class_map, inst_map, claims, n_stuff, scale=16)
     for s in segments:  # claimed pixels carry thing classes, so a stuff class lies on instance 0 only
         if s.segment_id == 0 and s.area < stuff_area_min:

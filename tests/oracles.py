@@ -106,6 +106,43 @@ def construct_masks_ref(boxes, sem_probs, queries, sigma: float):
     return out
 
 
+def fuse_panoptic_ref(masks, classes, scores, sem_probs, n_stuff: int, stuff_area_min: int):
+    """Scalar fusion. masks [query][y][x] bool with queries in descending score
+    order, 1-based thing classes and scores per query, sem_probs [y][x][channel]
+    over an h x w quarter grid. Returns full-resolution (4x) class and instance
+    maps as nested lists and the segments as (id, class, area, score) tuples."""
+    h, w = len(sem_probs), len(sem_probs[0])
+    cls_map = [[0] * w for _ in range(h)]
+    inst_map = [[0] * w for _ in range(h)]
+    claims = []
+    for mask, cls, score in zip(masks, classes, scores):
+        taken = [(y, x) for y in range(h) for x in range(w) if mask[y][x] and inst_map[y][x] == 0]
+        if not taken:
+            continue
+        claims.append((int(cls), float(score)))
+        for y, x in taken:
+            cls_map[y][x], inst_map[y][x] = int(cls), len(claims)
+    for y in range(h):
+        for x in range(w):
+            if inst_map[y][x] == 0:
+                row = [float(v) for v in sem_probs[y][x]]
+                top = max(range(len(row)), key=row.__getitem__) + 1  # the first maximum
+                cls_map[y][x] = top if top <= n_stuff else 0
+    area = Counter()
+    for y in range(h):
+        for x in range(w):
+            area[(inst_map[y][x], cls_map[y][x])] += 16
+    stuff = sorted(c for (i, c) in area if i == 0 and 1 <= c <= n_stuff)
+    voided = {c for c in stuff if area[(0, c)] < stuff_area_min}
+    segments = [(k, c, sum(n for (i, _), n in area.items() if i == k), s)
+                for k, (c, s) in enumerate(claims, start=1)]
+    segments += [(0, c, area[(0, c)], 1.0) for c in stuff if c not in voided]
+    cls_map = [[0 if (i == 0 and c in voided) else c for c, i in zip(cr, ir)]
+               for cr, ir in zip(cls_map, inst_map)]
+    full = lambda grid: [[grid[y // 4][x // 4] for x in range(4 * w)] for y in range(4 * h)]
+    return full(cls_map), full(inst_map), segments
+
+
 # ------------------------------------------------------------------ losses
 
 def iou_loss_ref(pred_boxes, target_boxes, foreground) -> float:
@@ -310,15 +347,18 @@ def miou_ref(pred_class, gt_class):
 # ------------------------------------------------------------ row layout
 
 def softmax_rows_ref(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the trailing channel axis of (..., C) logits."""
+    """Softmax over the trailing channel axis of (..., C) logits, summed over
+    C-contiguous rows whatever the memory order of the input."""
+    logits = np.ascontiguousarray(logits)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy_rows_ref(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row float64 CE of integer targets under the softmax of (rows, C) logits."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1, logits.shape[-1])
+    """Per-row float64 CE of integer targets under the softmax of (rows, C) logits,
+    summed over C-contiguous rows whatever the memory order of the input."""
+    z = np.ascontiguousarray(logits, dtype=np.float64).reshape(-1, logits.shape[-1])
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
     m = z.max(axis=1)
     s = np.log(np.exp(z - m[:, None]).sum(axis=1))

@@ -462,6 +462,22 @@ class TestPanopticArchive:
             save_panoptic(tmp_path / "pan", pmap, n_stuff=-1, n_things=4)
         assert not (tmp_path / "pan").exists()
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, True, np.bool_(False)],
+                             ids=["nan", "inf", "-inf", "True", "np.False_"])
+    def test_save_refuses_a_score_the_loader_refuses(self, tmp_path, score):
+        cm = np.array([[4, 1]], np.uint16)
+        pmap = PanopticMap(cm, np.array([[1, 0]], np.uint16), [SegmentInfo(1, 4, 1, score)])
+        with pytest.raises(ValueError, match="^segment 1 score must be a finite number, got ") as exc:
+            save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=3)
+        assert len(str(exc.value).splitlines()) == 1
+        assert not (tmp_path / "pan").exists()
+
+    def test_numpy_float_scores_save_as_floats(self, tmp_path):
+        cm = np.array([[4, 1]], np.uint16)
+        pmap = PanopticMap(cm, np.array([[1, 0]], np.uint16), [SegmentInfo(1, 4, 1, np.float64(0.25))])
+        save_panoptic(tmp_path / "pan", pmap, n_stuff=1, n_things=3)
+        assert load_panoptic(tmp_path / "pan")[0].segments == [SegmentInfo(1, 4, 1, 0.25)]
+
     def test_view_ppm_written(self, tmp_path):
         sc = generate_scene(SceneConfig(width=256, height=128, instances=3, seed=9))
         save_panoptic(tmp_path / "pan", sc.panoptic, sc.n_stuff, sc.n_things,

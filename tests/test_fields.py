@@ -121,6 +121,15 @@ class TestSemanticField:
         with pytest.raises(ValueError):
             SemanticField(probs)
 
+    def test_class_ids_fit_uint16(self):
+        """Channel 65535 would be class 65536, which argmax_classes wraps to void."""
+        probs = np.zeros((1, 1, 65535), np.float32)
+        probs[..., -1] = 1.0
+        assert SemanticField(probs).argmax_classes().tolist() == [[65535]]
+        with pytest.raises(ValueError, match="^a semantic field holds at most 65535 classes "
+                                             r"\(uint16 ids\), got 65536$"):
+            SemanticField(np.pad(probs, ((0, 0), (0, 0), (0, 1))))
+
 
 class TestLevelnessField:
     def test_argmax_levels(self):
@@ -444,6 +453,28 @@ def _planes(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
 
+def _prediction(semantic_logits: np.ndarray) -> DensePrediction:
+    """A 16x24 prediction with these (4, 6, C) semantic logits, one stuff class."""
+    n_ch = semantic_logits.shape[2]
+    return DensePrediction(
+        levels=[DenseBoxLevel(stride=8, offsets=np.zeros((2, 3, 4), np.float32),
+                              class_probs=np.zeros((2, 3, n_ch - 1), np.float32),
+                              centerness=np.zeros((2, 3), np.float32))],
+        semantic_logits=semantic_logits, levelness_logits=np.zeros((4, 6, 2), np.float32),
+        specs=default_level_specs(1), n_stuff=1, n_things=n_ch - 1, image_hw=(16, 24))
+
+
+# per-pixel logit rows of extreme spread: float32 extremes, one-hot with margin
+# 1000, ties among a few values, subnormals, and wide normal spreads
+_EXTREME_ROWS = (
+    lambda rng, c: rng.choice(np.array([-3e38, 3e38], np.float32), c),
+    lambda rng, c: np.where(np.arange(c) == rng.integers(c), 1000.0, 0.0),
+    lambda rng, c: rng.choice(np.array([-1.0, -0.0, 0.0, 2.0], np.float32), c),
+    lambda rng, c: rng.integers(-3, 4, c) * np.float32(1e-45),
+    lambda rng, c: rng.normal(0, 1, c) * 10.0 ** rng.integers(-30, 39, c),
+)
+
+
 class TestPlaneReductions:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 30), st.floats(0.0, 0.3))
@@ -477,33 +508,46 @@ class TestPlaneReductions:
         assert got.dtype == np.uint16
         assert (got == np.argmax(x, axis=-1)).all()
 
-    @pytest.mark.parametrize("n_ch", [3, 6, 19, 133])
-    def test_semantic_field_is_the_row_softmax(self, n_ch):
+    @pytest.mark.parametrize("n_ch, ref_view", [
+        pytest.param(n_ch, ref_view, id=f"{n_ch}-ref-view" if ref_view else str(n_ch))
+        for n_ch, ref_view in ((3, False), (6, False), (19, False), (133, False), (19, True), (133, True))])
+    def test_semantic_field_is_the_row_softmax(self, n_ch, ref_view):
         rng = np.random.default_rng(n_ch)
         logits = rng.normal(0, 4, (4, 6, n_ch)).astype(np.float32)
-        pred = DensePrediction(
-            levels=[DenseBoxLevel(stride=8, offsets=np.zeros((2, 3, 4), np.float32),
-                                  class_probs=np.zeros((2, 3, n_ch - 1), np.float32),
-                                  centerness=np.zeros((2, 3), np.float32))],
-            semantic_logits=logits, levelness_logits=np.zeros((4, 6, 2), np.float32),
-            specs=default_level_specs(1), n_stuff=1, n_things=n_ch - 1, image_hw=(16, 24))
+        pred = _prediction(logits)
         sem = pred.semantic_field()
-        want = softmax_rows_ref(logits)
+        # the reference given the prediction's planes view must read it as rows
+        want = softmax_rows_ref(pred.semantic_logits if ref_view else logits)
         assert sem.planes.tobytes() == _planes(want).tobytes()
         assert softmax_field(logits).tobytes() == want.tobytes()
         assert (sem.argmax_classes() == np.argmax(want, axis=-1) + 1).all()
 
-    @pytest.mark.parametrize("n_ch, planar", [
-        pytest.param(n_ch, planar, id=f"{n_ch}-planes-view" if planar else str(n_ch))
-        for planar in (False, True) for n_ch in (1, 6, 19, 133)])
-    def test_cross_entropy_is_the_row_form(self, n_ch, planar):
+    @pytest.mark.parametrize("n_ch, planar, ref_view", [
+        pytest.param(n_ch, planar, False, id=f"{n_ch}-planes-view" if planar else str(n_ch))
+        for planar in (False, True) for n_ch in (1, 6, 19, 133)] + [
+        pytest.param(n_ch, True, True, id=f"{n_ch}-ref-view") for n_ch in (19, 133)])
+    def test_cross_entropy_is_the_row_form(self, n_ch, planar, ref_view):
         rng = np.random.default_rng(n_ch)
         logits = rng.normal(0, 4, (16, 24, n_ch)).astype(np.float32)
         targets = rng.integers(0, n_ch, (16, 24))
-        # the reference sums contiguous rows; a DensePrediction holds a view of planes
+        # a DensePrediction holds a view of planes; the reference sums rows of either
         given = np.moveaxis(_planes(logits), 0, -1) if planar else logits
         got = _cross_entropy(given, targets)
-        assert got.tobytes() == cross_entropy_rows_ref(logits, targets).tobytes()
+        assert got.tobytes() == cross_entropy_rows_ref(given if ref_view else logits, targets).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 140))
+    def test_library_softmax_passes_the_public_check(self, seed, n_ch):
+        """The check `semantic_field()` skips cannot fail on the library's own
+        softmax, at 1-140 channels and extreme logit spreads."""
+        rng = np.random.default_rng(seed)
+        rows = [_EXTREME_ROWS[k](rng, n_ch) for k in rng.integers(len(_EXTREME_ROWS), size=24)]
+        logits = np.clip(np.array(rows, np.float64), -3e38, 3e38).astype(np.float32).reshape(4, 6, n_ch)
+        with np.errstate(over="ignore"):  # -3e38 - 3e38 overflows to -inf, whose exp is 0
+            checked = SemanticField(softmax_field(logits))
+            trusted = _prediction(logits).semantic_field()
+        assert trusted.planes.tobytes() == checked.planes.tobytes()
+        assert trusted.planes.shape == (n_ch, 4, 6) and not trusted.planes.flags.writeable
 
     def test_field_views_are_read_only(self):
         sem = SemanticField(np.full((2, 3, 4), 0.25, np.float32))

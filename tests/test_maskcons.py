@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from densepanoptic.fields import SemanticField
+from hypothesis import given, settings, strategies as st
+
+from densepanoptic.fields import SemanticField, softmax_field
 from densepanoptic.geometry import _area, _max_iou
 from densepanoptic.maskcons import construct_masks, fuse_panoptic
+from oracles import fuse_panoptic_ref
 from query_rows import query_set, row
 
 
@@ -289,3 +292,44 @@ class TestFusion:
             if s.segment_id > 0:
                 sel = pm.instance_map == s.segment_id
                 assert set(np.unique(pm.class_map[sel])) == {s.class_id}
+
+    @pytest.mark.parametrize("n_classes", [0, 2])
+    def test_empty_frame_fuses_to_an_empty_map(self, n_classes):
+        sem = SemanticField(np.zeros((0, 3, n_classes), np.float32))
+        pm = fuse_panoptic(np.zeros((0, 0, 3), bool), query_set([]), sem, n_stuff=n_classes)
+        assert pm.shape == (0, 12) and pm.segments == []
+
+    def test_query_class_above_the_semantic_field_rejected(self):
+        masks = np.ones((1, 4, 4), bool)
+        queries = query_set([sb(0, 0, 16, 16, cls=9, score=0.9)])
+        with pytest.raises(ValueError, match="^query class 9 exceeds the semantic field's 2 classes$"):
+            fuse_panoptic(masks, queries, uniform_semantics(4, 4, 2, cls=1), n_stuff=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 9), st.integers(0, 6),
+           st.integers(0, 3), st.integers(1, 3), st.sampled_from(["random", "full", "none"]),
+           st.sampled_from([0, 16, 48, 4096]))
+    def test_matches_the_scalar_reference(self, seed, h, w, m, n_stuff, n_things, kind, stuff_area_min):
+        """Bit for bit against `fuse_panoptic_ref`: overlapping masks, empty ones,
+        frames a first mask claims fully, and frames with no masks at all."""
+        rng = np.random.default_rng(seed)
+        n_classes = n_stuff + n_things
+        masks = rng.random((m, h, w)) < rng.random((m, 1, 1))
+        if kind == "full" and m:
+            masks[0] = True
+        elif kind == "none":
+            masks[:] = False
+        classes = rng.integers(n_stuff + 1, n_classes + 1, m)
+        scores = np.sort(rng.choice([0.9, 0.5, 0.25, rng.random()], m))[::-1]
+        # few distinct logits: argmax ties are everywhere
+        logits = rng.choice(np.array([-1.0, 0.0, 0.0, 3.0], np.float32), (h, w, n_classes))
+        sem = SemanticField(softmax_field(logits))
+        queries = query_set([sb(0, 0, 4, 4, cls=int(c), score=float(s)) for c, s in zip(classes, scores)])
+        pm = fuse_panoptic(masks, queries, sem, n_stuff=n_stuff, stuff_area_min=stuff_area_min)
+        want_cls, want_inst, want_segments = fuse_panoptic_ref(
+            masks.tolist(), classes.tolist(), scores.tolist(), np.moveaxis(sem.planes, 0, -1).tolist(),
+            n_stuff, stuff_area_min)
+        assert pm.class_map.dtype == pm.instance_map.dtype == np.uint16
+        assert pm.class_map.tolist() == want_cls and pm.instance_map.tolist() == want_inst
+        assert [(s.segment_id, s.class_id, s.area, s.score) for s in pm.segments] == want_segments
+        pm.validate()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LevelSpec, PanopticMap, as_uint16, check_labels, validate_level_specs
+from .fields import LevelSpec, PanopticMap, as_uint16, check_labels, level_grids, validate_level_specs
 from .geometry import _area, boxes_to_offsets, boxes_valid, centerness, max_offset, receptive_centers
 
 MODES = ("full", "weak")
@@ -156,16 +156,12 @@ def owner_offsets(owners: np.ndarray, boxes: np.ndarray, stride: int):
 
 
 def levels_for(vmax: np.ndarray, specs: list[LevelSpec]) -> np.ndarray:
-    """Index of the level whose half-open size range (min, max] holds each value.
-
-    Values above the last finite bound land on the last level. A
-    nonpositive value, which no range holds, raises.
-    """
+    """The pyramid's one size-to-level rule: the int64 index of the level whose
+    half-open size range (min, max] of valid specs holds each value, the last
+    level above the last finite bound, and -1 where no range holds it (<= 0 or NaN)."""
     vmax = np.asarray(vmax, dtype=np.float64)
-    if vmax.size and not vmax.min() > 0:
-        raise ValueError("max offsets must be positive to select a level")
     his = np.array([s.max_size for s in specs], dtype=np.float64)
-    return np.searchsorted(his, vmax, side="left").astype(np.int64)
+    return np.where(vmax > 0, np.searchsorted(his, vmax, side="left"), -1).astype(np.int64)
 
 
 def build_targets(
@@ -187,23 +183,16 @@ def build_targets(
     validate_level_specs(specs)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    h, w = scene.height, scene.width
-    if h % 4 or w % 4:
-        raise ValueError("scene size must be divisible by 4")
-    for spec in specs:
-        if h % spec.stride or w % spec.stride:
-            raise ValueError("scene size must be divisible by every stride")
+    quarter, *grids = level_grids([4, *(spec.stride for spec in specs)], (scene.height, scene.width))
     fg_map = assign_foreground(scene, mode)
     boxes = scene.boxes.astype(np.float64)
 
     level_targets = []
-    for spec in specs:
-        shape = (h // spec.stride, w // spec.stride)
+    for i, (spec, shape) in enumerate(zip(specs, grids)):
         yy, xx, ids, off = owner_offsets(fg_map, boxes, spec.stride)
         if off.min(initial=0.0) < 0:
             raise ValueError("foreground center falls outside its box")
-        vmax = max_offset(off)
-        keep = (vmax > spec.min_size) & (vmax <= spec.max_size)
+        keep = levels_for(max_offset(off), specs) == i
         yy, xx, ids, off = yy[keep], xx[keep], ids[keep], off[keep]
         offsets = np.zeros(shape + (4,), dtype=np.float32)
         offsets[yy, xx] = off
@@ -214,9 +203,7 @@ def build_targets(
         level_targets.append(LevelTargets(stride=spec.stride, offsets=offsets, class_ids=cls, centerness=cent))
 
     yy, xx, _, off = owner_offsets(fg_map, boxes, 4)
-    vmax = max_offset(off)
-    ok = vmax > 0
-    levelness = np.zeros((h // 4, w // 4), dtype=np.uint16)
-    levelness[yy[ok], xx[ok]] = levels_for(vmax[ok], specs) + 1
+    levelness = np.zeros(quarter, dtype=np.uint16)
+    levelness[yy, xx] = levels_for(max_offset(off), specs) + 1  # no level (-1) is background 0
     semantics = scene.quarter_class_map()
     return level_targets, GlobalTargets(levelness=levelness, semantics=semantics)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .assignment import MODES, GroundTruthScene, GlobalTargets, LevelTargets
 from .fields import (DenseBoxLevel, DensePrediction, LevelSpec, PanopticMap, SegmentInfo, as_uint16,
-                     check_labels, segment_labels, validate_level_specs)
+                     check_labels, level_grids, segment_labels, validate_level_specs)
 from .geometry import boxes_valid
 
 FORMAT = "tensor-bundle-v2"
@@ -89,6 +89,8 @@ def read_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(mpath.read_bytes())
     except OSError:
         raise ValueError(f"{root} is not a tensor bundle (missing {MANIFEST})") from None
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{mpath} is not a JSON manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{mpath} does not hold a JSON object")
     if manifest.get("format") != FORMAT:
@@ -278,13 +280,14 @@ class TargetBundle:
 
     The constructor checks every value, wherever the data comes from, without
     converting or copying an array, and raises one ValueError naming the
-    tensor as a saved bundle does (`tensors`): `mode` is one of MODES, the
-    level targets match the valid pyramid `specs` stride for stride, level
-    grids are image_hw // stride (offsets plus (4,)) and quarter tensors
-    (h // 4, w // 4); semantics hold class ids in [1, n_stuff + n_things],
-    levelness level ids in [0, L], level classes 0 or a thing class, offsets
-    are finite and >= 0 and centerness in [0, 1]; gt_boxes are (K, 4) valid
-    boxes, gt_classes one thing class per box and gt_instances_quarter ids at most K.
+    tensor as a saved bundle does (`tensors`): `mode` is one of MODES, class
+    counts are nonnegative, the level targets match the valid pyramid `specs`
+    stride for stride, level grids (offsets plus (4,)) and quarter tensors are
+    the `level_grids` of the strides and of 4 on image_hw; semantics hold class
+    ids in [1, n_stuff + n_things], levelness level ids in [0, L], level
+    classes 0 or a thing class, offsets are finite and >= 0 and centerness in
+    [0, 1]; gt_boxes are (K, 4) valid boxes, gt_classes one thing class per box
+    and gt_instances_quarter ids at most K.
     """
 
     level_targets: list[LevelTargets]
@@ -301,14 +304,17 @@ class TargetBundle:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.n_stuff < 0 or self.n_things < 0:
+            raise ValueError("class counts must be nonnegative")
         validate_level_specs(self.specs)
-        if [t.stride for t in self.level_targets] != [s.stride for s in self.specs]:
+        strides = [s.stride for s in self.specs]
+        if [t.stride for t in self.level_targets] != strides:
             raise ValueError("level targets must match the specs one to one, stride for stride")
-        tensors, (h, w), n_levels = self.tensors(), self.image_hw, len(self.specs)
+        quarter, *grids = level_grids([4, *strides], self.image_hw)
+        tensors, n_levels = self.tensors(), len(self.specs)
         n_stuff, n_classes = self.n_stuff, self.n_stuff + self.n_things
-        quarter = (h // 4, w // 4)
         shapes = {"levelness": quarter, "semantics": quarter, "gt_instances_quarter": quarter,
-                  **{f"level{i}_{t}": (h // s.stride, w // s.stride, *tail) for i, s in enumerate(self.specs)
+                  **{f"level{i}_{t}": (*grid, *tail) for i, grid in enumerate(grids)
                      for t, tail in (("class", ()), ("offsets", (4,)), ("centerness", ()))}}
         rules = [
             *((name, lambda a, shape=shape: a.shape == shape, f"of shape {shape}") for name, shape in shapes.items()),

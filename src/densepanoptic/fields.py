@@ -66,6 +66,18 @@ def validate_level_specs(specs: list[LevelSpec]) -> None:
         raise ValueError("last level must extend to inf")
 
 
+def level_grids(strides, image_hw: tuple[int, int]) -> list[tuple[int, int]]:
+    """Each level's (h // stride, w // stride) grid on an image of image_hw, by the
+    pyramid's one tiling rule: every stride is a positive multiple of 4 dividing
+    both sides, so a level cell covers an exact (stride/4)^2 block of the quarter
+    grid, which is `level_grids([4], image_hw)`."""
+    h, w = image_hw
+    for z in strides:
+        if z <= 0 or z % 4 or h % z or w % z:
+            raise ValueError(f"stride {z} must be a positive multiple of 4 dividing the image size {h}x{w}")
+    return [(h // z, w // z) for z in strides]
+
+
 @dataclass
 class DenseBoxLevel:
     """Per-location predictions of one pyramid level.
@@ -374,7 +386,8 @@ class DensePrediction:
     The quarter-resolution logits are copied once into read-only float32
     (C, h, w) planes, which losses and construction read as they are; the
     `*_logits` fields are (h, w, C) views of them, and `levelness_field()` is
-    the one field, checked at construction. image_hw is the full resolution.
+    the one field, checked at construction. image_hw is the full resolution,
+    and level i is the `level_grids` grid of spec i's stride on it.
     """
 
     levels: list[DenseBoxLevel]
@@ -389,26 +402,22 @@ class DensePrediction:
         for name in ("semantic_logits", "levelness_logits"):
             planes = np.array(np.moveaxis(np.asarray(getattr(self, name)), -1, 0), np.float32, order="C")
             setattr(self, name, np.moveaxis(_readonly_planes(planes), 0, -1))
-        h, w = self.image_hw
-        if h % 4 or w % 4:
-            raise ValueError("image size must be divisible by 4")
         if self.n_stuff < 0 or self.n_things < 0:
             raise ValueError("class counts must be nonnegative")
-        q = (h // 4, w // 4)
+        if self.n_stuff + self.n_things == 0:
+            raise ValueError("predictions need a semantic class, got n_stuff = n_things = 0")
+        validate_level_specs(self.specs)
+        strides = [spec.stride for spec in self.specs]
+        q, *grids = level_grids([4, *strides], self.image_hw)
         if self.semantic_logits.shape != (*q, self.n_stuff + self.n_things):
             raise ValueError(f"semantic logits shape {self.semantic_logits.shape} mismatch")
         if self.levelness_logits.shape != (*q, len(self.levels) + 1):
             raise ValueError(f"levelness logits shape {self.levelness_logits.shape} mismatch")
         if not np.isfinite(self.semantic_logits).all():
             raise ValueError("semantic logits must be finite")
-        if len(self.levels) != len(self.specs):
-            raise ValueError("one spec per level required")
-        validate_level_specs(self.specs)
-        for i, (lv, spec) in enumerate(zip(self.levels, self.specs)):
-            if lv.stride != spec.stride:
-                raise ValueError("level stride disagrees with its spec")
-            if lv.shape != (h // spec.stride, w // spec.stride):
-                raise ValueError("level grid must be image size over stride")
+        if [(lv.stride, lv.shape) for lv in self.levels] != list(zip(strides, grids)):
+            raise ValueError(f"levels must match the specs one to one with strides {strides} and grids {grids}")
+        for i, lv in enumerate(self.levels):
             if lv.n_thing_classes != self.n_things:
                 raise ValueError("level class channels must equal n_things")
             off = lv.offsets

@@ -98,11 +98,10 @@ def compute_loss_report(
     theirs = (targets.n_stuff, targets.n_things, tuple(targets.image_hw))
     if ours != theirs:
         raise ValueError(f"predictions have (n_stuff, n_things, image_hw) {ours}, targets {theirs}")
-    if len(pred.levels) != len(targets.level_targets):
-        raise ValueError("prediction and target level counts differ")
+    ours, theirs = [lv.stride for lv in pred.levels], [t.stride for t in targets.level_targets]
+    if ours != theirs:  # both hold the `level_grids` of their strides on one image_hw
+        raise ValueError(f"predictions have strides {ours}, targets {theirs}")
     pairs = list(zip(pred.levels, targets.level_targets))
-    if any(lv.stride != t.stride or lv.shape != t.centerness.shape for lv, t in pairs):
-        raise ValueError("prediction and target grids disagree")
     with ThreadPoolExecutor(max_workers=1) as pool:
         mask_term = pool.submit(_mask_term, pred, targets, params)
         pred_boxes, tgt_boxes, fg_all = [], [], []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DenseBoxLevel, LevelnessField, upsample_nearest
+from .fields import DenseBoxLevel, LevelnessField, level_grids, upsample_nearest
 from .geometry import _area, _iou_from_areas, boxes_valid, decode_boxes
 
 
@@ -144,14 +144,11 @@ def nms(candidates: QuerySet, iou_thresh: float = 0.6) -> QuerySet:
 
 def _quarter_block(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> int:
     """Quarter pixels per level cell along each axis, stride // 4; the level
-    grid must tile the quarter grid."""
-    z = level.stride
-    if z % 4:
-        raise ValueError("stride must be a multiple of 4")
-    h, w = level.shape
-    if (h * (z // 4), w * (z // 4)) != quarter_hw:
-        raise ValueError("level grid does not tile the quarter resolution")
-    return z // 4
+    grid must be the `level_grids` grid of its stride on the image."""
+    qh, qw = quarter_hw
+    if level_grids([level.stride], (4 * qh, 4 * qw)) != [level.shape]:
+        raise ValueError(f"level grid {level.shape} does not tile the quarter resolution {quarter_hw}")
+    return level.stride // 4
 
 
 def resample_level_boxes(level: DenseBoxLevel, quarter_hw: tuple[int, int]) -> np.ndarray:

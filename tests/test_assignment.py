@@ -228,8 +228,7 @@ class TestAssignLevels:
         assert got.tolist() == [0, 1, 3, 4]
 
     def test_zero_offsets_select_nothing(self):
-        with pytest.raises(ValueError):
-            levels_for([5.0, 0.0], default_level_specs())
+        assert levels_for([5.0, 0.0], default_level_specs()).tolist() == [0, -1]
 
     @given(st.floats(min_value=1e-3, max_value=4096.0, allow_nan=False))
     def test_partition_property(self, v):

@@ -67,6 +67,16 @@ class TestRawBundle:
         with pytest.raises(ValueError, match="manifest"):
             read_bundle(tmp_path / "empty")
 
+    @pytest.mark.parametrize("raw", [b"not json", '{"format": "\u00e9"}'.encode("latin-1")],
+                             ids=["not-json", "not-utf8"])
+    def test_an_undecodable_manifest_is_named(self, tmp_path, raw):
+        write_bundle(tmp_path / "b", {"a": np.zeros(2, np.float32)})
+        mpath = tmp_path / "b" / "manifest.json"
+        mpath.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(mpath))} is not a JSON manifest: ") as exc:
+            read_bundle(tmp_path / "b")
+        assert len(str(exc.value).splitlines()) == 1
+
     def test_manifest_is_json(self, tmp_path):
         write_bundle(tmp_path / "b", {"a": np.zeros(2, np.float32)})
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
@@ -296,6 +306,11 @@ def _put(arr, index, value):
     arr[index] = value
 
 
+def _level0_stride(kw, stride):
+    kw["specs"][0] = dataclasses.replace(kw["specs"][0], stride=stride)
+    _level0(kw).stride = stride
+
+
 # case -> (an edit of valid fields of a 256x128 scene that breaks one rule, the error it raises)
 _TARGET_VIOLATIONS = {
     "nan-offsets": (lambda kw: _put(_level0(kw).offsets, _first_fg(kw), np.nan),
@@ -321,6 +336,14 @@ _TARGET_VIOLATIONS = {
                       "strides must increase with level"),
     "level-stride": (lambda kw: setattr(kw["level_targets"][1], "stride", 32),
                      "level targets must match the specs one to one, stride for stride"),
+    # the same class total, so every class id stays in range
+    "negative-class-count": (lambda kw: kw.update(n_stuff=-1, n_things=kw["n_stuff"] + kw["n_things"] + 1),
+                             "class counts must be nonnegative"),
+    # the floor-divided grids are those of 128x256, which the tensors have
+    "image-not-divisible-by-4": (lambda kw: kw.update(image_hw=(130, 256)),
+                                 "stride 4 must be a positive multiple of 4 dividing the image size 130x256"),
+    "stride-not-a-multiple-of-4": (lambda kw: _level0_stride(kw, 6),
+                                   "stride 6 must be a positive multiple of 4 dividing the image size 128x256"),
 }
 
 

@@ -241,6 +241,26 @@ class TestPipelineCommands:
         assert code == 1
         assert err.strip().startswith("error:")
 
+    @pytest.mark.parametrize("raw", [b"not json", '{"format": "\u00e9"}'.encode("latin-1")],
+                             ids=["not-json", "not-utf8"])
+    def test_an_undecodable_manifest_is_named(self, scene_and_preds, capsys, raw):
+        d = scene_and_preds
+        (d / "preds" / "manifest.json").write_bytes(raw)
+        code, out, err = run(capsys, "construct", "--preds", str(d / "preds"), "--out", str(d / "pan"))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {d / 'preds' / 'manifest.json'} is not a JSON manifest: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_zero_semantic_classes_are_refused(self, scene_and_preds, capsys):
+        d = scene_and_preds
+        splice(d / "preds", "semantic_logits", read_tensor(d / "preds", "semantic_logits")[..., :0])
+        for i in range(5):
+            splice(d / "preds", f"level{i}_class_probs", read_tensor(d / "preds", f"level{i}_class_probs")[..., :0])
+        edit_manifest(d / "preds", lambda m: m["meta"].update(n_stuff=0, n_things=0))
+        code, out, err = run(capsys, "construct", "--preds", str(d / "preds"), "--out", str(d / "pan"))
+        assert code == 1 and out == ""
+        assert err == "error: predictions need a semantic class, got n_stuff = n_things = 0\n"
+
 
 class TestMetaErrors:
     @pytest.mark.parametrize("edit, named", [

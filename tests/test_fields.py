@@ -17,6 +17,7 @@ from densepanoptic.fields import (
     check_labels,
     default_level_specs,
     label_counts,
+    level_grids,
     plane_argmax,
     plane_sum,
     segment_labels,
@@ -56,6 +57,19 @@ class TestLevelSpec:
     def test_validate_rejects_finite_tail(self):
         with pytest.raises(ValueError):
             validate_level_specs([LevelSpec(8, 0, 64)])
+
+
+class TestLevelGrids:
+    def test_grids_are_image_size_over_stride(self):
+        assert level_grids([4, 8, 32], (64, 96)) == [(16, 24), (8, 12), (2, 3)]
+        assert level_grids([], (6, 6)) == []
+
+    @pytest.mark.parametrize("stride, hw", [(0, (32, 32)), (-8, (32, 32)), (6, (24, 24)), (12, (24, 40)),
+                                            (8, (20, 24)), (8, (24, 20)), (4, (18, 16))])
+    def test_a_stride_that_does_not_tile_the_image_is_refused(self, stride, hw):
+        with pytest.raises(ValueError, match=f"^stride {stride} must be a positive multiple of 4 dividing "
+                                             f"the image size {hw[0]}x{hw[1]}$"):
+            level_grids([stride, 8], hw)
 
 
 class TestDenseBoxLevel:
@@ -197,6 +211,40 @@ class TestDensePrediction:
         level = dataclasses.replace(pred.levels[0], class_probs=np.zeros((2, 2, 4), np.float32))
         with pytest.raises(ValueError, match="class counts must be nonnegative"):
             dataclasses.replace(pred, levels=[level], n_stuff=-1, n_things=4)
+
+    def test_zero_semantic_classes_rejected(self):
+        pred = self._pred()
+        level = dataclasses.replace(pred.levels[0], class_probs=np.zeros((2, 2, 0), np.float32))
+        with pytest.raises(ValueError, match="^predictions need a semantic class, got n_stuff = n_things = 0$"):
+            dataclasses.replace(pred, levels=[level], semantic_logits=np.zeros((4, 4, 0), np.float32),
+                                n_stuff=0, n_things=0)
+
+    @pytest.mark.parametrize("stride, hw, refused", [
+        pytest.param(6, (24, 24), 6, id="stride-not-a-multiple-of-4"),
+        pytest.param(8, (20, 20), 8, id="stride-not-dividing-the-image"),
+        pytest.param(8, (18, 16), 4, id="image-not-divisible-by-4"),
+    ])
+    def test_a_pyramid_that_does_not_tile_the_image_is_refused_when_built(self, stride, hw, refused):
+        # every array matches the floor-divided grids, so only the tiling rule is broken
+        g, q = (hw[0] // stride, hw[1] // stride), (hw[0] // 4, hw[1] // 4)
+        level = DenseBoxLevel(stride=stride, offsets=np.zeros((*g, 4), np.float32),
+                              class_probs=np.zeros((*g, 1), np.float32), centerness=np.zeros(g, np.float32))
+        with pytest.raises(ValueError, match=f"^stride {refused} must be a positive multiple of 4"):
+            DensePrediction(levels=[level], semantic_logits=np.zeros((*q, 3), np.float32),
+                            levelness_logits=np.zeros((*q, 2), np.float32),
+                            specs=[LevelSpec(stride, 0.0, math.inf)], n_stuff=2, n_things=1, image_hw=hw)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param({"stride": 16}, id="stride"),
+        pytest.param({"offsets": np.zeros((2, 1, 4)), "class_probs": np.zeros((2, 1, 1)),
+                      "centerness": np.zeros((2, 1))}, id="grid"),
+    ])
+    def test_levels_must_match_the_spec_grids(self, edit):
+        pred = self._pred()
+        level = dataclasses.replace(pred.levels[0], **edit)
+        with pytest.raises(ValueError, match=r"^levels must match the specs one to one with strides \[8\] "
+                                             r"and grids \[\(2, 2\)\]$"):
+            dataclasses.replace(pred, levels=[level])
 
 
 class TestPanopticMap:

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -564,13 +565,13 @@ class TestTotalLoss:
 
 class TestLossReportInputs:
     @staticmethod
-    def _pair():
+    def _pair(specs=None):
         from densepanoptic.assignment import build_targets
         from densepanoptic.bundle import TargetBundle
         from densepanoptic.fields import default_level_specs
         from densepanoptic.synth import SceneConfig, generate_scene, ideal_predictions
 
-        specs = default_level_specs(5)
+        specs = specs or default_level_specs(5)
         scene = generate_scene(SceneConfig(width=128, height=128, instances=2, seed=3))
         level_targets, global_targets = build_targets(scene, specs)
         targets = TargetBundle(level_targets=level_targets, global_targets=global_targets,
@@ -595,6 +596,23 @@ class TestLossReportInputs:
             setattr(bad, name, value)
         with pytest.raises(ValueError, match="predictions have"):
             compute_loss_report(pred, bad)
+
+    @pytest.mark.parametrize("ours, theirs", [
+        pytest.param([8, 16, 32, 64, 128], [8, 16, 32, 64], id="fewer-levels"),
+        pytest.param([8, 16], [8, 32], id="other-strides"),
+    ])
+    def test_mismatched_strides_rejected(self, ours, theirs):
+        from densepanoptic.fields import LevelSpec
+        from densepanoptic.pipeline import compute_loss_report
+
+        def specs(strides):
+            bounds = [0.0, 64.0, 128.0, 256.0, 512.0][:len(strides)] + [math.inf]
+            return [LevelSpec(z, lo, hi) for z, lo, hi in zip(strides, bounds, bounds[1:])]
+
+        pred, _ = self._pair(specs(ours))
+        _, targets = self._pair(specs(theirs))
+        with pytest.raises(ValueError, match=re.escape(f"predictions have strides {ours}, targets {theirs}")):
+            compute_loss_report(pred, targets)
 
 
 class TestLossReport:

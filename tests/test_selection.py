@@ -298,6 +298,20 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_global_boxes([lv0, lv1], LevelnessField(logits))
 
+    @pytest.mark.parametrize("level, message", [
+        pytest.param(make_level(stride=6, gh=5, gw=5), "stride 6 must be a positive multiple of 4", id="stride-6"),
+        pytest.param(make_level(stride=8, gh=3, gw=4), r"level grid \(3, 4\) does not tile the quarter resolution",
+                     id="short-grid"),
+        pytest.param(make_level(stride=12, gh=3, gw=3), "stride 12 must be a positive multiple of 4 dividing "
+                     "the image size 32x32", id="stride-12"),
+    ])
+    def test_a_hand_built_level_that_does_not_tile_is_refused(self, level, message):
+        # a 32x32 image: quarter grid 8x8
+        with pytest.raises(ValueError, match=message):
+            resample_level_boxes(level, (8, 8))
+        with pytest.raises(ValueError, match=message):
+            assemble_global_boxes([level], LevelnessField(np.zeros((8, 8, 2), np.float32)))
+
     def test_all_background_gives_empty_windows(self):
         lv0, lv1 = self._two_levels()
         field = assemble_global_boxes([lv0, lv1], LevelnessField(np.zeros((8, 8, 3), np.float32)))
